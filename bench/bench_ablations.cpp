@@ -5,9 +5,9 @@
 //   * shallow/deep window multiplier (Def. 5.10's 2·n^{1/k} threshold):
 //     smaller windows cut volume until they start declaring real components
 //     deep, larger ones explore more for no benefit.
-//   * churn invalidation (PR 10's dynamic-graph regime): under localized
-//     leaf rewires, radius-bounded invalidate_region vs the old global
-//     flush — how much of the warm ball cache each keeps serving.
+//   * churn eviction (the dynamic-graph regime): under localized mutation
+//     batches, the answer memo's region eviction vs dropping the whole memo
+//     — how much of the warm memo each keeps serving, per family.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -21,9 +21,8 @@
 #include "lcl/problems/cp_thc.hpp"
 #include "lcl/problems/hierarchical_thc.hpp"
 #include "lcl/problems/leaf_coloring.hpp"
-#include "runtime/batched_execution.hpp"
+#include "runtime/answer_memo.hpp"
 #include "runtime/success.hpp"
-#include "runtime/view_cache.hpp"
 
 namespace volcal::bench {
 namespace {
@@ -178,14 +177,13 @@ void remark57_ablation(JsonReport& report) {
       "\"our modification seems necessary\" as a measurement.\n");
 }
 
-// One serving-side churn simulation: a warm shared ball cache over every
-// node, a stream of localized leaf rewires, and a fixed probe set queried
-// after each update.  `region == true` migrates surviving entries with
-// invalidate_region; `region == false` reproduces the pre-PR-10 behavior —
-// rebinding to the new token, which flushes the whole cache.  Every cache
-// hit is checked bit-for-bit against a cold recomputation on the mutated
-// graph: a divergence here is a stale ball served to a client, and the
-// ablation dies rather than report alongside it.
+// One serving-side churn simulation: every node's answer memoized, a stream
+// of localized mutation batches (one leaf rewire and one label write each),
+// and a fixed probe set queried after each batch.  `region == true` evicts
+// with AnswerMemo::evict_region; `region == false` drops the whole memo on
+// every batch.  Every hit is checked against a cold recomputation on the
+// mutated instance: a divergence is a stale answer served to a client, and
+// the ablation dies rather than report alongside it.
 struct ChurnTally {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
@@ -202,28 +200,13 @@ struct ChurnTally {
 ChurnTally run_churn(const RegistryEntry& entry, NodeIndex n, std::uint64_t seed,
                      int updates, bool region) {
   ChurnTally tally;
-  const std::int64_t radius = entry.plan.radius;
   ErasedInstance cur = entry.make(n, seed);
   n = cur.node_count();  // families may round n to their natural shape
-
-  CacheConfig cfg;
-  cfg.policy = CachePolicy::Shared;
-  ViewCache cache(cfg);
-  cache.bind(cur.graph());
-  // Warm every center, the serve path's steady state.
-  {
-    BatchedBallExecutor warm;
-    warm.bind(cur.graph());
-    NodeIndex centers[BatchedBallExecutor::kMaxBatch];
-    for (NodeIndex at = 0; at < n;) {
-      int b = 0;
-      for (; b < BatchedBallExecutor::kMaxBatch && at < n; ++b, ++at) centers[b] = at;
-      warm.run({centers, static_cast<std::size_t>(b)}, radius);
-      for (int s = 0; s < b; ++s) {
-        cache.store(centers[s], warm.take_ball(s), cache.epoch(),
-                    cur.graph().storage_identity());
-      }
-    }
+  ExecutionScratch scratch;
+  AnswerMemo memo(n);
+  // Warm every node, the serve path's steady state.
+  for (NodeIndex v = 0; v < n; ++v) {
+    memo.store(v, memo.generation(), cur.answer_at(v, scratch));
   }
 
   const std::vector<NodeIndex> probes = sampled_starts(n, 256);
@@ -234,48 +217,33 @@ ChurnTally run_churn(const RegistryEntry& entry, NodeIndex n, std::uint64_t seed
     std::vector<NodeIndex> touched;
     ErasedInstance next = cur.mutated(batch, &touched);
     if (region) {
-      const auto inv = cache.invalidate_region(cur.graph(), touched, radius,
-                                               next.graph().storage_identity());
-      if (inv.fell_back_to_flush) {
-        std::fprintf(stderr,
-                     "FATAL: churn ablation: invalidate_region fell back to the "
-                     "full flush at update %d\n",
-                     u);
-        std::exit(1);
-      }
-      tally.evicted += static_cast<std::int64_t>(inv.evicted);
-      tally.retained += static_cast<std::int64_t>(inv.retained);
+      const AnswerMemo::Eviction ev =
+          memo.evict_region(cur.graph(), changed_nodes(batch, touched));
+      tally.evicted += static_cast<std::int64_t>(ev.evicted);
+      tally.retained += static_cast<std::int64_t>(ev.retained);
     } else {
-      // The old mutation signal: binding to the new token flushes everything.
-      tally.evicted += static_cast<std::int64_t>(cache.entry_count());
-      cache.bind(next.graph());
+      tally.evicted += static_cast<std::int64_t>(memo.size());
+      memo.reset(n);
     }
     cur = std::move(next);
 
     std::int64_t round_hits = 0;
-    BatchedBallExecutor cold;
-    cold.bind(cur.graph());
-    NodeIndex center[1];
+    const AnswerMemo::Generation gen = memo.generation();
     for (const NodeIndex v : probes) {
-      center[0] = v;
-      cold.run({center, 1}, radius);
-      BallCosts costs;
-      if (cache.serve_costs(cur.graph(), v, radius, &costs)) {
+      const Answer cold = cur.answer_at(v, scratch);
+      if (const auto hit = memo.lookup(v, gen)) {
         ++round_hits;
-        if (costs.volume != cold.volume(0) || costs.distance != cold.distance(0) ||
-            costs.queries != cold.queries(0)) {
+        if (*hit != cold) {
           std::fprintf(stderr,
-                       "FATAL: churn ablation: %s served a stale ball at node %lld "
-                       "after update %d (cached volume %lld, true volume %lld)\n",
-                       region ? "invalidate_region" : "global flush",
-                       static_cast<long long>(v), u,
-                       static_cast<long long>(costs.volume),
-                       static_cast<long long>(cold.volume(0)));
+                       "FATAL: churn ablation (%s): %s served a stale answer at node %lld "
+                       "after update %d (memoized volume %lld, true volume %lld)\n",
+                       entry.name.c_str(), region ? "region eviction" : "full reset",
+                       static_cast<long long>(v), u, static_cast<long long>(hit->volume),
+                       static_cast<long long>(cold.volume));
           std::exit(1);
         }
       } else {
-        cache.store(v, cold.take_ball(0), cache.epoch(),
-                    cur.graph().storage_identity());
+        memo.store(v, gen, cold);
       }
     }
     tally.hits += round_hits;
@@ -287,47 +255,47 @@ ChurnTally run_churn(const RegistryEntry& entry, NodeIndex n, std::uint64_t seed
   return tally;
 }
 
-void churn_invalidation_ablation(JsonReport& report) {
+void churn_eviction_ablation(JsonReport& report) {
   auto ph = report.phase("churn");
-  print_header(
-      "Ablation — churn: radius-bounded invalidation vs global flush (ball-4)");
-  const RegistryEntry* entry = ProblemRegistry::global().find("ball-4");
-  if (entry == nullptr || !entry->plan.batchable()) {
-    std::fprintf(stderr, "FATAL: churn ablation needs the batchable ball-4 family\n");
-    std::exit(1);
-  }
+  print_header("Ablation — churn: answer-memo region eviction vs full reset");
+  stats::Table table({"family", "eviction", "probe hits", "probe misses", "hit rate",
+                      "evicted", "retained"});
   const NodeIndex n = 4000;
   const int kUpdates = 32;
-  const ChurnTally region = run_churn(*entry, n, 7, kUpdates, /*region=*/true);
-  const ChurnTally flush = run_churn(*entry, n, 7, kUpdates, /*region=*/false);
-
-  stats::Table table(
-      {"invalidation", "probe hits", "probe misses", "hit rate", "evicted", "retained"});
-  char rr[16], fr[16];
-  std::snprintf(rr, sizeof rr, "%.3f", region.rate());
-  std::snprintf(fr, sizeof fr, "%.3f", flush.rate());
-  table.add_row({"region (radius-bounded)", fmt_int(region.hits), fmt_int(region.misses),
-                 rr, fmt_int(region.evicted), fmt_int(region.retained)});
-  table.add_row({"global flush", fmt_int(flush.hits), fmt_int(flush.misses), fr,
-                 fmt_int(flush.evicted), fmt_int(flush.retained)});
-  table.print();
-  report.add("Churn / hit rate per update (region invalidation)", region.hit_rate,
-             "localized rewires keep the cache warm");
-  report.add("Churn / hit rate per update (global flush)", flush.hit_rate);
-  std::printf(
-      "\nEach leaf rewire touches O(1) nodes; only balls whose radius-%lld\n"
-      "cone meets the touched set can change, so region invalidation keeps\n"
-      "the rest serving (every hit above is checked bit-for-bit against a\n"
-      "cold recomputation).  The global flush repays the whole warm set on\n"
-      "every update — the per-query volume lens applied to maintenance.\n",
-      static_cast<long long>(entry->plan.radius));
-  if (region.rate() <= flush.rate()) {
-    std::fprintf(stderr,
-                 "FATAL: churn ablation: region invalidation hit rate %.3f did not "
-                 "beat the global flush's %.3f on localized updates\n",
-                 region.rate(), flush.rate());
-    std::exit(1);
+  for (const char* family : {"ball-4", "leaf-coloring", "hthc-2"}) {
+    const RegistryEntry* entry = ProblemRegistry::global().find(family);
+    if (entry == nullptr) {
+      std::fprintf(stderr, "FATAL: churn ablation needs the %s family\n", family);
+      std::exit(1);
+    }
+    const ChurnTally region = run_churn(*entry, n, 7, kUpdates, /*region=*/true);
+    const ChurnTally reset = run_churn(*entry, n, 7, kUpdates, /*region=*/false);
+    char rr[16], fr[16];
+    std::snprintf(rr, sizeof rr, "%.3f", region.rate());
+    std::snprintf(fr, sizeof fr, "%.3f", reset.rate());
+    table.add_row({family, "region", fmt_int(region.hits), fmt_int(region.misses), rr,
+                   fmt_int(region.evicted), fmt_int(region.retained)});
+    table.add_row({family, "full reset", fmt_int(reset.hits), fmt_int(reset.misses), fr,
+                   fmt_int(reset.evicted), fmt_int(reset.retained)});
+    report.add(std::string("Churn / ") + family + " / hit rate per update (region eviction)",
+               region.hit_rate, "localized batches keep the memo warm");
+    report.add(std::string("Churn / ") + family + " / hit rate per update (full reset)",
+               reset.hit_rate);
+    if (region.rate() <= reset.rate()) {
+      std::fprintf(stderr,
+                   "FATAL: churn ablation (%s): region eviction hit rate %.3f did not "
+                   "beat the full reset's %.3f on localized updates\n",
+                   family, region.rate(), reset.rate());
+      std::exit(1);
+    }
   }
+  table.print();
+  std::printf(
+      "\nEach batch changes O(1) nodes; only answers whose distance reaches a\n"
+      "changed node can change, so region eviction keeps the rest serving\n"
+      "(every hit above is checked bit-for-bit against a cold recomputation).\n"
+      "The full reset repays the whole warm memo on every update — the\n"
+      "per-query volume lens applied to maintenance.\n");
 }
 
 }  // namespace
@@ -341,7 +309,7 @@ int main(int argc, char** argv) {
   volcal::bench::waypoint_constant_ablation(report);
   volcal::bench::window_ablation(report);
   volcal::bench::remark57_ablation(report);
-  volcal::bench::churn_invalidation_ablation(report);
+  volcal::bench::churn_eviction_ablation(report);
   report.write_file(args.json);
   return 0;
 }

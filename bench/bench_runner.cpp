@@ -198,11 +198,11 @@ void print_batch_occupancy(const AblationRow& row) {
               static_cast<long long>(row.stats.batch.waves));
 }
 
-// View-cache ablation on the serving workload the shared cache targets:
-// starts drawn from a small hot set of centers, so whole balls repeat across
-// starts.  Off rebuilds every ball; Shared builds each distinct ball once and
-// serves every repeat as a prefix install.  Outputs and cost meters must be
-// bit-identical across policies — only wall time may move.
+// Answer-reuse ablation on a hot-set workload: starts drawn from a small hot
+// set of centers, so whole answers repeat across starts.  Off executes every
+// start; Shared executes each distinct center once and copies its slots to
+// every repeat.  Outputs and cost meters must be bit-identical across
+// policies — only wall time may move.
 void run_cache_ablation(const Args& args, stats::Table& table, JsonReport& report) {
   const auto inst = make_complete_binary_tree(15, Color::Red, Color::Blue);  // 2^16 - 1
   if (!args.keep_n(inst.node_count())) return;
@@ -224,8 +224,8 @@ void run_cache_ablation(const Args& args, stats::Table& table, JsonReport& repor
 
   const std::vector<AblationRow> rows = run_ablation_rows(
       inst.graph, inst.ids, starts, solve, ProbePlan::batched_ball(kRadius),
-      {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}, kRepeats,
-      "ball(r=6)/hot", table, report, "cache-ablation");
+      {CachePolicy::Off, CachePolicy::Shared}, kRepeats, "ball(r=6)/hot", table, report,
+      "cache-ablation");
   const AblationRow* off8 = find_row(rows, ExecBackend::Basic, CachePolicy::Off, 8);
   const AblationRow* shared8 = find_row(rows, ExecBackend::Basic, CachePolicy::Shared, 8);
   const double gain = off8->cost.seconds / shared8->cost.seconds;
@@ -238,17 +238,17 @@ void run_cache_ablation(const Args& args, stats::Table& table, JsonReport& repor
       static_cast<long long>(shared8->stats.cache.misses),
       static_cast<long long>(shared8->stats.cache.served_nodes), gain,
       gain >= 3.0 ? "MET" : "MISSED");
-  // The hot-set workload is the cache's regime, not the batched backend's:
-  // repeats are served from the shared cache and only the distinct centers
-  // batch, so occupancy here shows the serve/batch composition.
+  // The hot-set workload is answer reuse's regime, not the batched
+  // backend's: repeats are copied and only the distinct centers batch, so
+  // occupancy here shows the copy/batch composition.
   print_batch_occupancy(*find_row(rows, ExecBackend::Batched, CachePolicy::Off, 8));
   print_batch_occupancy(*find_row(rows, ExecBackend::Batched, CachePolicy::Shared, 8));
 }
 
 // Backend ablation on the whole-graph ball sweep — every start distinct, so
-// the shared cache cannot serve within the sweep and the batched backend's
-// fused wave traversal is the only lever.  This is the >= 2x headline the
-// per-backend baselines (bench/baselines-batched/) pin in CI.
+// answer reuse has nothing to copy and the batched backend's fused wave
+// traversal is the only lever.  This is the >= 2x headline the per-backend
+// baselines (bench/baselines-batched/) pin in CI.
 void run_backend_ablation(const Args& args, stats::Table& table, JsonReport& report) {
   const auto inst = make_complete_binary_tree(15, Color::Red, Color::Blue);  // 2^16 - 1
   if (!args.keep_n(inst.node_count())) return;
@@ -264,9 +264,8 @@ void run_backend_ablation(const Args& args, stats::Table& table, JsonReport& rep
       {CachePolicy::Off, CachePolicy::Shared}, kRepeats, "ball(r=6)/all", table, report,
       "backend-ablation");
   // Two comparisons: same-config (the backend's own instruction-count win,
-  // thread-invariant) and vs the shared-cache serving config at 8 threads —
-  // the previous best lever, which cannot help a whole-graph sweep (every
-  // center distinct, so it pays store overhead for zero hits).
+  // thread-invariant) and vs the basic backend with answer reuse on at 8
+  // threads, which cannot help a whole-graph sweep (every center distinct).
   const AblationRow* basic_off1 = find_row(rows, ExecBackend::Basic, CachePolicy::Off, 1);
   const AblationRow* batched_off1 = find_row(rows, ExecBackend::Batched, CachePolicy::Off, 1);
   const AblationRow* basic_off8 = find_row(rows, ExecBackend::Basic, CachePolicy::Off, 8);
@@ -280,7 +279,7 @@ void run_backend_ablation(const Args& args, stats::Table& table, JsonReport& rep
       "\nbackend ablation (ball(r=%d), whole graph, n=%lld):\n"
       "  batched off x1 vs basic off x1: %.2fx\n"
       "  batched off x8 vs basic off x8: %.2fx\n"
-      "  batched off x8 vs basic shared x8 (the serving-config lever): %.2fx "
+      "  batched off x8 vs basic shared x8: %.2fx "
       "(target >= 2x: %s)\n",
       kRadius, static_cast<long long>(inst.node_count()), serial_gain, gain8, vs_serving,
       vs_serving >= 2.0 ? "MET" : "MISSED");

@@ -82,7 +82,7 @@ struct Args {
   std::string filter;                  // --filter <substr>: registry subset
   std::int64_t max_n = 0;              // --max-n <n>: skip larger instances
   int threads = 0;                     // --threads <t>
-  const char* cache = nullptr;         // --cache off|perstart|shared
+  const char* cache = nullptr;         // --cache off|shared
   const char* backend = nullptr;       // --backend basic|batched
   bool help = false;
 
@@ -103,7 +103,7 @@ struct Args {
         "  --filter <substr>      restrict registry-driven sections to matching entries\n"
         "  --max-n <n>            skip instances larger than n\n"
         "  --threads <t>          worker threads (same as VOLCAL_THREADS=t)\n"
-        "  --cache <policy>       ball-view cache: off|perstart|shared\n"
+        "  --cache <policy>       answer reuse for repeated starts: off|shared\n"
         "                         (same as VOLCAL_CACHE=<policy>)\n"
         "  --backend <backend>    plan execution backend: basic|batched\n"
         "                         (same as VOLCAL_BACKEND=<backend>)\n"
@@ -178,7 +178,7 @@ struct Args {
     if (args.cache != nullptr) {
       CachePolicy parsed = CachePolicy::Off;
       if (!CacheConfig::policy_from_name(args.cache, &parsed)) {
-        std::fprintf(stderr, "%s: unknown --cache policy '%s' (off|perstart|shared)\n",
+        std::fprintf(stderr, "%s: unknown --cache policy '%s' (off|shared)\n",
                      tool, args.cache);
         std::exit(2);
       }

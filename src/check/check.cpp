@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -18,10 +19,9 @@
 #include "lcl/registry.hpp"
 #include "obs/replay.hpp"
 #include "obs/trace.hpp"
-#include "runtime/batched_execution.hpp"
 #include "runtime/parallel_runner.hpp"
+#include "runtime/answer_memo.hpp"
 #include "runtime/reference_execution.hpp"
-#include "runtime/view_cache.hpp"
 #include "stats/growth.hpp"
 
 namespace volcal::check {
@@ -300,6 +300,19 @@ std::vector<NodeIndex> case_starts(const FuzzCase& c, NodeIndex n) {
   return bench::sampled_starts(n, c.start_count);
 }
 
+// The case's starts followed by the same starts in reverse: every start
+// repeats once, so answer reuse (CachePolicy::Shared) has work to do.
+std::vector<NodeIndex> with_repeats(std::vector<NodeIndex> starts) {
+  starts.insert(starts.end(), starts.rbegin(), starts.rend());
+  return starts;
+}
+
+CacheConfig policy_config(CachePolicy p) {
+  CacheConfig cfg;
+  cfg.policy = p;
+  return cfg;
+}
+
 }  // namespace
 
 const char* model_name(RandomnessModel m) {
@@ -439,52 +452,51 @@ CheckResult check_cache_case(const FuzzCase& c) {
   const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
   const NodeIndex n = inst.node_count();
   if (n <= 0) return fail("generator produced an empty instance");
-  const std::vector<NodeIndex> starts = case_starts(c, n);
+  const std::vector<NodeIndex> starts = with_repeats(case_starts(c, n));
   const std::span<const NodeIndex> span(starts);
+  const auto distinct = static_cast<std::int64_t>(starts.size() / 2);
 
   RandomTape tape(inst.ids(), c.tape_seed, c.model);
   auto solve = [&](auto& exec) { return inst.solve(exec); };
-  auto config = [](CachePolicy p) {
-    CacheConfig cfg;
-    cfg.policy = p;
-    return cfg;
-  };
-  const auto baseline = ParallelRunner(1, config(CachePolicy::Off))
+  const auto baseline = ParallelRunner(1, policy_config(CachePolicy::Off))
                             .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
-  for (const CachePolicy policy : {CachePolicy::PerStart, CachePolicy::Shared}) {
-    for (const int threads : {1, 8}) {
-      const auto run = ParallelRunner(threads, config(policy))
-                           .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
-      const std::string where = std::string(cache_policy_name(policy)) + " at " +
-                                std::to_string(threads) + " thread(s)";
-      if (baseline.output != run.output) return fail("cache: outputs diverge under " + where);
-      if (baseline.volume != run.volume || baseline.distance != run.distance ||
-          baseline.queries != run.queries) {
-        return fail("cache: per-start costs diverge under " + where);
-      }
-      if (!same_costs(baseline.stats, run.stats)) {
-        return fail("cache: aggregate costs diverge under " + where);
-      }
-      if (run.stats.cache.policy != policy) {
-        return fail("cache: sweep stats tagged with the wrong policy under " + where);
-      }
+  for (const int threads : {1, 8}) {
+    const auto run = ParallelRunner(threads, policy_config(CachePolicy::Shared))
+                         .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
+    const std::string where = "shared at " + std::to_string(threads) + " thread(s)";
+    if (baseline.output != run.output) return fail("cache: outputs diverge under " + where);
+    if (baseline.volume != run.volume || baseline.distance != run.distance ||
+        baseline.queries != run.queries) {
+      return fail("cache: per-start costs diverge under " + where);
+    }
+    if (!same_costs(baseline.stats, run.stats)) {
+      return fail("cache: aggregate costs (truncation included) diverge under " + where);
+    }
+    if (run.stats.cache.policy != CachePolicy::Shared || run.stats.cache.hits != distinct ||
+        run.stats.cache.misses != distinct) {
+      return fail("cache: every repeated start must be reused exactly once under " + where);
     }
   }
 
-  // Recording executions must take the direct path: identical results with
-  // every cache counter untouched.
+  // Recording executions never reuse: identical results, every start traced
+  // in full, and no reuse counted.
   obs::TraceRecorder recorder;
   const auto traced =
-      obs::run_at_traced(ParallelRunner(2, config(CachePolicy::Shared)), inst.graph(),
+      obs::run_at_traced(ParallelRunner(2, policy_config(CachePolicy::Shared)), inst.graph(),
                          inst.ids(), span, solve, recorder, c.budget, &tape);
   if (baseline.output != traced.output || baseline.volume != traced.volume ||
       baseline.distance != traced.distance || baseline.queries != traced.queries ||
       !same_costs(baseline.stats, traced.stats)) {
-    return fail("cache: traced sweep diverges from the uncached flat sweep");
+    return fail("cache: traced sweep diverges from the plain sweep");
   }
-  if (traced.stats.cache.hits != 0 || traced.stats.cache.misses != 0 ||
-      traced.stats.cache.served_nodes != 0) {
-    return fail("cache: traced sweep touched the view cache (recording must bypass it)");
+  if (traced.stats.cache.hits != 0 || traced.stats.cache.misses != 0) {
+    return fail("cache: traced sweep counted reuse (recording must execute every start)");
+  }
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    const obs::ExecutionTrace& t = recorder.traces()[i];
+    if (t.start != starts[i] || t.query_count != baseline.queries[i]) {
+      return fail(at_start("cache: traced sweep skipped a repeated start", i, starts[i]));
+    }
   }
   return {};
 }
@@ -498,20 +510,15 @@ CheckResult check_backend_case(const FuzzCase& c) {
   const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
   const NodeIndex n = inst.node_count();
   if (n <= 0) return fail("generator produced an empty instance");
-  const std::vector<NodeIndex> starts = case_starts(c, n);
+  const std::vector<NodeIndex> starts = with_repeats(case_starts(c, n));
   const std::span<const NodeIndex> span(starts);
   const ProbePlan plan = entry->plan;
 
   auto solve = [&](auto& exec) { return inst.solve(exec); };
-  auto config = [](CachePolicy p) {
-    CacheConfig cfg;
-    cfg.policy = p;
-    return cfg;
-  };
 
   // Reference row: Basic backend, cache off, serial, no budget / no tape (the
   // configuration in which a batchable plan is batched-eligible).
-  ParallelRunner base_runner(1, config(CachePolicy::Off));
+  ParallelRunner base_runner(1, policy_config(CachePolicy::Off));
   base_runner.set_backend(ExecBackend::Basic);
   const auto baseline = base_runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
   if (baseline.stats.backend != ExecBackend::Basic) {
@@ -521,10 +528,9 @@ CheckResult check_backend_case(const FuzzCase& c) {
     return fail("backend: basic sweep lost its plan tag");
   }
 
-  for (const CachePolicy policy :
-       {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}) {
+  for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
     for (const int threads : {1, 8}) {
-      ParallelRunner runner(threads, config(policy));
+      ParallelRunner runner(threads, policy_config(policy));
       runner.set_backend(ExecBackend::Batched);
       const auto run = runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
       const std::string where = std::string(plan.name()) + " under " +
@@ -547,9 +553,8 @@ CheckResult check_backend_case(const FuzzCase& c) {
         if (run.stats.backend != ExecBackend::Batched) {
           return fail("backend: batchable sweep did not take the batched path for " + where);
         }
-        // Every start is either executed in a batch or served from the shared
-        // cache — exactly once.  (Starts are strictly increasing, so within a
-        // sweep-scoped cache the hit count can only come from re-serving.)
+        // Every start is either executed in a batch or copied from its
+        // first occurrence — exactly once.
         if (run.stats.batch.batched_starts + run.stats.cache.hits !=
             static_cast<std::int64_t>(starts.size())) {
           return fail("backend: batch start accounting wrong for " + where);
@@ -567,12 +572,12 @@ CheckResult check_backend_case(const FuzzCase& c) {
   // runner must fall back to the per-start basic path and stay bit-identical
   // to a Basic-backend runner under the same configuration.
   RandomTape base_tape(inst.ids(), c.tape_seed, c.model);
-  ParallelRunner fb_base(1, config(CachePolicy::Off));
+  ParallelRunner fb_base(1, policy_config(CachePolicy::Off));
   fb_base.set_backend(ExecBackend::Basic);
   const auto fb_baseline = fb_base.run_planned(inst.graph(), inst.ids(), span, plan, solve,
                                                c.budget, &base_tape);
   RandomTape tape(inst.ids(), c.tape_seed, c.model);
-  ParallelRunner fb_runner(8, config(CachePolicy::Off));
+  ParallelRunner fb_runner(8, policy_config(CachePolicy::Off));
   fb_runner.set_backend(ExecBackend::Batched);
   const auto fallback = fb_runner.run_planned(inst.graph(), inst.ids(), span, plan, solve,
                                               c.budget, &tape);
@@ -775,14 +780,9 @@ CheckResult check_mutation_case(const FuzzCase& c) {
   const std::span<const NodeIndex> span(starts);
   auto solve_mut = [&](auto& exec) { return mut.solve(exec); };
   auto solve_naive = [&](auto& exec) { return naive.solve(exec); };
-  auto config = [](CachePolicy p) {
-    CacheConfig cfg;
-    cfg.policy = p;
-    return cfg;
-  };
-  const auto base_mut = ParallelRunner(1, config(CachePolicy::Off))
+  const auto base_mut = ParallelRunner(1, policy_config(CachePolicy::Off))
                             .run_at(gm, mut.ids(), span, solve_mut, c.budget);
-  const auto base_naive = ParallelRunner(1, config(CachePolicy::Off))
+  const auto base_naive = ParallelRunner(1, policy_config(CachePolicy::Off))
                               .run_at(gn, naive.ids(), span, solve_naive, c.budget);
   if (base_mut.output != base_naive.output) {
     return fail("mutation: mutate-then-query diverges from rebuild-then-query");
@@ -792,10 +792,9 @@ CheckResult check_mutation_case(const FuzzCase& c) {
       !same_costs(base_mut.stats, base_naive.stats)) {
     return fail("mutation: mutate-then-query costs diverge from rebuild-then-query");
   }
-  for (const CachePolicy policy :
-       {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}) {
+  for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
     for (const int threads : {1, 8}) {
-      ParallelRunner runner(threads, config(policy));
+      ParallelRunner runner(threads, policy_config(policy));
       runner.set_backend(ExecBackend::Batched);
       const auto run =
           runner.run_planned(gm, mut.ids(), span, entry->plan, solve_mut, c.budget);
@@ -811,82 +810,39 @@ CheckResult check_mutation_case(const FuzzCase& c) {
     }
   }
 
-  // --- warm cache + region invalidation: retained entries must serve the
-  // new graph bit-identically to cold recomputation -------------------------
-  const std::int64_t radius = entry->plan.batchable() ? entry->plan.radius : 64;
-  ViewCache cache(config(CachePolicy::Shared));
-  cache.bind(g0);
+  // --- answer memo: warm every node on the old graph, evict the batch's
+  // region, and every kept answer must equal a cold run on the mutated
+  // instance -----------------------------------------------------------------
   ExecutionScratch scratch;
-  if (entry->plan.batchable()) {
-    BatchedBallExecutor warm;
-    warm.bind(g0);
-    NodeIndex centers[BatchedBallExecutor::kMaxBatch];
-    for (NodeIndex at = 0; at < n;) {
-      int b = 0;
-      for (; b < BatchedBallExecutor::kMaxBatch && at < n; ++b, ++at) centers[b] = at;
-      warm.run({centers, static_cast<std::size_t>(b)}, radius);
-      for (int s = 0; s < b; ++s) {
-        cache.store(centers[s], warm.take_ball(s), cache.epoch(), g0.storage_identity());
-      }
-    }
-  } else {
-    for (NodeIndex v = 0; v < n; ++v) {
-      Execution e(g0, inst.ids(), v, 0, scratch);
-      e.attach_view_cache(&cache);
-      (void)inst.solve(e);
+  AnswerMemo memo(n);
+  const AnswerMemo::Generation warm_gen = memo.generation();
+  for (NodeIndex v = 0; v < n; ++v) memo.store(v, warm_gen, inst.answer_at(v, scratch));
+  const std::size_t warm = memo.size();
+  if (warm != static_cast<std::size_t>(n)) {
+    return fail("mutation: the memo did not keep every warmed answer");
+  }
+  const std::vector<NodeIndex> changed = changed_nodes(batch, touched);
+  const AnswerMemo::Eviction ev = memo.evict_region(g0, changed);
+  if (ev.evicted + ev.retained != warm) {
+    return fail("mutation: memo eviction accounting does not cover the warm set");
+  }
+  if (ev.evicted < changed.size()) {
+    return fail("mutation: a changed node kept its own memoized answer");
+  }
+  const AnswerMemo::Generation gen = memo.generation();
+  std::size_t kept = 0;
+  for (NodeIndex v = 0; v < n; ++v) {
+    const std::optional<Answer> hit = memo.lookup(v, gen);
+    if (!hit) continue;
+    ++kept;
+    if (*hit != mut.answer_at(v, scratch)) {
+      return fail("mutation: a memoized answer kept across the batch is stale at node " +
+                  std::to_string(v));
     }
   }
-  const std::size_t warm_entries = cache.entry_count();
-  const auto inv =
-      cache.invalidate_region(g0, touched, radius, gm.storage_identity());
-  if (inv.fell_back_to_flush) {
-    return fail("mutation: invalidate_region fell back to the full flush");
-  }
-  if (inv.evicted + inv.retained != warm_entries) {
-    return fail("mutation: invalidate_region accounting does not cover the warm set");
-  }
-  if (touched.empty() && inv.evicted != 0) {
-    return fail("mutation: label-only batch evicted cached balls");
-  }
-  if (entry->plan.batchable()) {
-    BatchedBallExecutor cold;
-    cold.bind(gm);
-    std::size_t hits = 0;
-    NodeIndex center[1];
-    for (NodeIndex v = 0; v < n; ++v) {
-      center[0] = v;
-      cold.run({center, 1}, radius);
-      BallCosts costs;
-      if (!cache.serve_costs(gm, v, radius, &costs)) continue;
-      ++hits;
-      if (costs.volume != cold.volume(0) || costs.distance != cold.distance(0) ||
-          costs.queries != cold.queries(0)) {
-        return fail(
-            "mutation: a ball retained across invalidate_region serves stale costs "
-            "at node " +
-            std::to_string(v));
-      }
-    }
-    if (hits != inv.retained) {
-      return fail("mutation: " + std::to_string(inv.retained) +
-                  " retained full-depth balls but " + std::to_string(hits) +
-                  " post-mutation cache hits");
-    }
-  } else {
-    for (NodeIndex v = 0; v < n; ++v) {
-      Execution cold(gm, mut.ids(), v, 0, scratch);
-      const int cold_label = mut.solve(cold);
-      Execution warm_exec(gm, mut.ids(), v, 0, scratch);
-      warm_exec.attach_view_cache(&cache);
-      const int warm_label = mut.solve(warm_exec);
-      if (cold_label != warm_label || cold.volume() != warm_exec.volume() ||
-          cold.distance() != warm_exec.distance() ||
-          cold.query_count() != warm_exec.query_count()) {
-        return fail(
-            "mutation: region-invalidated cache diverges from cold execution at node " +
-            std::to_string(v));
-      }
-    }
+  if (kept != ev.retained) {
+    return fail("mutation: " + std::to_string(ev.retained) + " answers retained but " +
+                std::to_string(kept) + " served after the batch");
   }
 
   // --- copy-on-write: the pre-mutation instance is byte-identical ----------

@@ -71,21 +71,22 @@ struct CheckResult {
 // (unknown family, out-of-range variant) come back as failures.
 CheckResult check_case(const FuzzCase& c);
 
-// Cache-policy differential (runtime/view_cache.hpp): the same sweep under
-// CachePolicy Off, PerStart and Shared, at 1 and 8 threads, must be
-// bit-identical in outputs and per-start/aggregate costs, and a traced sweep
-// on a cache-enabled runner must bypass the cache entirely (zero counters,
-// identical results).  Run by the driver when --cache is set.
+// Answer-reuse differential (CachePolicy::Shared): the case's starts, each
+// repeated once, swept with reuse at 1 and 8 threads must be bit-identical
+// in outputs, per-start costs and aggregate costs (truncation included) to
+// the sweep that executes every start, with every repeat counted as reused;
+// a traced sweep on a reusing runner must execute and trace every start.
+// Run by the driver when --cache is set.
 CheckResult check_cache_case(const FuzzCase& c);
 
 // Backend differential (plan/probe_plan.hpp + runtime/batched_execution.hpp):
-// the family's registered probe plan executed on the Batched backend, under
-// every cache policy at 1 and 8 threads, must be bit-identical to the Basic
-// backend in outputs and per-start/aggregate costs.  Also asserts the sweep
-// stats are tagged with the right plan/backend, that every start is accounted
-// for exactly once by the batch counters on batchable plans, and that a
-// budgeted/taped sweep (batched-ineligible) falls back to the basic path
-// bit-identically.  Run by the driver when --backend is set.
+// the family's registered probe plan executed on the Batched backend, with
+// and without answer reuse at 1 and 8 threads, must be bit-identical to the
+// Basic backend in outputs and per-start/aggregate costs.  Also asserts the
+// sweep stats are tagged with the right plan/backend, that every start is
+// accounted for exactly once by the batch and reuse counters on batchable
+// plans, and that a budgeted/taped sweep (batched-ineligible) falls back to
+// the basic path bit-identically.  Run by the driver when --backend is set.
 CheckResult check_backend_case(const FuzzCase& c);
 
 // Snapshot round-trip differential (io/snapshot.hpp): the case's instance
@@ -96,17 +97,18 @@ CheckResult check_backend_case(const FuzzCase& c);
 // Run by the driver when --snapshot is set.
 CheckResult check_snapshot_case(const FuzzCase& c);
 
-// Dynamic-graph differential (graph/mutation.hpp + ViewCache::
-// invalidate_region): draws a deterministic MutationBatch for the case's
-// instance and asserts mutate-then-query equals rebuild-from-scratch-then-
-// query — the CSR fast path and the Builder-based naive path produce
-// byte-identical graphs, the mutated instance sweeps bit-identically to the
-// naive rebuild on the Basic and Batched backends under every cache policy
-// at 1 and 8 threads, the pre-mutation instance is untouched (copy-on-
-// write), and a Shared cache warmed on the old graph then region-invalidated
-// serves post-mutation queries bit-identical to cold recomputation, with
-// eviction/retention accounting exact.  Run by the driver when --mutate is
-// set.
+// Dynamic-graph differential (graph/mutation.hpp + AnswerMemo::
+// evict_region): draws a deterministic MutationBatch for the case's instance
+// and asserts mutate-then-query equals rebuild-from-scratch-then-query — the
+// CSR fast path and the Builder-based naive path produce byte-identical
+// graphs, the mutated instance sweeps bit-identically to the naive rebuild on
+// the Basic and Batched backends with and without answer reuse at 1 and 8
+// threads, and the pre-mutation instance is untouched (copy-on-write).  It
+// also certifies the answer memo: with every node's answer memoized on the
+// old graph, the batch's region eviction must account for every answer
+// (evicted + retained == warm), evict each changed node's own answer, and
+// keep only answers equal to a cold run on the mutated instance.  Run by the
+// driver when --mutate is set.
 CheckResult check_mutation_case(const FuzzCase& c);
 
 // Model <-> name, shared by the reproducer format and the driver's output.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 
+#include "util/hash.hpp"
+
 namespace volcal {
 
 std::vector<std::int64_t> bfs_distances(GraphView g, NodeIndex source) {
@@ -22,28 +24,62 @@ std::vector<std::int64_t> bfs_distances(GraphView g, NodeIndex source) {
   return dist;
 }
 
+namespace {
+
+// Open-addressing set of node indices sized to what it holds (load <= 1/2),
+// so a BFS over a small ball costs O(|ball| · Δ) whatever the graph's size.
+class NodeSet {
+ public:
+  // Inserts v; false if it was already present.
+  bool insert(NodeIndex v) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    std::size_t i = slot_of(v);
+    while (slots_[i] != kNoNode) {
+      if (slots_[i] == v) return false;
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    slots_[i] = v;
+    ++size_;
+    return true;
+  }
+
+ private:
+  std::size_t slot_of(NodeIndex v) const {
+    return static_cast<std::size_t>(splitmix64(static_cast<std::uint64_t>(v))) &
+           (slots_.size() - 1);
+  }
+
+  void grow() {
+    std::vector<NodeIndex> old(std::max<std::size_t>(16, 2 * slots_.size()), kNoNode);
+    old.swap(slots_);
+    size_ = 0;
+    for (const NodeIndex v : old) {
+      if (v != kNoNode) insert(v);
+    }
+  }
+
+  std::vector<NodeIndex> slots_;
+  std::size_t size_ = 0;
+};
+
+}  // namespace
+
 BallWithDistances ball_with_distances(GraphView g, NodeIndex center, std::int64_t radius) {
   BallWithDistances out;
   if (radius < 0) return out;
-  // Local visited map keyed by node; a full vector<bool> of size n would make
-  // small-ball extraction O(n), defeating the point of volume accounting.
-  // We use a sorted probe into `out.nodes` only when balls are tiny, otherwise
-  // a per-call hash would be fine; in practice balls here are small relative
-  // to n, but a vector<char> is simplest and BFS callers amortize it.
-  std::vector<char> seen(g.node_count(), 0);
-  std::deque<NodeIndex> frontier{center};
-  seen[center] = 1;
+  // The visited set is sized to the ball, not to n: extracting a small ball
+  // stays proportional to its volume, so checking a radius-r predicate at
+  // every node is linear in n, not quadratic.
+  NodeSet seen;
+  seen.insert(center);
   out.nodes.push_back(center);
   out.dist.push_back(0);
-  std::size_t head = 0;
-  while (head < out.nodes.size()) {
-    NodeIndex v = out.nodes[head];
-    std::int64_t dv = out.dist[head];
-    ++head;
+  for (std::size_t head = 0; head < out.nodes.size(); ++head) {
+    const NodeIndex v = out.nodes[head];
+    const std::int64_t dv = out.dist[head];
     if (dv == radius) continue;
-    for (NodeIndex w : g.neighbors(v)) {
-      if (!seen[w]) {
-        seen[w] = 1;
+    for (const NodeIndex w : g.neighbors(v)) {
+      if (seen.insert(w)) {
         out.nodes.push_back(w);
         out.dist.push_back(dv + 1);
       }

@@ -58,7 +58,7 @@ class Graph {
   // invariant is the caller's responsibility (Builder::build validates it; the
   // mutation fast path in graph/mutation.cpp maintains it edit-by-edit and is
   // cross-checked against the Builder path by check_mutation_case).  A fresh
-  // StorageToken is minted: the result is a *different* cache identity from
+  // StorageToken is minted: the result is a *different* storage identity from
   // whatever the arrays were derived from.
   static Graph from_csr(std::vector<std::size_t> offsets, std::vector<NodeIndex> adjacency,
                         int max_degree) {

@@ -31,14 +31,14 @@ inline constexpr Port kNoPort = 0;
 
 // Process-unique identity of one logical graph storage (one Builder::build,
 // one Graph::adopt of a fresh mapping, one snapshot load).  Raw pointers are
-// NOT identity: munmap/mmap recycles addresses, so a persistent ViewCache
-// keyed on a pointer can serve balls from a previous snapshot that happened
-// to land at the same address (pointer ABA).  Tokens are minted from a
-// monotonic counter and never reused within a process.
+// NOT identity: munmap/mmap recycles addresses, so state keyed on a pointer
+// (a worker's executor binding, say) can mistake a new snapshot that landed
+// at the same address for the previous one (pointer ABA).  Tokens are minted
+// from a monotonic counter and never reused within a process.
 //
 // Token 0 is reserved for "anonymous" storage — a bare GraphView constructed
-// over raw arrays with no minting owner.  The ViewCache refuses to bind to or
-// serve anonymous views (it cannot tell two of them apart).
+// over raw arrays with no minting owner.  Anything keyed on identity must
+// treat anonymous views as unkeyable (two of them cannot be told apart).
 using StorageToken = std::uint64_t;
 
 inline constexpr StorageToken kAnonymousStorage = 0;
@@ -141,11 +141,10 @@ class GraphView {
   const NodeIndex* adjacency_data() const { return adjacency_; }
 
   // Identity of the underlying storage: the token minted when the storage
-  // was built or adopted (Graph, io::Snapshot).  This is what ViewCache keys
-  // its binding on.  Pointer equality is deliberately NOT used — munmap/mmap
-  // recycles addresses across snapshot swaps, so two distinct graphs can
-  // share an offsets pointer over a process lifetime.  kAnonymousStorage (0)
-  // means "no minting owner"; the cache treats such views as uncacheable.
+  // was built or adopted (Graph, io::Snapshot).  Pointer equality is
+  // deliberately NOT used — munmap/mmap recycles addresses across snapshot
+  // swaps, so two distinct graphs can share an offsets pointer over a
+  // process lifetime.  kAnonymousStorage (0) means "no minting owner".
   StorageToken storage_identity() const { return token_; }
 
  private:

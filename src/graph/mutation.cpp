@@ -136,4 +136,13 @@ Graph apply_mutation_naive(GraphView g, const MutationBatch& batch) {
   return std::move(b).build();
 }
 
+std::vector<NodeIndex> changed_nodes(const MutationBatch& batch,
+                                     std::span<const NodeIndex> touched) {
+  std::vector<NodeIndex> out(touched.begin(), touched.end());
+  for (const LabelUpdate& u : batch.label_updates) out.push_back(u.node);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 }  // namespace volcal

@@ -19,10 +19,9 @@
 // Copy-on-write contract: apply_mutation never touches the input storage.  It
 // materializes the post-batch CSR into *fresh owned arrays* with a freshly
 // minted StorageToken, so every GraphView borrowed from the old graph stays
-// valid and cache entries keyed by the old token can never alias the new
-// structure.  In-flight readers finish against the old view; the ViewCache
-// migrates certified entries to the new token via invalidate_region
-// (runtime/view_cache.hpp).
+// valid.  In-flight readers finish against the old view; the query
+// service's AnswerMemo (runtime/answer_memo.hpp) evicts only the answers a
+// batch's changed nodes (changed_nodes below) can reach.
 //
 // Two independent implementations back the differential harness:
 // apply_mutation edits per-node port vectors directly; apply_mutation_naive
@@ -94,10 +93,8 @@ struct AppliedMutation {
 
   // Structural endpoints of the batch — for each rewire the leaf, its old
   // parent (resolved at the rewire's turn in the sequential application), and
-  // the new parent — sorted and deduplicated.  This is exactly the touched
-  // set invalidate_region certifies distances against: label updates are NOT
-  // included (cached balls memoize structure, never labels, so a label-only
-  // batch invalidates nothing).
+  // the new parent — sorted and deduplicated: exactly the nodes whose
+  // adjacency lists differ.  Label updates are not included.
   std::vector<NodeIndex> touched;
 };
 
@@ -107,6 +104,13 @@ struct AppliedMutation {
 // input is never modified either way.  Label updates are not interpreted
 // here (the labeling layer owns them) but their node indices are validated.
 AppliedMutation apply_mutation(GraphView g, const MutationBatch& batch);
+
+// Every node whose adjacency or labels `batch` changes: the structural
+// `touched` set plus each relabelled node, sorted and deduplicated.  An
+// answer computed from v is unchanged unless one of these lies within its
+// distance of v (AnswerMemo::evict_region).
+std::vector<NodeIndex> changed_nodes(const MutationBatch& batch,
+                                     std::span<const NodeIndex> touched);
 
 // Reference implementation: replays the identical semantics on explicit
 // (port, neighbor) tables and rebuilds through Graph::Builder — whose

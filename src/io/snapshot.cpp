@@ -233,8 +233,8 @@ Snapshot Snapshot::load(const std::string& path, Options opts) {
   snap.map_ = MappedFile::map(path);
   // One identity per load: views handed out by this snapshot all carry the
   // same token, and a reload of the same file (or a different file mapped at
-  // a recycled address) gets a different one.  This is what keeps a
-  // persistent ViewCache from serving balls across snapshot swaps.
+  // a recycled address) gets a different one, so nothing keyed on identity
+  // can mistake one load for another.
   snap.token_ = mint_storage_token();
   const std::uint8_t* base = snap.map_->data();
   const std::uint64_t file_size = snap.map_->size();

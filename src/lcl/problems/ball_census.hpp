@@ -3,11 +3,12 @@
 // Not one of the paper's separation families: its role in the registry is to
 // pin the query model itself.  The solver is a bare explore_ball(exec, r), so
 // its volume cost IS its output and its verifier recomputes the ball offline
-// (graph/bfs.hpp) with no execution in the loop — any disagreement means the
-// metered exploration visited the wrong node set.  It is also the family
-// whose whole-graph sweeps re-explore maximally overlapping views, which
-// makes it the canonical workload for the view-cache equivalence suite and
-// the bench_runner cache ablation.
+// (graph/bfs.hpp ball(), a BFS whose visited set is sized to the ball, so a
+// whole-graph verify is linear in n) with no execution in the loop — any
+// disagreement means the metered exploration visited the wrong node set.
+// It is also the family whose whole-graph sweeps re-explore maximally
+// overlapping views, which makes it the one batchable plan (the batched
+// backend) and the cheap-answer serving workload.
 //
 // Checkability radius is r: |N_v(r)| is a function of the radius-r ball.
 #pragma once

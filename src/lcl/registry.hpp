@@ -28,6 +28,7 @@
 #include "lcl/lcl.hpp"
 #include "obs/trace.hpp"
 #include "plan/probe_plan.hpp"
+#include "runtime/answer_memo.hpp"
 #include "runtime/execution.hpp"
 
 namespace volcal {
@@ -88,6 +89,14 @@ class ErasedInstance {
   int solve(Execution& exec) const { return impl_.solve(exec); }
   int solve(obs::TracedExecution& exec) const { return impl_.solve_traced(exec); }
 
+  // solve() from node v on a fresh execution over `scratch`: the label and
+  // the cost meters a query at v is answered with (the AnswerMemo's value).
+  Answer answer_at(NodeIndex v, ExecutionScratch& scratch) const {
+    Execution exec(graph(), ids(), v, 0, scratch);
+    const int label = solve(exec);
+    return {label, exec.volume(), exec.distance(), exec.query_count()};
+  }
+
   // Whole-graph verification of encoded per-node outputs (Def. 2.6).
   VerifyResult verify(const std::vector<int>& encoded_outputs) const {
     return impl_.verify(encoded_outputs);
@@ -100,8 +109,7 @@ class ErasedInstance {
   // under a fresh StorageToken, carries copies of the ids and the mutated
   // labels, and is wired through the same solver/verifier closures.  If
   // `touched` is non-null it receives the batch's structural endpoints,
-  // sorted — the set ViewCache::invalidate_region certifies distances
-  // against.  Throws std::invalid_argument on an invalid rewire or a label
+  // sorted.  Throws std::invalid_argument on an invalid rewire or a label
   // channel the family does not carry.
   ErasedInstance mutated(const MutationBatch& batch,
                          std::vector<NodeIndex>* touched = nullptr) const {

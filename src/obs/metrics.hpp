@@ -6,7 +6,7 @@
 // tape-bit high-water mark, and (when a SweepProfile was attached) wall time
 // per start and per-worker busy time.
 //
-// Determinism: every field except the wall-time and view-cache ones is
+// Determinism: every field except the wall-time and reuse-counter ones is
 // derived from the SweepResult's per-start slot vectors, which the engine guarantees are
 // bit-identical at any thread count — so metrics aggregated over a parallel
 // sweep equal the serial ones by construction (the same argument as the

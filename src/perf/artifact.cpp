@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "runtime/view_cache.hpp"
+#include "runtime/sweep_stats.hpp"
 
 namespace volcal::perf {
 

@@ -17,7 +17,7 @@
 //     "curves": [{"name", "claim", "fitted", "exponent", "r_squared",
 //                 "points": [{"n", "cost", "wall_seconds"}, ...]}, ...],
 //     "phases": [{"name", "wall_seconds"}, ...],
-//     "cache": {"policy", "hits", "misses", "evictions",   // v2: view-cache
+//     "cache": {"policy", "hits", "misses", "evictions",   // v2: answer-reuse
 //               "served_nodes", "inserted_bytes"},         //   counters
 //     "serve": {"accepted", "completed", "shed", "invalid", "swaps",
 //               "latency_samples", "p50_ns", "p95_ns", "p99_ns", "mean_ns",
@@ -62,7 +62,7 @@
 namespace volcal::perf {
 
 inline constexpr int kArtifactSchemaVersion = 2;
-// Oldest artifact version the readers still accept (v1 = pre-view-cache).
+// Oldest artifact version the readers still accept (v1 = no "cache" block).
 inline constexpr int kMinArtifactSchemaVersion = 1;
 
 struct CurvePoint {
@@ -158,8 +158,9 @@ struct BenchArtifact {
   EnvFingerprint env;
   std::vector<ArtifactCurve> curves;
   std::vector<PhaseTimer::Phase> phases;
-  // View-cache counters accumulated over the tool's measured sweeps (schema
-  // v2; zeros with policy Off for v1 artifacts and cache-less runs).
+  // Answer-reuse counters accumulated over the tool's measured sweeps, or the
+  // answer memo's for serve runs (schema v2; zeros with policy Off for v1
+  // artifacts and runs without reuse).
   CacheStats cache;
   // Query-service block — present only for serve/load runs.
   std::optional<ServeStatsBlock> serve;

@@ -132,9 +132,9 @@ void diff_artifact(const BenchArtifact& base, const BenchArtifact& cand,
         "env differs: backend '" + base.env.backend + "' vs '" + cand.env.backend +
             "' (cost curves are backend-invariant; wall times not comparable 1:1)");
   }
-  // View-cache counters are wall-time bookkeeping (scheduling-dependent under
-  // parallel sweeps), never gated — but a policy change explains wall-time
-  // movement, so say so.
+  // Reuse counters are wall-time bookkeeping (a serving memo's are
+  // scheduling-dependent), never gated — but a policy change explains
+  // wall-time movement, so say so.
   if (base.cache.policy != cand.cache.policy) {
     add(out, Sev::Note, key,
         fmt("cache policy changed '%s' -> '%s' (wall times not comparable 1:1)",

@@ -24,11 +24,6 @@
 //                       bit-identical to BasicExecution (the exactness
 //                       argument lives in DESIGN.md "Probe plans and
 //                       backends").
-//   SharedFrontier{r} — reserved refinement of BatchedBall for the future
-//                       SIMD/NUMA backend (ROADMAP): one fused frontier over
-//                       the *whole* sweep instead of per-chunk batches.
-//                       Executes as BatchedBall today; no registry family
-//                       uses it yet.
 //
 // The backend knob is orthogonal: ExecBackend::Basic forces every plan down
 // the per-start path (the ablation / differential baseline), Batched (the
@@ -40,35 +35,27 @@
 
 namespace volcal {
 
-enum class PlanKind { IndependentStarts, BatchedBall, SharedFrontier };
+enum class PlanKind { IndependentStarts, BatchedBall };
 
 constexpr const char* plan_kind_name(PlanKind k) {
-  switch (k) {
-    case PlanKind::BatchedBall: return "batched-ball";
-    case PlanKind::SharedFrontier: return "shared-frontier";
-    default: return "independent-starts";
-  }
+  return k == PlanKind::BatchedBall ? "batched-ball" : "independent-starts";
 }
 
 struct ProbePlan {
   PlanKind kind = PlanKind::IndependentStarts;
-  // Ball radius for BatchedBall / SharedFrontier; unused (0) otherwise.
+  // Ball radius for BatchedBall; unused (0) otherwise.
   std::int64_t radius = 0;
 
   static constexpr ProbePlan independent() { return {}; }
   static constexpr ProbePlan batched_ball(std::int64_t radius) {
     return {PlanKind::BatchedBall, radius};
   }
-  static constexpr ProbePlan shared_frontier(std::int64_t radius) {
-    return {PlanKind::SharedFrontier, radius};
-  }
 
   // Whether the batched backend can execute this plan at all.  Eligibility
   // of a concrete sweep is narrower (no query budget, not recording); the
   // runner checks that at dispatch time.
   constexpr bool batchable() const {
-    return (kind == PlanKind::BatchedBall || kind == PlanKind::SharedFrontier) &&
-           radius >= 0;
+    return kind == PlanKind::BatchedBall && radius >= 0;
   }
 
   constexpr const char* name() const { return plan_kind_name(kind); }

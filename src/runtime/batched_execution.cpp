@@ -13,7 +13,7 @@ void BatchedBallExecutor::bind(GraphView g) {
     gather_stamp_.resize(n, 0);
     gather_pos_.resize(n, 0);
   }
-  balls_.resize(static_cast<std::size_t>(kMaxBatch));
+  slots_.resize(static_cast<std::size_t>(kMaxBatch));
 }
 
 void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t radius) {
@@ -21,7 +21,6 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
          centers.size() <= static_cast<std::size_t>(kMaxBatch));
   const GraphView g = g_;
   const int batch = static_cast<int>(centers.size());
-  radius_ = radius;
   waves_ = 0;
   expanded_nodes_ = 0;
 
@@ -32,16 +31,12 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
   std::uint64_t active = batch == kMaxBatch ? ~std::uint64_t{0}
                                             : (std::uint64_t{1} << batch) - 1;
   for (int b = 0; b < batch; ++b) {
-    CachedBall& ball = balls_[static_cast<std::size_t>(b)];
-    ball.order.clear();
-    ball.level_end.clear();
-    ball.cum_queries.clear();
-    ball.depth = 0;
-    ball.exhausted = false;
+    Slot& slot = slots_[static_cast<std::size_t>(b)];
     const NodeIndex center = centers[static_cast<std::size_t>(b)];
-    ball.order.push_back(center);
-    ball.level_end.push_back(1);
-    ball.cum_queries.push_back(0);
+    slot.order.assign(1, center);
+    slot.level_end.assign(1, 1);
+    slot.distance = 0;
+    slot.queries = 0;
     auto& mask = visited_mask_[static_cast<std::size_t>(center)];
     if (mask == 0) touched_.push_back(center);
     mask |= std::uint64_t{1} << b;
@@ -59,17 +54,17 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
     wave_adj_.clear();
     for (int b = 0; b < batch; ++b) {
       if ((active >> b & 1) == 0) continue;
-      const CachedBall& ball = balls_[static_cast<std::size_t>(b)];
-      const auto lb = static_cast<std::size_t>(level == 0 ? 0 : ball.level_end[level - 1]);
-      const auto le = static_cast<std::size_t>(ball.level_end[level]);
-      for (std::size_t head = lb; head < le; ++head) {
-        const auto v = static_cast<std::size_t>(ball.order[head]);
-        if (gather_stamp_[v] == stamp_) continue;
-        gather_stamp_[v] = stamp_;
-        gather_pos_[v] = static_cast<std::uint32_t>(wave_nodes_.size());
-        wave_nodes_.push_back(ball.order[head]);
+      const Slot& slot = slots_[static_cast<std::size_t>(b)];
+      const std::size_t lb = level == 0 ? 0 : slot.level_end[level - 1];
+      for (std::size_t head = lb; head < slot.level_end[level]; ++head) {
+        const NodeIndex v = slot.order[head];
+        const auto vi = static_cast<std::size_t>(v);
+        if (gather_stamp_[vi] == stamp_) continue;
+        gather_stamp_[vi] = stamp_;
+        gather_pos_[vi] = static_cast<std::uint32_t>(wave_nodes_.size());
+        wave_nodes_.push_back(v);
         wave_off_.push_back(wave_adj_.size());
-        const auto nb = g.neighbors(ball.order[head]);
+        const auto nb = g.neighbors(v);
         wave_adj_.insert(wave_adj_.end(), nb.begin(), nb.end());
       }
     }
@@ -80,38 +75,35 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
     // gathered buffer.  Freshness is one bit test per discovered neighbor.
     for (int b = 0; b < batch; ++b) {
       if ((active >> b & 1) == 0) continue;
-      CachedBall& ball = balls_[static_cast<std::size_t>(b)];
-      const auto lb = static_cast<std::size_t>(level == 0 ? 0 : ball.level_end[level - 1]);
-      const auto le = static_cast<std::size_t>(ball.level_end[level]);
+      Slot& slot = slots_[static_cast<std::size_t>(b)];
+      const std::size_t lb = level == 0 ? 0 : slot.level_end[level - 1];
+      const std::size_t le = slot.level_end[level];
       if (lb == le) {
-        // Matches detail::extend_cached_ball: an empty frontier before the
-        // target radius marks exhaustion without pushing a level.
-        ball.exhausted = true;
+        // explore_ball stops on an empty frontier: the ball is its whole
+        // component and no further level is pushed.
         active &= ~(std::uint64_t{1} << b);
         continue;
       }
       const std::uint64_t bit = std::uint64_t{1} << b;
-      std::int64_t queries = ball.cum_queries[level];
       for (std::size_t head = lb; head < le; ++head) {
-        const auto v = static_cast<std::size_t>(ball.order[head]);
+        const auto v = static_cast<std::size_t>(slot.order[head]);
         const std::size_t off = wave_off_[gather_pos_[v]];
         const std::size_t end = wave_off_[gather_pos_[v] + 1];
         // explore_ball queries every port of every frontier node, fresh or
         // not: one query per gathered edge.
-        queries += static_cast<std::int64_t>(end - off);
+        slot.queries += static_cast<std::int64_t>(end - off);
         for (std::size_t i = off; i < end; ++i) {
           const NodeIndex u = wave_adj_[i];
           auto& mask = visited_mask_[static_cast<std::size_t>(u)];
           if ((mask & bit) == 0) {
             if (mask == 0) touched_.push_back(u);
             mask |= bit;
-            ball.order.push_back(u);
+            slot.order.push_back(u);
           }
         }
       }
-      ball.level_end.push_back(static_cast<std::int64_t>(ball.order.size()));
-      ball.cum_queries.push_back(queries);
-      ++ball.depth;
+      slot.level_end.push_back(slot.order.size());
+      if (slot.order.size() > le) slot.distance = d + 1;
     }
   }
 }

@@ -21,12 +21,10 @@
 // backends"): pass 2 iterates each slot's level-d window in that slot's own
 // discovery order and scans ports in ascending order, so every slot produces
 // the *canonical* BFS expansion — bit-identical discovery order, level
-// windows and per-level query counts to explore_ball on a BasicExecution.
-// The output is a CachedBall per slot (runtime/view_cache.hpp), directly
-// insertable into a shared ViewCache; per-slot volume / distance / query
-// meters are read off the ball exactly as install_ball_prefix would advance
-// them.  Exhaustion matches detail::extend_cached_ball: an empty frontier
-// before the target radius marks the slot exhausted without pushing a level.
+// windows and per-level query counts to explore_ball on a BasicExecution —
+// and its volume / distance / query meters are exactly what that execution
+// reports.  Exhaustion matches explore_ball: an empty frontier before the
+// target radius ends the slot's expansion without a further level.
 //
 // One executor per worker thread; run() reuses all capacity across batches
 // (zero steady-state allocations).  Not thread-safe — the parallel engine
@@ -38,7 +36,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "runtime/view_cache.hpp"
+#include "runtime/answer_memo.hpp"
 
 namespace volcal {
 
@@ -62,24 +60,20 @@ class BatchedBallExecutor {
   // Per-slot cost meters, exactly what a BasicExecution running
   // explore_ball(center, radius) would report.
   std::int64_t volume(int slot) const {
-    return static_cast<std::int64_t>(balls_[static_cast<std::size_t>(slot)].order.size());
+    return static_cast<std::int64_t>(slots_[static_cast<std::size_t>(slot)].order.size());
   }
   std::int64_t distance(int slot) const {
-    return balls_[static_cast<std::size_t>(slot)].max_layer(radius_);
+    return slots_[static_cast<std::size_t>(slot)].distance;
   }
   std::int64_t queries(int slot) const {
-    return balls_[static_cast<std::size_t>(slot)].cum_queries.back();
+    return slots_[static_cast<std::size_t>(slot)].queries;
   }
 
-  const CachedBall& ball(int slot) const {
-    return balls_[static_cast<std::size_t>(slot)];
-  }
-
-  // Moves the slot's canonical expansion out (for ViewCache::store).  The
-  // slot's meters are dead afterwards; the next run() reuses whatever
-  // capacity the move left behind.
-  CachedBall take_ball(int slot) {
-    return std::move(balls_[static_cast<std::size_t>(slot)]);
+  // The slot's answer under the batched-ball plan's contract: the output
+  // label is the ball size, and the meters above.  The one read-back both
+  // the sweep engine and the query service use.
+  Answer answer(int slot) const {
+    return {static_cast<int>(volume(slot)), volume(slot), distance(slot), queries(slot)};
   }
 
   // Telemetry for BatchStats: waves executed and union-frontier nodes
@@ -90,7 +84,6 @@ class BatchedBallExecutor {
  private:
   GraphView g_{};
   bool bound_ = false;
-  std::int64_t radius_ = 0;
   std::int64_t waves_ = 0;
   std::int64_t expanded_nodes_ = 0;
 
@@ -108,7 +101,15 @@ class BatchedBallExecutor {
   std::vector<std::size_t> wave_off_;
   std::vector<NodeIndex> wave_adj_;
 
-  std::vector<CachedBall> balls_;
+  // One start's expansion: the ball in discovery order, the end of each
+  // level's window in `order`, and the running meters.
+  struct Slot {
+    std::vector<NodeIndex> order;
+    std::vector<std::size_t> level_end;
+    std::int64_t distance = 0;
+    std::int64_t queries = 0;
+  };
+  std::vector<Slot> slots_;
 };
 
 }  // namespace volcal

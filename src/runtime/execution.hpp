@@ -42,7 +42,6 @@
 
 #include "graph/graph.hpp"
 #include "labels/ids.hpp"
-#include "runtime/view_cache.hpp"
 
 namespace volcal {
 
@@ -124,6 +123,10 @@ struct NullQuerySink {
 template <typename Sink = NullQuerySink>
 class BasicExecution {
  public:
+  // Whether this execution records its queries (a trace must contain every
+  // query, so recording sweeps never reuse answers across starts).
+  static constexpr bool recording = Sink::enabled;
+
   // budget: hard cap on volume; exceeding it throws QueryBudgetExceeded
   // (used to truncate randomized algorithms per Remark 3.11 and to run
   // adversaries against budget-limited algorithms).  budget <= 0 = unlimited.
@@ -213,59 +216,7 @@ class BasicExecution {
   // Visited nodes in discovery order (the start node first).
   std::vector<NodeIndex> visited_nodes() const { return scratch_->order_; }
 
-  // Attaches a ViewCache for explore_ball memoization (runtime/view_cache.hpp).
-  // No-op for recording sinks: a trace must contain every query, so traced
-  // executions always take the direct path — which also makes traces
-  // trivially bit-identical across cache policies.
-  void attach_view_cache(ViewCache* cache) {
-    if constexpr (!Sink::enabled) cache_ = cache;
-  }
-
-  // The attached cache, iff this execution may be served from it without
-  // changing any observable result: never for recording sinks (see above),
-  // never under a query budget (the truncating query must fire at the
-  // identical point, so budgeted runs go direct), and only while the
-  // execution is fresh (prior queries change which discoveries are fresh).
-  ViewCache* ball_cache_if_eligible() const {
-    if constexpr (Sink::enabled) {
-      return nullptr;
-    } else {
-      if (cache_ == nullptr || budget_ > 0) return nullptr;
-      if (volume() != 1 || query_count_ != 0) return nullptr;
-      return cache_;
-    }
-  }
-
  private:
-  friend class ViewCache;
-
-  // Cache service: installs a cached BFS prefix — levels 1..depth of `order`,
-  // delimited by `level_end` — as if the `queries` replayed queries had been
-  // performed.  The cost meters advance exactly as the direct exploration
-  // would have advanced them; the cache amortizes wall time only.
-  void install_ball_prefix(const NodeIndex* order, const std::int64_t* level_end,
-                           std::int64_t depth, std::int64_t queries) {
-    const auto count = static_cast<std::size_t>(level_end[depth]);
-    scratch_->order_.insert(scratch_->order_.end(), order + 1, order + count);
-    for (std::int64_t d = depth; d >= 1; --d) {
-      if (level_end[d] > level_end[d - 1]) {
-        max_layer_ = std::max(max_layer_, d);
-        break;
-      }
-    }
-    const std::uint64_t epoch = scratch_->epoch_;
-    for (std::int64_t d = 1; d <= depth; ++d) {
-      const auto lb = static_cast<std::size_t>(level_end[d - 1]);
-      const auto le = static_cast<std::size_t>(level_end[d]);
-      for (std::size_t i = lb; i < le; ++i) {
-        const auto u = static_cast<std::size_t>(order[i]);
-        scratch_->stamp_[u] = epoch;
-        scratch_->layer_[u] = d;
-      }
-    }
-    query_count_ += queries;
-  }
-
   BasicExecution(GraphView g, const IdAssignment& ids, NodeIndex start,
                  std::int64_t budget, ExecutionScratch* scratch, Sink sink)
       : g_(g),
@@ -294,7 +245,6 @@ class BasicExecution {
   ExecutionScratch* scratch_;
   std::int64_t max_layer_ = 0;
   std::int64_t query_count_ = 0;
-  ViewCache* cache_ = nullptr;
   [[no_unique_address]] Sink sink_;
 };
 
@@ -311,18 +261,8 @@ using Execution = BasicExecution<NullQuerySink>;
 // Generic over the execution type so the test-only map-based reference runs
 // the same exploration; freshness of a discovered node is detected through
 // the volume meter, so no per-call visited set is allocated.
-//
-// When the execution carries an eligible ViewCache (attach_view_cache), the
-// ball is served from / recorded into the cache — bit-identical order and
-// costs, amortized wall time.  See runtime/view_cache.hpp for the exactness
-// contract.
 template <typename Exec>
 std::vector<NodeIndex> explore_ball(Exec& exec, std::int64_t radius) {
-  if constexpr (requires { exec.ball_cache_if_eligible(); }) {
-    if (ViewCache* cache = exec.ball_cache_if_eligible(); cache != nullptr) {
-      return cache->explore(exec, radius);
-    }
-  }
   std::vector<NodeIndex> order{exec.start()};
   // Level windows [level_begin, level_end) track the current BFS depth, so no
   // per-node depth bookkeeping (or its allocations) is needed; the query

@@ -1,11 +1,42 @@
 #include "runtime/parallel_runner.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <exception>
 #include <thread>
 
 #include "obs/registry.hpp"
 #include "util/env.hpp"
+
+namespace volcal {
+
+bool CacheConfig::policy_from_name(const char* name, CachePolicy* out) {
+  if (name == nullptr || out == nullptr) return false;
+  if (std::strcmp(name, "off") == 0 || name[0] == '\0' || std::strcmp(name, "0") == 0) {
+    *out = CachePolicy::Off;
+    return true;
+  }
+  if (std::strcmp(name, "shared") == 0) {
+    *out = CachePolicy::Shared;
+    return true;
+  }
+  return false;
+}
+
+CacheConfig CacheConfig::from_env() {
+  CacheConfig config;
+  if (const auto policy = env::raw("VOLCAL_CACHE")) {
+    // Unrecognized values keep the safe default (Off) rather than aborting a
+    // bench run over a typo — but loudly, exactly once: `VOLCAL_CACHE=sharde`
+    // silently running without reuse wastes a whole measurement session.
+    if (!policy_from_name(policy->c_str(), &config.policy)) {
+      env::warn_invalid("VOLCAL_CACHE", *policy, "not one of off|shared", "policy off");
+    }
+  }
+  return config;
+}
+
+}  // namespace volcal
 
 namespace volcal::detail {
 
@@ -52,6 +83,21 @@ void run_on_workers(int workers, const std::function<void(int)>& body) {
   for (auto& e : errors) {
     if (e) std::rethrow_exception(e);
   }
+}
+
+std::vector<std::int64_t> first_occurrences(NodeIndex node_capacity,
+                                            std::span<const NodeIndex> starts) {
+  std::vector<std::int64_t> seen(static_cast<std::size_t>(node_capacity), -1);
+  std::vector<std::int64_t> first(starts.size());
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    const NodeIndex v = starts[i];
+    first[i] = static_cast<std::int64_t>(i);
+    if (v < 0 || v >= node_capacity) continue;  // the execution rejects it
+    std::int64_t& f = seen[static_cast<std::size_t>(v)];
+    if (f < 0) f = first[i];
+    first[i] = f;
+  }
+  return first;
 }
 
 void note_sweep(const SweepStats& stats) {

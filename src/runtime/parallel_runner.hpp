@@ -21,7 +21,7 @@
 //   * per-start outputs/volumes/distances are written to disjoint
 //     preassigned slots;
 //   * sup-costs are reduced by a serial scan of those slots, and
-//     truncated/total_queries/total_volume are sums of per-worker integers —
+//     truncated/total_queries/total_volume are sums of per-slot integers —
 //     both order-independent;
 //   * tape bit accounting merges by pointwise max — also order-independent.
 // tests/parallel_runner_test.cpp asserts this at 1, 2 and 8 threads for
@@ -41,6 +41,14 @@
 // (runtime/batched_execution.hpp) when the runner's backend allows it — same
 // outputs and per-start costs, bit for bit, amortized graph traversal.  Every
 // other combination falls back to the per-start loop below.
+//
+// Answer reuse: under CachePolicy::Shared a sweep executes each distinct
+// start once and copies its per-start slots — output, meters and truncation
+// — to the start's repeats.  That is exact by the purity argument above (an
+// execution is a pure function of instance, start, budget and tape), and the
+// tape ledger is unchanged because a repeat would read exactly the bits its
+// first occurrence read (ledgers merge by max).  Recording sweeps never
+// reuse: a trace must hold every start's queries.
 //
 // Thread count: explicit constructor argument, else the VOLCAL_THREADS
 // environment variable, else 1 (determinism-by-default; parallelism is an
@@ -66,7 +74,6 @@
 #include "runtime/execution.hpp"
 #include "runtime/randomness.hpp"
 #include "runtime/sweep_stats.hpp"
-#include "runtime/view_cache.hpp"
 
 namespace volcal {
 
@@ -117,6 +124,50 @@ std::int64_t sweep_chunk(std::int64_t items, int workers);
 // and rethrows the first captured exception (lowest worker index).
 void run_on_workers(int workers, const std::function<void(int)>& body);
 
+// Answer reuse (CachePolicy::Shared): first[i] = the slot of the first
+// occurrence of starts[i].  Callers run slot i iff first[i] == i (or when
+// `first` is empty: no reuse).
+std::vector<std::int64_t> first_occurrences(NodeIndex node_capacity,
+                                            std::span<const NodeIndex> starts);
+
+// Copies each repeated slot's output and meters from its first occurrence
+// and records the reuse in stats.cache (hits = repeats, misses = distinct
+// starts, served_nodes = volume copied).  `truncated[i]` flags slots whose
+// execution blew the budget; it may be empty when nothing can truncate.
+template <typename Label>
+void copy_repeats(const std::vector<std::int64_t>& first,
+                  const std::vector<std::uint8_t>& truncated, std::vector<Label>& output,
+                  std::vector<std::int64_t>& volume, std::vector<std::int64_t>& distance,
+                  std::vector<std::int64_t>& queries, SweepStats& stats) {
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const auto f = static_cast<std::size_t>(first[i]);
+    if (f == i) {
+      ++stats.cache.misses;
+      continue;
+    }
+    output[i] = output[f];
+    volume[i] = volume[f];
+    distance[i] = distance[f];
+    queries[i] = queries[f];
+    if (!truncated.empty()) stats.truncated += truncated[f];
+    ++stats.cache.hits;
+    stats.cache.served_nodes += volume[f];
+  }
+}
+
+// The serial scan of the per-start slots into the sweep's sup-costs and
+// totals (Defs. 2.1-2.2 over the swept starts).
+inline void reduce_costs(const std::vector<std::int64_t>& volume,
+                         const std::vector<std::int64_t>& distance,
+                         const std::vector<std::int64_t>& queries, SweepStats& stats) {
+  for (std::size_t i = 0; i < volume.size(); ++i) {
+    stats.max_volume = std::max(stats.max_volume, volume[i]);
+    stats.max_distance = std::max(stats.max_distance, distance[i]);
+    stats.total_volume += volume[i];
+    stats.total_queries += queries[i];
+  }
+}
+
 // Folds one finished sweep's totals into obs::MetricsRegistry::global()
 // ("sweep.runs", "sweep.starts", "sweep.total_queries", ...): once per
 // sweep, off the per-start hot path, so long-running processes that embed
@@ -127,10 +178,10 @@ void note_sweep(const SweepStats& stats);
 
 class ParallelRunner {
  public:
-  // threads == 0: use VOLCAL_THREADS if set, else 1.  The cache policy for
-  // the runner's sweeps defaults to the environment (VOLCAL_CACHE /
-  // VOLCAL_CACHE_MB — off unless set), so `--cache shared` reaches every
-  // runner a bench builds; pass a CacheConfig to pin it programmatically.
+  // threads == 0: use VOLCAL_THREADS if set, else 1.  The answer-reuse
+  // policy defaults to the environment (VOLCAL_CACHE — off unless set), so
+  // `--cache shared` reaches every runner a bench builds; pass a CacheConfig
+  // to pin it programmatically.
   explicit ParallelRunner(int threads = 0)
       : ParallelRunner(threads, CacheConfig::from_env()) {}
 
@@ -146,13 +197,6 @@ class ParallelRunner {
   // and never batch.
   void set_backend(ExecBackend backend) { backend_ = backend; }
   ExecBackend backend() const { return backend_; }
-
-  // Routes Shared-policy sweeps through a caller-owned ViewCache instead of
-  // a sweep-scoped one, so warm entries persist across sweeps on the same
-  // graph (the serving regime of the bench_runner cache ablation).  The
-  // caller keeps the cache alive for the runner's lifetime and re-binds (or
-  // invalidates) it when switching graphs.
-  void attach_cache(ViewCache* cache) { external_cache_ = cache; }
 
   // The engine core.  `make_exec(i, scratch)` builds the execution for start
   // slot i on the worker's scratch; the default factory (run_at below) makes
@@ -183,104 +227,67 @@ class ParallelRunner {
         static_cast<int>(std::min<std::int64_t>(threads_, std::max<std::int64_t>(count, 1)));
     const std::int64_t chunk = detail::sweep_chunk(count, workers);
     std::atomic<std::int64_t> next{0};
-    std::vector<std::int64_t> truncated(static_cast<std::size_t>(workers), 0);
-
-    // View-cache scope per policy: Shared = one cache for the whole sweep
-    // (the attached persistent one when present, else sweep-scoped);
-    // PerStart = one cache per worker, invalidated before every start.
-    // Execution factories whose type has no attach_view_cache (the test-only
-    // map reference) simply run uncached.
-    ViewCache* shared_cache = external_cache_;
-    std::optional<ViewCache> sweep_cache;
-    if (shared_cache == nullptr && cache_config_.policy == CachePolicy::Shared) {
-      sweep_cache.emplace(cache_config_);
-      shared_cache = &*sweep_cache;
-    }
-    const CacheStats cache_before =
-        shared_cache != nullptr ? shared_cache->stats() : CacheStats{};
-    std::vector<CacheStats> worker_cache(static_cast<std::size_t>(workers));
+    // Per-slot truncation flags: summed into the stats, and copied to a
+    // start's repeats along with its meters.
+    std::vector<std::uint8_t> truncated(static_cast<std::size_t>(count), 0);
+    constexpr bool kRecording = [] {
+      if constexpr (requires { Exec::recording; }) return Exec::recording;
+      return false;
+    }();
+    const std::vector<std::int64_t> first =
+        cache_config_.policy == CachePolicy::Shared && !kRecording
+            ? detail::first_occurrences(node_capacity, starts)
+            : std::vector<std::int64_t>{};
 
     detail::run_on_workers(workers, [&](const int worker) {
       ExecutionScratch scratch(node_capacity);
       std::optional<RandomTape::ScopedUsage> usage;
       if (tape != nullptr) usage.emplace(*tape);
-      std::optional<ViewCache> per_start_cache;
-      if (shared_cache == nullptr && cache_config_.policy == CachePolicy::PerStart) {
-        per_start_cache.emplace(cache_config_);
-      }
-      std::int64_t local_truncated = 0;
       for (std::int64_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
            begin < count; begin = next.fetch_add(chunk, std::memory_order_relaxed)) {
         const std::int64_t end = std::min(count, begin + chunk);
         for (std::int64_t i = begin; i < end; ++i) {
+          const auto slot = static_cast<std::size_t>(i);
+          if (!first.empty() && first[slot] != i) continue;  // a repeat: copied below
           const auto exec_begin = profile ? std::chrono::steady_clock::now() : sweep_begin;
           {
             Exec exec = make_exec(i, scratch);
-            if constexpr (requires { exec.attach_view_cache(nullptr); }) {
-              if (per_start_cache.has_value()) {
-                per_start_cache->invalidate();  // cache scope = this start only
-                exec.attach_view_cache(&*per_start_cache);
-              } else if (shared_cache != nullptr) {
-                exec.attach_view_cache(shared_cache);
-              }
-            }
             try {
-              output[static_cast<std::size_t>(i)] = static_cast<OutputSlot>(solver(exec));
+              output[slot] = static_cast<OutputSlot>(solver(exec));
             } catch (const QueryBudgetExceeded&) {
-              ++local_truncated;
-              output[static_cast<std::size_t>(i)] =
-                  static_cast<OutputSlot>(Label{});  // arbitrary output per Remark 3.11
+              truncated[slot] = 1;
+              // Arbitrary output per Remark 3.11.
+              output[slot] = static_cast<OutputSlot>(Label{});
             }
-            result.volume[static_cast<std::size_t>(i)] = exec.volume();
-            result.distance[static_cast<std::size_t>(i)] = exec.distance();
-            result.queries[static_cast<std::size_t>(i)] = exec.query_count();
+            result.volume[slot] = exec.volume();
+            result.distance[slot] = exec.distance();
+            result.queries[slot] = exec.query_count();
           }  // exec destroyed here so recording sinks flush before profiling stamps
           if (profile != nullptr) {
             const auto exec_end = std::chrono::steady_clock::now();
-            profile->begin_ns[static_cast<std::size_t>(i)] =
+            profile->begin_ns[slot] =
                 std::chrono::duration_cast<std::chrono::nanoseconds>(exec_begin - sweep_begin)
                     .count();
-            profile->duration_ns[static_cast<std::size_t>(i)] =
+            profile->duration_ns[slot] =
                 std::chrono::duration_cast<std::chrono::nanoseconds>(exec_end - exec_begin)
                     .count();
-            profile->worker[static_cast<std::size_t>(i)] = worker;
+            profile->worker[slot] = worker;
           }
         }
       }
-      truncated[static_cast<std::size_t>(worker)] = local_truncated;
-      if (per_start_cache.has_value()) {
-        worker_cache[static_cast<std::size_t>(worker)] = per_start_cache->stats();
-      }
     });
 
+    result.stats.starts = count;
+    result.stats.cache.policy = cache_config_.policy;
+    for (const std::uint8_t t : truncated) result.stats.truncated += t;
+    detail::copy_repeats(first, truncated, output, result.volume, result.distance,
+                         result.queries, result.stats);
     if constexpr (std::is_same_v<Label, bool>) {
       result.output.assign(output.begin(), output.end());
     } else {
       result.output = std::move(output);
     }
-    result.stats.starts = count;
-    for (int w = 0; w < workers; ++w) {
-      result.stats.truncated += truncated[static_cast<std::size_t>(w)];
-    }
-    for (std::int64_t i = 0; i < count; ++i) {
-      result.stats.max_volume =
-          std::max(result.stats.max_volume, result.volume[static_cast<std::size_t>(i)]);
-      result.stats.max_distance =
-          std::max(result.stats.max_distance, result.distance[static_cast<std::size_t>(i)]);
-      result.stats.total_volume += result.volume[static_cast<std::size_t>(i)];
-      result.stats.total_queries += result.queries[static_cast<std::size_t>(i)];
-    }
-    if (shared_cache != nullptr) {
-      result.stats.cache = shared_cache->stats() - cache_before;
-      result.stats.cache.policy = cache_config_.policy == CachePolicy::Off
-                                      ? CachePolicy::Shared  // attached external cache
-                                      : cache_config_.policy;
-    } else {
-      for (int w = 0; w < workers; ++w) {
-        result.stats.cache += worker_cache[static_cast<std::size_t>(w)];
-      }
-      result.stats.cache.policy = cache_config_.policy;
-    }
+    detail::reduce_costs(result.volume, result.distance, result.queries, result.stats);
     result.stats.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_begin).count();
     detail::note_sweep(result.stats);
@@ -312,18 +319,14 @@ class ParallelRunner {
     return run_at(g, ids, starts, std::forward<Solver>(solver), budget, tape, profile);
   }
 
-  // Plan-dispatched sweep.  Batchable plans (BatchedBall / SharedFrontier)
-  // run on the wave-synchronous backend when the runner's backend is Batched
-  // and the sweep is eligible: no query budget (the truncating query must
-  // fire at the identical point, so budgeted runs stay per-start), no random
-  // tape (a batchable plan's solver is deterministic by promise), and an
-  // integral output (the plan's contract is output == ball size).  Everything
-  // else takes the per-start loop with the plan recorded in the stats.
-  //
-  // CachePolicy composition on the batched path: Shared serves full hits
-  // from the cache, batches only the misses, and inserts every completed
-  // expansion; PerStart — a per-start-scoped cache — is semantically a no-op
-  // for a single-ball solver and runs uncached.
+  // Plan-dispatched sweep.  Batchable plans run on the wave-synchronous
+  // backend when the runner's backend is Batched and the sweep is eligible:
+  // no query budget (the truncating query must fire at the identical point,
+  // so budgeted runs stay per-start), no random tape (a batchable plan's
+  // solver is deterministic by promise), and an integral output (the plan's
+  // contract is output == ball size).  Everything else takes the per-start
+  // loop with the plan recorded in the stats.  Answer reuse under
+  // CachePolicy::Shared applies on both paths.
   template <typename Solver>
   auto run_planned(GraphView g, const IdAssignment& ids,
                    std::span<const NodeIndex> starts, const ProbePlan& plan,
@@ -344,10 +347,10 @@ class ParallelRunner {
 
  private:
   // The batched engine loop: workers pull 64-start batches of *consecutive*
-  // starts (neighboring balls overlap most) off the atomic counter, serve
-  // full cache hits, fuse the misses into one BatchedBallExecutor run, and
-  // write per-start meters to disjoint slots.  Structure mirrors
-  // run_at_observed; the reduction is the same serial scan.
+  // starts (neighboring balls overlap most) off the atomic counter, fuse the
+  // batch's starts (first occurrences only, under answer reuse) into one
+  // BatchedBallExecutor run, and write per-start meters to disjoint slots.
+  // Structure mirrors run_at_observed; the reduction is the same serial scan.
   template <typename Label>
   SweepResult<Label> run_batched_balls(GraphView g, std::span<const NodeIndex> starts,
                                        const ProbePlan& plan,
@@ -365,16 +368,10 @@ class ParallelRunner {
         static_cast<int>(std::min<std::int64_t>(threads_, std::max<std::int64_t>(count, 1)));
     constexpr std::int64_t kBatch = BatchedBallExecutor::kMaxBatch;
     std::atomic<std::int64_t> next{0};
-
-    ViewCache* shared_cache = external_cache_;
-    std::optional<ViewCache> sweep_cache;
-    if (shared_cache == nullptr && cache_config_.policy == CachePolicy::Shared) {
-      sweep_cache.emplace(cache_config_);
-      shared_cache = &*sweep_cache;
-    }
-    if (shared_cache != nullptr) shared_cache->bind(g);
-    const CacheStats cache_before =
-        shared_cache != nullptr ? shared_cache->stats() : CacheStats{};
+    const std::vector<std::int64_t> first =
+        cache_config_.policy == CachePolicy::Shared
+            ? detail::first_occurrences(g.node_count(), starts)
+            : std::vector<std::int64_t>{};
     std::vector<BatchStats> worker_batch(static_cast<std::size_t>(workers));
 
     detail::run_on_workers(workers, [&](const int worker) {
@@ -387,21 +384,10 @@ class ParallelRunner {
            begin < count; begin = next.fetch_add(kBatch, std::memory_order_relaxed)) {
         const std::int64_t end = std::min(count, begin + kBatch);
         const auto batch_begin = profile ? std::chrono::steady_clock::now() : sweep_begin;
-        const std::uint64_t epoch = shared_cache != nullptr ? shared_cache->epoch() : 0;
         int b = 0;
         for (std::int64_t i = begin; i < end; ++i) {
-          const NodeIndex center = starts[static_cast<std::size_t>(i)];
-          if (shared_cache != nullptr) {
-            BallCosts costs;
-            if (shared_cache->serve_costs(g, center, plan.radius, &costs)) {
-              result.output[static_cast<std::size_t>(i)] = static_cast<Label>(costs.volume);
-              result.volume[static_cast<std::size_t>(i)] = costs.volume;
-              result.distance[static_cast<std::size_t>(i)] = costs.distance;
-              result.queries[static_cast<std::size_t>(i)] = costs.queries;
-              continue;
-            }
-          }
-          centers[b] = center;
+          if (!first.empty() && first[static_cast<std::size_t>(i)] != i) continue;
+          centers[b] = starts[static_cast<std::size_t>(i)];
           slot_of[b] = i;
           ++b;
         }
@@ -409,16 +395,11 @@ class ParallelRunner {
           exec.run({centers, static_cast<std::size_t>(b)}, plan.radius);
           for (int s = 0; s < b; ++s) {
             const auto i = static_cast<std::size_t>(slot_of[s]);
-            result.output[i] = static_cast<Label>(exec.volume(s));
-            result.volume[i] = exec.volume(s);
-            result.distance[i] = exec.distance(s);
-            result.queries[i] = exec.queries(s);
-          }
-          if (shared_cache != nullptr) {
-            for (int s = 0; s < b; ++s) {
-              shared_cache->store(centers[s], exec.take_ball(s), epoch,
-                                  g.storage_identity());
-            }
+            const Answer a = exec.answer(s);
+            result.output[i] = static_cast<Label>(a.label);
+            result.volume[i] = a.volume;
+            result.distance[i] = a.distance;
+            result.queries[i] = a.queries;
           }
           ++local.batches;
           local.batched_starts += b;
@@ -445,22 +426,10 @@ class ParallelRunner {
     });
 
     result.stats.starts = count;
-    for (std::int64_t i = 0; i < count; ++i) {
-      result.stats.max_volume =
-          std::max(result.stats.max_volume, result.volume[static_cast<std::size_t>(i)]);
-      result.stats.max_distance =
-          std::max(result.stats.max_distance, result.distance[static_cast<std::size_t>(i)]);
-      result.stats.total_volume += result.volume[static_cast<std::size_t>(i)];
-      result.stats.total_queries += result.queries[static_cast<std::size_t>(i)];
-    }
-    if (shared_cache != nullptr) {
-      result.stats.cache = shared_cache->stats() - cache_before;
-      result.stats.cache.policy = cache_config_.policy == CachePolicy::Off
-                                      ? CachePolicy::Shared  // attached external cache
-                                      : cache_config_.policy;
-    } else {
-      result.stats.cache.policy = cache_config_.policy;
-    }
+    result.stats.cache.policy = cache_config_.policy;
+    detail::copy_repeats(first, {}, result.output, result.volume, result.distance,
+                         result.queries, result.stats);
+    detail::reduce_costs(result.volume, result.distance, result.queries, result.stats);
     result.stats.plan = plan.kind;
     result.stats.backend = ExecBackend::Batched;
     for (int w = 0; w < workers; ++w) {
@@ -485,7 +454,6 @@ class ParallelRunner {
 
   int threads_;
   CacheConfig cache_config_;
-  ViewCache* external_cache_ = nullptr;
   ExecBackend backend_ = backend_from_env();
 };
 

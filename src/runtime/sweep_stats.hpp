@@ -20,37 +20,44 @@
 
 namespace volcal {
 
-// Ball-view memoization policy for a sweep (runtime/view_cache.hpp).
-//   Off      — every explore_ball performs its queries directly (default);
-//   PerStart — a cache scoped to one start node: exercises the insert/serve
-//              machinery without any sharing (the bisection rung between Off
-//              and Shared);
-//   Shared   — one cache shared by all starts (and workers) of the sweep:
-//              repeated centers are served from memory.
-// The policy never changes any deterministic output: served balls replay the
-// exact query outcome the direct path would produce, and the cost meters
-// (volume / distance / query count, Defs. 2.1-2.2) advance identically.
-enum class CachePolicy { Off, PerStart, Shared };
+// Answer-reuse policy.
+//   Off    — every start executes (default);
+//   Shared — a sweep executes each distinct start once and copies its
+//            per-start slots to the start's repeats (exact: an execution is
+//            a pure function of instance, start, budget and tape); the query
+//            service serves repeated nodes from its AnswerMemo
+//            (runtime/answer_memo.hpp).
+// The policy never changes any deterministic output: outputs and the cost
+// meters (volume / distance / query count, Defs. 2.1-2.2) are identical.
+enum class CachePolicy { Off, Shared };
 
 constexpr const char* cache_policy_name(CachePolicy p) {
-  switch (p) {
-    case CachePolicy::PerStart: return "perstart";
-    case CachePolicy::Shared: return "shared";
-    default: return "off";
-  }
+  return p == CachePolicy::Shared ? "shared" : "off";
 }
 
-// View-cache counters for one sweep.  All of these describe wall-time
-// amortization only — they are excluded from same_costs below because
-// hit/eviction interleaving under parallel sweeps is scheduling-dependent
-// (the *outputs* stay bit-identical; only these bookkeeping counters vary).
+// The policy knob of a runner or service.  The environment form is what the
+// bench flag `--cache <off|shared>` exports: VOLCAL_CACHE = off | shared
+// (default off).
+struct CacheConfig {
+  CachePolicy policy = CachePolicy::Off;
+
+  static CacheConfig from_env();
+  static bool policy_from_name(const char* name, CachePolicy* out);
+};
+
+// Answer-reuse counters.  All of these describe how the work was performed,
+// not what it computed, and are excluded from same_costs below.
+//   sweeps: hits = repeated starts copied, misses = distinct starts run,
+//           served_nodes = volume copied;
+//   memo:   hits / misses of lookups, evictions by region eviction,
+//           served_nodes = volume replayed, inserted_bytes = bytes stored.
 struct CacheStats {
   CachePolicy policy = CachePolicy::Off;
-  std::int64_t hits = 0;            // lookups served (fully or by prefix)
-  std::int64_t misses = 0;          // lookups that built the ball directly
-  std::int64_t evictions = 0;       // entries dropped to honor the byte budget
-  std::int64_t served_nodes = 0;    // visited-set entries installed from cache
-  std::int64_t inserted_bytes = 0;  // bytes of entries stored or upgraded
+  std::int64_t hits = 0;
+  std::int64_t misses = 0;
+  std::int64_t evictions = 0;
+  std::int64_t served_nodes = 0;
+  std::int64_t inserted_bytes = 0;
 
   CacheStats& operator+=(const CacheStats& o) {
     if (o.policy != CachePolicy::Off) policy = o.policy;
@@ -60,16 +67,6 @@ struct CacheStats {
     served_nodes += o.served_nodes;
     inserted_bytes += o.inserted_bytes;
     return *this;
-  }
-
-  // Counter delta (for persistent caches observed across several sweeps).
-  friend CacheStats operator-(CacheStats a, const CacheStats& b) {
-    a.hits -= b.hits;
-    a.misses -= b.misses;
-    a.evictions -= b.evictions;
-    a.served_nodes -= b.served_nodes;
-    a.inserted_bytes -= b.inserted_bytes;
-    return a;
   }
 };
 
@@ -104,9 +101,9 @@ struct SweepStats {
   // default Label, per Remark 3.11).
   std::int64_t truncated = 0;
   double wall_seconds = 0.0;
-  // View-cache counters for the sweep (zeros under CachePolicy::Off).  Like
-  // wall_seconds these describe how the work was performed, not what it
-  // computed, and are excluded from same_costs.
+  // Answer-reuse counters for the sweep (zeros under CachePolicy::Off).
+  // Like wall_seconds these describe how the work was performed, not what
+  // it computed, and are excluded from same_costs.
   CacheStats cache;
   // How the sweep was executed (filled by ParallelRunner::run_planned; plain
   // run_at sweeps keep the defaults).  Tags and counters, not costs — all

@@ -122,9 +122,9 @@ enum class UpdateStatus : std::uint8_t {
 struct UpdateResultFrame {
   std::uint64_t request_id = 0;
   UpdateStatus status = UpdateStatus::Ok;
-  std::uint64_t cache_evicted = 0;
-  std::uint64_t cache_retained = 0;
-  std::uint8_t flushed = 0;  // 1: invalidation fell back to the full flush
+  std::uint64_t cache_evicted = 0;   // memo answers the batch evicted
+  std::uint64_t cache_retained = 0;  // memo answers kept warm
+  std::uint8_t flushed = 0;  // 1: the whole memo was dropped (the service never does)
   std::int64_t apply_ns = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 
 #include "runtime/batched_execution.hpp"
 #include "runtime/execution.hpp"
@@ -17,12 +18,14 @@ namespace {
 // traffic at any rate the percentiles are meaningful for.
 constexpr std::size_t kWindowRingCapacity = std::size_t{1} << 16;
 
-// Certification radius apply_mutations uses for solver-driven (non-batchable)
-// families when the caller passes -1: the cache can hold balls of any depth
-// the solver explored, so the bound must cover every plausible exploration
-// depth.  64 is far past the O(log n) depths the registry families reach at
-// servable sizes while keeping the BFS cheap.
-constexpr std::int64_t kDefaultMutationRadius = 64;
+QueryResult to_result(const Answer& a) {
+  QueryResult r;
+  r.label = a.label;
+  r.volume = a.volume;
+  r.distance = a.distance;
+  r.queries = a.queries;
+  return r;
+}
 
 }  // namespace
 
@@ -41,7 +44,8 @@ QueryService::QueryService(ServeTarget target, ServeConfig config)
       batch_max_(std::clamp(config.batch_max, 1, BatchedBallExecutor::kMaxBatch)),
       start_(std::chrono::steady_clock::now()),
       target_(std::make_shared<const ServeTarget>(std::move(target))),
-      cache_(config.cache) {
+      memo_(config.cache.policy == CachePolicy::Shared ? target_->instance->node_count() : 0),
+      memo_on_(config.cache.policy == CachePolicy::Shared) {
   c_accepted_ = metrics_.counter("serve.accepted");
   c_completed_ = metrics_.counter("serve.completed");
   c_shed_ = metrics_.counter("serve.shed");
@@ -57,20 +61,19 @@ QueryService::QueryService(ServeTarget target, ServeConfig config)
   c_mut_retained_ = metrics_.counter("serve.mutate.cache_retained");
   h_latency_us_ = metrics_.histogram("serve.latency_us");
   // Live levels: evaluated at snapshot time.  The callbacks take mu_ (or the
-  // cache's shard state) *after* the registry mutex — nothing in the service
+  // memo's stripe locks) *after* the registry mutex — nothing in the service
   // takes those locks and then re-enters the registry, so the order is safe.
   metrics_.gauge_fn("serve.queue_depth",
                     [this] { return static_cast<std::int64_t>(queue_depth()); });
   metrics_.gauge_fn("serve.in_flight",
                     [this] { return static_cast<std::int64_t>(in_flight()); });
-  metrics_.gauge_fn("serve.cache.hits", [this] { return cache_.stats().hits; });
-  metrics_.gauge_fn("serve.cache.misses", [this] { return cache_.stats().misses; });
-  metrics_.gauge_fn("serve.cache.evictions",
-                    [this] { return cache_.stats().evictions; });
+  metrics_.gauge_fn("serve.cache.hits", [this] { return cache_stats().hits; });
+  metrics_.gauge_fn("serve.cache.misses", [this] { return cache_stats().misses; });
+  metrics_.gauge_fn("serve.cache.evictions", [this] { return cache_stats().evictions; });
   metrics_.gauge_fn("serve.cache.served_nodes",
-                    [this] { return cache_.stats().served_nodes; });
+                    [this] { return cache_stats().served_nodes; });
   metrics_.gauge_fn("serve.cache.inserted_bytes",
-                    [this] { return cache_.stats().inserted_bytes; });
+                    [this] { return cache_stats().inserted_bytes; });
   workers_.reserve(static_cast<std::size_t>(threads_));
   for (int w = 0; w < threads_; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -84,11 +87,16 @@ std::shared_ptr<const ServeTarget> QueryService::current_target() const {
   return target_;
 }
 
-std::shared_ptr<const ServeTarget> QueryService::snapshot_target_and_bind(
-    ViewCache* cache) {
+std::shared_ptr<const ServeTarget> QueryService::snapshot_target(
+    AnswerMemo::Generation* generation) const {
   std::lock_guard lock(target_mu_);
-  if (cache != nullptr) cache->bind(target_->instance->graph());
+  *generation = memo_.generation();
   return target_;
+}
+
+CacheStats QueryService::cache_stats() const {
+  if (!memo_on_) return {};
+  return memo_.stats();
 }
 
 NodeIndex QueryService::node_count() const {
@@ -128,24 +136,19 @@ void QueryService::swap_target(ServeTarget next) {
   auto holder = std::make_shared<const ServeTarget>(std::move(next));
   {
     std::lock_guard lock(target_mu_);
+    if (memo_on_) memo_.reset(holder->instance->node_count());
     target_ = std::move(holder);
   }
-  // No explicit cache invalidation: the next batch binds the cache to the
-  // new view, and bind() invalidates on the token change.  A swap to a view
-  // with the *same* token (a copy sharing the mapping) correctly keeps every
-  // warm entry.
   c_swaps_->inc();
 }
 
-MutationOutcome QueryService::apply_mutations(const MutationBatch& batch,
-                                              std::int64_t max_radius) {
+MutationOutcome QueryService::apply_mutations(const MutationBatch& batch) {
   MutationOutcome out;
   const auto t0 = std::chrono::steady_clock::now();
-  // One critical section covers mutate + invalidate + swap: workers snapshot
-  // the target and bind the cache under the same mutex
-  // (snapshot_target_and_bind), so no wave can bind to the new graph before
-  // the region invalidation has re-stamped the surviving entries — the
-  // token-change full flush inside bind() never fires on a mutation.
+  // One critical section covers mutate + evict + swap: workers snapshot the
+  // target and its memo generation under the same mutex (snapshot_target),
+  // so no wave can take the new generation before the eviction pass is done
+  // and the mutated target is in place.
   std::lock_guard lock(target_mu_);
   const std::shared_ptr<const ServeTarget> old = target_;
   std::vector<NodeIndex> touched;
@@ -157,20 +160,13 @@ MutationOutcome QueryService::apply_mutations(const MutationBatch& batch,
     out.error = e.what();
     return out;
   }
-  if (config_.cache.policy == CachePolicy::Shared) {
-    std::int64_t radius = max_radius;
-    if (radius < 0) {
-      radius = old->plan.batchable() ? old->plan.radius : kDefaultMutationRadius;
-    }
-    const ViewCache::RegionInvalidation inv = cache_.invalidate_region(
-        old->instance->graph(), touched, radius, next->graph().storage_identity());
-    out.cache_evicted = inv.evicted;
-    out.cache_retained = inv.retained;
-    out.flushed = inv.fell_back_to_flush;
+  if (memo_on_) {
+    const AnswerMemo::Eviction ev =
+        memo_.evict_region(old->instance->graph(), changed_nodes(batch, touched));
+    out.cache_evicted = ev.evicted;
+    out.cache_retained = ev.retained;
   }
-  auto holder = std::make_shared<const ServeTarget>(
-      ServeTarget{std::move(next), old->plan});
-  target_ = std::move(holder);
+  target_ = std::make_shared<const ServeTarget>(ServeTarget{std::move(next), old->plan});
   c_swaps_->inc();
   c_mutations_->inc();
   c_mut_evicted_->inc(static_cast<std::int64_t>(out.cache_evicted));
@@ -297,7 +293,7 @@ std::string QueryService::stats_json() const {
   }
   const stats::Summary lat = stats::summarize(std::move(lat_values));
   const stats::Summary win = stats::summarize(std::move(win_values));
-  const CacheStats cache = cache_.stats();
+  const CacheStats cache = cache_stats();
   const std::int64_t waves = c_waves_->value();
   const std::int64_t batched_runs = c_batches_->value();
   const std::int64_t batched_starts = c_batched_starts_->value();
@@ -404,8 +400,6 @@ void QueryService::finish(Request& req, QueryResult result,
 void QueryService::worker_loop(int worker) {
   ExecutionScratch scratch;
   BatchedBallExecutor exec;
-  StorageToken exec_token = kAnonymousStorage;
-  bool exec_bound = false;
   std::vector<Request> batch;
   std::vector<LatencySample> local_samples;
   NodeIndex centers[BatchedBallExecutor::kMaxBatch];
@@ -415,8 +409,6 @@ void QueryService::worker_loop(int worker) {
   // mutex, so keep them off the per-wave path.
   std::string volume_family;
   obs::Histogram* volume_hist = nullptr;
-
-  const bool use_cache = config_.cache.policy == CachePolicy::Shared;
 
   while (true) {
     batch.clear();
@@ -437,15 +429,16 @@ void QueryService::worker_loop(int worker) {
     }
     c_waves_->inc();
 
-    // Snapshot the target for this whole batch: a concurrent swap_target
-    // cannot pull the mapping out from under us, and every request in the
-    // batch is answered against one consistent instance.  Binding the cache
-    // happens inside the same target_mu_ hold — see snapshot_target_and_bind.
-    ViewCache* cache = use_cache ? &cache_ : nullptr;
-    const std::shared_ptr<const ServeTarget> target = snapshot_target_and_bind(cache);
+    // Snapshot the target and its memo generation for this whole wave: a
+    // concurrent swap cannot pull the mapping out from under us, every
+    // request is answered against one consistent instance, and the memo
+    // only serves and keeps answers of that instance.
+    AnswerMemo::Generation generation = 0;
+    const std::shared_ptr<const ServeTarget> target = snapshot_target(&generation);
     const ErasedInstance& inst = *target->instance;
     const GraphView g = inst.graph();
     const NodeIndex n = g.node_count();
+    const bool batched = target->plan.batchable();
     scratch.reserve(n);
 
     if (inst.family() != volume_family) {
@@ -461,95 +454,50 @@ void QueryService::worker_loop(int worker) {
 
     local_samples.clear();
 
-    if (target->plan.batchable()) {
-      // The fused path, mirroring ParallelRunner::run_batched_balls: serve
-      // full cache hits, run the misses as one wave-synchronous expansion,
-      // store completed expansions at the epoch captured before the batch.
-      if (!exec_bound || exec_token != g.storage_identity() ||
-          exec_token == kAnonymousStorage) {
-        exec.bind(g);
-        exec_token = g.storage_identity();
-        exec_bound = true;
-      }
-      const std::uint64_t epoch = cache != nullptr ? cache->epoch() : 0;
-      int b = 0;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        Request& req = batch[i];
-        if (req.node < 0 || req.node >= static_cast<std::int64_t>(n)) {
-          QueryResult result;
-          result.status = QueryStatus::InvalidNode;
-          ctx.cache_hit = false;
-          ctx.exec_end = std::chrono::steady_clock::now();
-          finish(req, result, ctx, local_samples);
-          continue;
-        }
-        const auto center = static_cast<NodeIndex>(req.node);
-        if (cache != nullptr) {
-          BallCosts costs;
-          if (cache->serve_costs(g, center, target->plan.radius, &costs)) {
-            QueryResult result;
-            result.label = static_cast<int>(costs.volume);
-            result.volume = costs.volume;
-            result.distance = costs.distance;
-            result.queries = costs.queries;
-            // A cache hit's execute slice collapses to its triage instant.
-            ctx.cache_hit = true;
-            ctx.exec_end = std::chrono::steady_clock::now();
-            finish(req, result, ctx, local_samples);
-            continue;
-          }
-        }
-        centers[b] = center;
+    // Invalid nodes and memo hits are answered at once; the batched path
+    // collects the remaining centers for one fused run, the per-request path
+    // runs the family's own solve() — by definition the offline per-start
+    // loop's answer.
+    int b = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      Request& req = batch[i];
+      QueryResult result;
+      ctx.cache_hit = false;
+      if (req.node < 0 || req.node >= static_cast<std::int64_t>(n)) {
+        result.status = QueryStatus::InvalidNode;
+      } else if (const auto hit = memo_on_ ? memo_.lookup(req.node, generation)
+                                           : std::optional<Answer>{}) {
+        result = to_result(*hit);
+        ctx.cache_hit = true;
+      } else if (batched) {
+        centers[b] = static_cast<NodeIndex>(req.node);
         slot_of[b] = i;
         ++b;
+        continue;
+      } else {
+        const Answer a = inst.answer_at(static_cast<NodeIndex>(req.node), scratch);
+        if (memo_on_) memo_.store(req.node, generation, a);
+        result = to_result(a);
       }
+      ctx.exec_end = std::chrono::steady_clock::now();
+      finish(req, result, ctx, local_samples);
+    }
+    if (b > 0) {
+      exec.bind(g);  // O(1) unless the graph outgrew the executor
+      exec.run({centers, static_cast<std::size_t>(b)}, target->plan.radius);
+      c_batches_->inc();
+      c_batched_starts_->inc(b);
       ctx.cache_hit = false;
-      if (b > 0) {
-        exec.run({centers, static_cast<std::size_t>(b)}, target->plan.radius);
-        c_batches_->inc();
-        c_batched_starts_->inc(b);
-        ctx.exec_end = std::chrono::steady_clock::now();
-        for (int s = 0; s < b; ++s) {
-          QueryResult result;
-          result.label = static_cast<int>(exec.volume(s));
-          result.volume = exec.volume(s);
-          result.distance = exec.distance(s);
-          result.queries = exec.queries(s);
-          finish(batch[slot_of[s]], result, ctx, local_samples);
-        }
-        if (cache != nullptr) {
-          // exec_token is the storage identity of the snapshotted target;
-          // store() drops these balls if a hot swap re-bound the cache after
-          // we captured the epoch (entry tokens cover the residual window).
-          for (int s = 0; s < b; ++s) {
-            cache->store(centers[s], exec.take_ball(s), epoch, exec_token);
-          }
-        }
-      }
-    } else {
-      // Per-request path: the family's own solve() on a plain Execution —
-      // by definition the offline per-start loop's answer.
-      ctx.cache_hit = false;
-      for (Request& req : batch) {
-        QueryResult result;
-        if (req.node < 0 || req.node >= static_cast<std::int64_t>(n)) {
-          result.status = QueryStatus::InvalidNode;
-        } else {
-          Execution e(g, inst.ids(), static_cast<NodeIndex>(req.node), 0, scratch);
-          if (cache != nullptr) e.attach_view_cache(cache);
-          result.label = inst.solve(e);
-          result.volume = e.volume();
-          result.distance = e.distance();
-          result.queries = e.query_count();
-        }
-        ctx.exec_end = std::chrono::steady_clock::now();
-        finish(req, result, ctx, local_samples);
+      ctx.exec_end = std::chrono::steady_clock::now();
+      for (int s = 0; s < b; ++s) {
+        const Answer a = exec.answer(s);
+        if (memo_on_) memo_.store(centers[s], generation, a);
+        finish(batch[slot_of[s]], to_result(a), ctx, local_samples);
       }
     }
 
     {
       std::lock_guard slock(stats_mu_);
-      latencies_.reserve(latencies_.size() + local_samples.size());
       for (const LatencySample& s : local_samples) {
         latencies_.push_back(s.latency_ns);
         if (window_ring_.size() < kWindowRingCapacity) {

@@ -6,25 +6,26 @@
 // instance (typically a .vsnap mapping).  Three properties carry over from
 // the sweep engine, by construction:
 //
-//   * Bit-identical answers.  The batched path below mirrors
-//     ParallelRunner::run_batched_balls query-for-query (cache full hits via
-//     serve_costs, misses fused into one BatchedBallExecutor run, completed
-//     expansions stored back at the captured epoch); the basic path runs the
-//     family's solve() on a plain Execution.  Either way a served label
-//     equals the offline run_at_all_nodes output for that node — volcal_load
-//     --verify asserts this end to end.
+//   * Bit-identical answers.  With the answer memo on (ServeConfig::cache
+//     Shared), a wave first serves every request whose node has a memoized
+//     answer (runtime/answer_memo.hpp); the rest run on the batched backend
+//     (batchable plans, read back through BatchedBallExecutor::answer — the
+//     same read-back ParallelRunner::run_batched_balls uses) or the family's
+//     solve() on a plain Execution, and every computed answer is stored
+//     back.  Either way a served label equals the offline run_at_all_nodes
+//     output for that node — volcal_load --verify asserts this end to end.
 //
 //   * Exact cost meters.  Each result carries the volume / distance /
-//     query-count the paper's Definitions 2.1-2.2 assign to that start,
-//     cache or no cache.
+//     query-count the paper's Definitions 2.1-2.2 assign to that start; a
+//     memo hit replays the stored meters.
 //
-//   * Safe hot swap.  swap_target() atomically replaces the served instance;
-//     in-flight batches finish against the target they snapshotted (the
-//     shared_ptr keeps the old mapping alive until the last batch drops it),
-//     new batches bind the cache to the new view.  Because cache identity is
-//     the storage *token* (graph_view.hpp) — never an address — a new
-//     snapshot mmap'ed at a recycled address cannot be served stale balls
-//     (the pointer-ABA case this PR's regression tests pin).
+//   * Safe hot swap and live mutation.  swap_target() atomically replaces
+//     the served instance and resets the memo; apply_mutations() swaps in
+//     the mutated instance and evicts only the answers the batch can reach.
+//     In-flight waves finish against the target they snapshotted (the
+//     shared_ptr keeps the old mapping alive until the last wave drops it),
+//     and the memo's generations keep them from serving or storing an
+//     answer for any other target (the race rule in answer_memo.hpp).
 //
 // Admission control: a bounded FIFO queue.  submit() returns Shed when the
 // queue is full (the caller answers with retry_after_ms) and Stopped once
@@ -44,7 +45,7 @@
 // lock), readable at any moment via metrics() or as one JSON snapshot via
 // stats_json(): uptime, queue depth, in-flight, admission counters, exact
 // since-start latency percentiles, windowed percentiles over the last
-// stats_window_seconds, cache counters, wave/batch occupancy, and the
+// stats_window_seconds, memo counters, wave/batch occupancy, and the
 // per-family volume histograms ("serve.volume.<family>").  The transport
 // answers the protocol's Stats frame with exactly this snapshot.  Optional
 // per-request spans (ServeConfig::tracer) and a bounded slow-query log
@@ -64,7 +65,7 @@
 #include "lcl/registry.hpp"
 #include "obs/registry.hpp"
 #include "plan/probe_plan.hpp"
-#include "runtime/view_cache.hpp"
+#include "runtime/answer_memo.hpp"
 #include "serve/protocol.hpp"
 #include "serve/trace.hpp"
 #include "stats/growth.hpp"
@@ -95,7 +96,8 @@ struct ServeConfig {
   int batch_max = 64;
   // Advisory retry hint attached to shed responses.
   std::uint32_t retry_after_ms = 50;
-  // Cross-request ball cache (policy Shared to enable; Off serves uncached).
+  // Per-node answer memo (policy Shared to enable; Off recomputes every
+  // answer).
   CacheConfig cache;
   // Sliding window for the windowed percentiles in stats_json().
   double stats_window_seconds = 10.0;
@@ -109,15 +111,15 @@ struct ServeConfig {
 };
 
 // Outcome of one applied MutationBatch (apply_mutations).  On success the
-// service is serving the mutated instance and the cache counters say how the
-// radius-bounded invalidation went; on failure (`ok == false`) the batch was
-// rejected before any state changed and `error` carries the reason.
+// service is serving the mutated instance and the counters say how many
+// memoized answers the batch evicted and how many stayed warm; on failure
+// (`ok == false`) the batch was rejected before any state changed and
+// `error` carries the reason.
 struct MutationOutcome {
   bool ok = false;
   std::string error;
   std::size_t cache_evicted = 0;
   std::size_t cache_retained = 0;
-  bool flushed = false;  // invalidation fell back to the full flush
   std::int64_t apply_ns = 0;
 };
 
@@ -164,26 +166,21 @@ class QueryService {
   Admission submit(std::uint64_t request_id, std::int64_t node,
                    std::function<void(const QueryResult&)> done);
 
-  // Atomically replaces the served target.  In-flight batches complete
-  // against the old target; the old mapping is released when its last
-  // holder drops it.  Safe under full load.
+  // Atomically replaces the served target and drops every memoized answer.
+  // In-flight waves complete against the old target; the old mapping is
+  // released when its last holder drops it.  Safe under full load.
   void swap_target(ServeTarget next);
 
   // Applies `batch` to the served instance copy-on-write and swaps the
-  // mutated instance in, invalidating only the cache entries the mutation
-  // can reach: entries whose center is within their cached depth of a
-  // touched node (ViewCache::invalidate_region) are evicted, everything
-  // farther away stays warm.  In-flight waves finish against the old target
-  // exactly as under swap_target — the old mapping outlives its last batch.
-  //
-  // `max_radius` bounds the certification BFS; -1 resolves automatically
-  // (the plan radius for batchable families, a generous fixed bound for
-  // solver-driven ones).  An invalid batch (bad rewire, unsupported label
-  // channel) is rejected whole: `ok == false`, the served target and the
-  // cache are untouched.  Safe under full load and from any thread; calls
-  // serialize with each other and with swap_target.
-  MutationOutcome apply_mutations(const MutationBatch& batch,
-                                  std::int64_t max_radius = -1);
+  // mutated instance in, evicting only the memoized answers the batch can
+  // reach: those at nodes v with a structurally touched or relabelled node
+  // within old-graph distance distance(v) (AnswerMemo::evict_region).
+  // In-flight waves finish against the old target exactly as under
+  // swap_target.  An invalid batch (bad rewire, unsupported label channel)
+  // is rejected whole: `ok == false`, the served target and the memo are
+  // untouched.  Safe under full load and from any thread; calls serialize
+  // with each other and with swap_target.
+  MutationOutcome apply_mutations(const MutationBatch& batch);
 
   // Stops admission, completes every accepted request, joins the workers.
   // Idempotent; submit() returns Stopped from the moment this starts.
@@ -194,7 +191,8 @@ class QueryService {
   NodeIndex node_count() const;
 
   ServeCounters counters() const;
-  CacheStats cache_stats() const { return cache_.stats(); }
+  // Memo counters (zeros when the memo is off).
+  CacheStats cache_stats() const;
 
   // Enqueue->completion latencies of every completed request, and their
   // nearest-rank summary.  Snapshot under lock; callable at any time.
@@ -250,12 +248,11 @@ class QueryService {
   };
 
   std::shared_ptr<const ServeTarget> current_target() const;
-  // Snapshots the target and (when `cache` is non-null) binds the cache to
-  // its view in one critical section on target_mu_.  Workers must use this
-  // rather than current_target() + bind(): bind() outside the lock could
-  // observe a *newer* graph than the snapshotted target after a racing
-  // swap/mutation and full-flush entries apply_mutations just certified.
-  std::shared_ptr<const ServeTarget> snapshot_target_and_bind(ViewCache* cache);
+  // Snapshots the target together with the memo generation it is served at,
+  // in one critical section on target_mu_ — the section swap_target and
+  // apply_mutations move both in.  A wave uses this pair for all its memo
+  // lookups and stores.
+  std::shared_ptr<const ServeTarget> snapshot_target(AnswerMemo::Generation* generation) const;
   void worker_loop(int worker);
   void finish(Request& req, QueryResult result, const FinishContext& ctx,
               std::vector<LatencySample>& local_samples);
@@ -271,7 +268,8 @@ class QueryService {
   mutable std::mutex target_mu_;
   std::shared_ptr<const ServeTarget> target_;
 
-  ViewCache cache_;
+  AnswerMemo memo_;
+  const bool memo_on_;
 
   mutable std::mutex mu_;
   std::condition_variable not_empty_;  // workers wait for requests / stop

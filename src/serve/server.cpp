@@ -191,7 +191,6 @@ void SocketServer::reader_loop(std::shared_ptr<Connection> conn) {
         uf.status = mo.ok ? UpdateStatus::Ok : UpdateStatus::Invalid;
         uf.cache_evicted = mo.cache_evicted;
         uf.cache_retained = mo.cache_retained;
-        uf.flushed = mo.flushed ? 1 : 0;
         uf.apply_ns = mo.apply_ns;
         conn->send(encode_update_result(uf));
         continue;

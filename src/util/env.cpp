@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <mutex>
 #include <set>
 
@@ -65,13 +64,6 @@ std::optional<std::int64_t> positive_int(const char* name, std::int64_t max_valu
     return std::nullopt;
   }
   return parsed;
-}
-
-std::size_t mb_to_bytes(std::int64_t mb) {
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  const auto unsigned_mb = static_cast<std::uint64_t>(mb);
-  if (unsigned_mb > (kMax >> 20)) return (kMax >> 20) << 20;
-  return static_cast<std::size_t>(unsigned_mb) << 20;
 }
 
 int warning_count_for_testing() {

@@ -1,9 +1,8 @@
 // Strict environment-variable parsing with loud (but one-time) fallback.
 //
 // Every VOLCAL_* knob used to have its own ad-hoc parser, and each one
-// swallowed misconfiguration silently: `VOLCAL_CACHE=sharde` ran uncached,
-// `VOLCAL_CACHE_MB=abc` (atoll → 0) kept the default budget, and
-// `VOLCAL_THREADS=eight` ran serial — all without a word.  These helpers
+// swallowed misconfiguration silently: `VOLCAL_CACHE=sharde` ran uncached
+// and `VOLCAL_THREADS=eight` ran serial — both without a word.  These helpers
 // parse strictly (whole string must be consumed, value must be in range) and
 // emit exactly one stderr warning per variable per process naming the
 // variable, the rejected value, and the fallback actually used.  A valid
@@ -33,10 +32,6 @@ std::optional<std::string> raw(const char* name);
 // dropped.
 void warn_invalid(const char* name, const std::string& value,
                   const std::string& reason, const std::string& fallback);
-
-// MiB → bytes without overflow: values that would overflow std::size_t are
-// clamped to the largest representable whole-MiB budget.
-std::size_t mb_to_bytes(std::int64_t mb);
 
 // Number of warnings emitted so far (test hook; counts each variable once).
 int warning_count_for_testing();

@@ -3,7 +3,7 @@
 // One include for everything the serving regime needs: the wire protocol
 // (length-prefixed frames + stream decoder), the concurrent QueryService
 // (batched execution, admission control, hot snapshot swap, live mutation
-// apply, cross-request ball cache), the per-request tracer / slow-query
+// apply, per-node answer memo), the per-request tracer / slow-query
 // log, the Unix-socket transport used by tools/volcal_serve, and the typed
 // ServeClient tools/volcal_load and tools/volcal_top talk through.  The
 // fine-grained serve/... headers remain valid includes but are internal

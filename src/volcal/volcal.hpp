@@ -1,6 +1,6 @@
 // volcal/volcal.hpp — everything: the full public API in one include.
 //
-//   volcal/runtime.hpp   graphs, executions, sweep engine, view cache
+//   volcal/runtime.hpp   graphs, executions, sweep engine, answer memo
 //   volcal/problems.hpp  LCL formalization, instance generators, registry
 //   volcal/io.hpp        instance persistence: snapshots + text + sniffing
 //   volcal/bench.hpp     observability, perf artifacts, growth fitting

@@ -1,11 +1,9 @@
 // Strict environment parsing (util/env.hpp): whole-string integer parses,
-// one-time-per-variable warnings on misconfiguration, overflow-safe MiB →
-// bytes conversion, and the strict behavior of the VOLCAL_THREADS /
-// VOLCAL_BACKEND consumers.
+// one-time-per-variable warnings on misconfiguration, and the strict
+// behavior of the VOLCAL_THREADS / VOLCAL_CACHE / VOLCAL_BACKEND consumers.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <limits>
 
 #include "plan/probe_plan.hpp"
 #include "util/env.hpp"
@@ -54,15 +52,34 @@ TEST_F(EnvTest, RejectsGarbageWithOneWarningPerVariable) {
   }
 }
 
-TEST_F(EnvTest, MbToBytesIsOverflowSafe) {
-  EXPECT_EQ(env::mb_to_bytes(1), std::size_t{1} << 20);
-  EXPECT_EQ(env::mb_to_bytes(256), std::size_t{256} << 20);
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  // Values at and beyond the representable range clamp instead of wrapping.
-  EXPECT_EQ(env::mb_to_bytes(std::numeric_limits<std::int64_t>::max()),
-            (kMax >> 20) << 20);
-  EXPECT_GE(env::mb_to_bytes(std::numeric_limits<std::int64_t>::max()),
-            env::mb_to_bytes(256));
+TEST_F(EnvTest, CacheConfigFromEnvParsing) {
+  ASSERT_EQ(setenv("VOLCAL_CACHE", "shared", 1), 0);
+  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Shared);
+  ASSERT_EQ(setenv("VOLCAL_CACHE", "off", 1), 0);
+  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);
+  ASSERT_EQ(setenv("VOLCAL_CACHE", "not-a-policy", 1), 0);
+  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);  // safe default
+  ASSERT_EQ(unsetenv("VOLCAL_CACHE"), 0);
+  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);
+}
+
+// Misconfigured policies keep the safe default but warn exactly once per
+// variable: a typo'd policy used to be swallowed silently, and the retired
+// per-start policy is now a misconfiguration like any other.
+TEST_F(EnvTest, CacheConfigFromEnvWarnsOnMisconfiguration) {
+  for (const char* bad : {"sharde", "perstart", "per-start"}) {
+    env::reset_warnings_for_testing();
+    ASSERT_EQ(setenv("VOLCAL_CACHE", bad, 1), 0);
+    EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off) << bad;
+    EXPECT_EQ(env::warning_count_for_testing(), 1) << bad;
+    // Re-reading does not warn again (one-time per variable per process).
+    EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);
+    EXPECT_EQ(env::warning_count_for_testing(), 1);
+  }
+  env::reset_warnings_for_testing();
+  ASSERT_EQ(unsetenv("VOLCAL_CACHE"), 0);
+  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);
+  EXPECT_EQ(env::warning_count_for_testing(), 0);  // unset is not an error
 }
 
 TEST_F(EnvTest, ThreadCountParsesStrictly) {

@@ -43,13 +43,15 @@ TEST(FuzzCorpus, EveryReproducerParsesAndPasses) {
     ASSERT_TRUE(load_repro_file(path.string(), &c, &recorded_error, &why))
         << path << ": " << why;
     ASSERT_FALSE(c.family.empty()) << path;
-    // The full differential stack — base invariants plus the cache-policy,
-    // execution-backend and snapshot round-trip differentials, exactly what
-    // `volcal_fuzz --cache --backend --snapshot` runs per case.
+    // The full differential stack — base invariants plus the answer-reuse,
+    // execution-backend, snapshot round-trip and mutation (with answer-memo
+    // certification) differentials, exactly what
+    // `volcal_fuzz --cache --backend --snapshot --mutate` runs per case.
     CheckResult result = check_case(c);
     if (result.ok) result = check_cache_case(c);
     if (result.ok) result = check_backend_case(c);
     if (result.ok) result = check_snapshot_case(c);
+    if (result.ok) result = check_mutation_case(c);
     EXPECT_TRUE(result.ok) << path << "\n  case: " << describe(c)
                            << "\n  originally: " << recorded_error
                            << "\n  now: " << result.error;

@@ -9,9 +9,9 @@
 //     including component exhaustion, duplicate centers in one batch, radius
 //     0 and executor reuse across runs;
 //   * sweep equivalence — run_planned on the Batched backend is bit-identical
-//     to the Basic backend for EVERY registry family under every cache policy
-//     at 1 and 8 threads (outputs, per-start costs, aggregate costs), with
-//     the stats tagged by the plan/backend that actually executed.
+//     to the Basic backend for EVERY registry family with and without answer
+//     reuse at 1 and 8 threads (outputs, per-start costs, aggregate costs),
+//     with the stats tagged by the plan/backend that actually executed.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -30,16 +30,13 @@ namespace {
 TEST(ProbePlanIr, FactoriesNamesAndEligibility) {
   constexpr ProbePlan independent = ProbePlan::independent();
   constexpr ProbePlan ball = ProbePlan::batched_ball(4);
-  constexpr ProbePlan frontier = ProbePlan::shared_frontier(2);
   static_assert(!independent.batchable());
   static_assert(ball.batchable());
-  static_assert(frontier.batchable());
   EXPECT_EQ(independent.kind, PlanKind::IndependentStarts);
   EXPECT_EQ(ball.kind, PlanKind::BatchedBall);
   EXPECT_EQ(ball.radius, 4);
   EXPECT_STREQ(independent.name(), "independent-starts");
   EXPECT_STREQ(ball.name(), "batched-ball");
-  EXPECT_STREQ(frontier.name(), "shared-frontier");
   EXPECT_EQ(ball, ProbePlan::batched_ball(4));
   EXPECT_NE(ball, ProbePlan::batched_ball(3));
   EXPECT_NE(ball, independent);
@@ -138,37 +135,23 @@ TEST(BatchedBallExecutor, DuplicateCentersShareOneSlotEach) {
   expect_executor_matches(inst.graph, inst.ids, centers, 3, exec);
 }
 
-TEST(BatchedBallExecutor, CanonicalBallsInstallIntoViewCache) {
-  // take_ball must hand back canonical BFS expansions: storing them and
-  // re-serving through ViewCache::serve_costs reproduces the meters.
+TEST(BatchedBallExecutor, AnswerReadsBackTheBallSizeAndMeters) {
+  // answer() is the one read-back the sweep engine and the query service
+  // share: label = ball size, meters as reported per slot.
   const auto inst = make_complete_binary_tree(6, Color::Red, Color::Blue);
   BatchedBallExecutor exec;
   exec.bind(inst.graph);
   const std::vector<NodeIndex> centers = {0, 1, 30, 62};
   constexpr std::int64_t kRadius = 3;
   exec.run({centers.data(), centers.size()}, kRadius);
-
-  CacheConfig cfg;
-  cfg.policy = CachePolicy::Shared;
-  ViewCache cache(cfg);
-  cache.bind(inst.graph);
-  std::vector<BallMeters> expected;
   for (std::size_t s = 0; s < centers.size(); ++s) {
-    expected.push_back({exec.volume(s), exec.distance(s), exec.queries(s)});
-    cache.store(centers[s], exec.take_ball(s), cache.epoch(),
-                inst.graph.view().storage_identity());
+    const BallMeters ref = reference_ball(inst.graph, inst.ids, centers[s], kRadius);
+    const Answer a = exec.answer(static_cast<int>(s));
+    EXPECT_EQ(a.label, ref.volume) << "center " << centers[s];
+    EXPECT_EQ(a.volume, ref.volume);
+    EXPECT_EQ(a.distance, ref.distance);
+    EXPECT_EQ(a.queries, ref.queries);
   }
-  for (std::size_t s = 0; s < centers.size(); ++s) {
-    BallCosts costs;
-    ASSERT_TRUE(cache.serve_costs(inst.graph, centers[s], kRadius, &costs))
-        << "center " << centers[s];
-    EXPECT_EQ(costs.volume, expected[s].volume);
-    EXPECT_EQ(costs.distance, expected[s].distance);
-    EXPECT_EQ(costs.queries, expected[s].queries);
-  }
-  // A deeper radius than the stored expansion is a miss, not a wrong answer.
-  BallCosts costs;
-  EXPECT_FALSE(cache.serve_costs(inst.graph, centers[0], kRadius + 5, &costs));
 }
 
 // --- sweep equivalence across the whole registry ---------------------------
@@ -176,10 +159,10 @@ TEST(BatchedBallExecutor, CanonicalBallsInstallIntoViewCache) {
 TEST(PlannedSweep, BatchedBitIdenticalForEveryFamilyPolicyAndThreadCount) {
   for (const RegistryEntry* entry : ProblemRegistry::global().match("")) {
     const ErasedInstance inst = entry->make(200, /*seed=*/3);
-    std::vector<NodeIndex> starts(static_cast<std::size_t>(inst.node_count()));
-    for (NodeIndex v = 0; v < inst.node_count(); ++v) {
-      starts[static_cast<std::size_t>(v)] = v;
-    }
+    // Every node, then every fifth node again: repeats for answer reuse.
+    std::vector<NodeIndex> starts;
+    for (NodeIndex v = 0; v < inst.node_count(); ++v) starts.push_back(v);
+    for (NodeIndex v = 0; v < inst.node_count(); v += 5) starts.push_back(v);
     const std::span<const NodeIndex> span(starts);
     auto solve = [&](auto& exec) { return inst.solve(exec); };
 
@@ -191,8 +174,7 @@ TEST(PlannedSweep, BatchedBitIdenticalForEveryFamilyPolicyAndThreadCount) {
     EXPECT_EQ(baseline.stats.backend, ExecBackend::Basic) << entry->name;
     EXPECT_EQ(baseline.stats.plan, entry->plan.kind) << entry->name;
 
-    for (const CachePolicy policy :
-         {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}) {
+    for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
       for (const int threads : {1, 8}) {
         CacheConfig cfg;
         cfg.policy = policy;

@@ -4,10 +4,9 @@
 //
 // The load-bearing contract: a label served by QueryService equals the
 // offline engine's output for that node, bit for bit — through the batched
-// backend, through cache hits, and across snapshot swaps (where the old
-// pointer-keyed cache identity could alias a recycled mmap address; see
-// tests/view_cache_test.cpp RemapAtSameAddressDoesNotServeStaleBalls for the
-// unit-level pin).
+// backend, through answer-memo hits, across snapshot swaps and across live
+// mutations (tests/answer_memo_test.cpp pins the memo's race rule and its
+// region eviction at the unit level).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -296,13 +295,14 @@ ServeTarget target_for(const std::string& family, NodeIndex n, std::uint64_t see
       std::make_shared<const ErasedInstance>(entry->make(n, seed)));
 }
 
-// Served labels == offline sweep labels, on both execution paths.  The
-// ball-4 family takes the fused batched path (its plan is batchable), the
-// leaf-coloring family the per-request solve() path.
+// Served labels == offline sweep labels for every registry family, on both
+// execution paths: ball-4 takes the fused batched path (its plan is
+// batchable), every other family the per-request solve() path.  The second
+// round is served from the answer memo.
 TEST(QueryService, ServedLabelsMatchTheOfflineSweep) {
-  for (const char* family : {"ball-4", "leaf-coloring"}) {
-    SCOPED_TRACE(family);
-    ServeTarget target = target_for(family, 600, 7);
+  for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
+    SCOPED_TRACE(entry.name);
+    ServeTarget target = target_for(entry.name, 600, 7);
     const std::vector<int> expected = offline_labels(*target.instance);
     const auto n = static_cast<std::int64_t>(expected.size());
 
@@ -313,18 +313,19 @@ TEST(QueryService, ServedLabelsMatchTheOfflineSweep) {
     QueryService service(std::move(target), config);
 
     ResultCollector collector;
-    // Two rounds over every node: the second is served warm (cache hits for
-    // the batchable family) and must answer identically.
     for (std::int64_t round = 0; round < 2; ++round) {
       for (std::int64_t v = 0; v < n; ++v) {
         const auto id = static_cast<std::uint64_t>(round * n + v);
         ASSERT_EQ(service.submit(id, v, collector.sink()), Admission::Accepted);
       }
+      // Round two starts once round one is answered and memoized.
+      collector.wait_for(static_cast<std::size_t>((round + 1) * n));
     }
     service.drain_and_stop();
 
     const auto results = collector.take();
     ASSERT_EQ(results.size(), static_cast<std::size_t>(2 * n));
+    std::vector<QueryResult> first_round(static_cast<std::size_t>(n));
     for (const auto& [id, r] : results) {
       const auto v = static_cast<std::int64_t>(id) % n;
       EXPECT_EQ(r.status, QueryStatus::Ok);
@@ -332,16 +333,23 @@ TEST(QueryService, ServedLabelsMatchTheOfflineSweep) {
           << "node " << v << " id " << id;
       EXPECT_GE(r.volume, 1);
       EXPECT_GE(r.latency_ns, 0);
+      if (static_cast<std::int64_t>(id) < n) {
+        first_round[static_cast<std::size_t>(v)] = r;
+      } else {
+        // A memo hit replays the computed costs exactly.
+        const QueryResult& computed = first_round[static_cast<std::size_t>(v)];
+        EXPECT_EQ(r.volume, computed.volume) << "node " << v;
+        EXPECT_EQ(r.distance, computed.distance) << "node " << v;
+        EXPECT_EQ(r.queries, computed.queries) << "node " << v;
+      }
     }
     const ServeCounters counters = service.counters();
     EXPECT_EQ(counters.accepted, 2 * n);
     EXPECT_EQ(counters.completed, 2 * n);
     EXPECT_EQ(counters.shed, 0);
     EXPECT_EQ(counters.invalid, 0);
-    if (std::string(family) == "ball-4") {
-      // Round two re-queries every center: the shared cache must have hits.
-      EXPECT_GT(service.cache_stats().hits, 0);
-    }
+    EXPECT_EQ(service.cache_stats().hits, n);
+    EXPECT_EQ(service.cache_stats().misses, n);
     const stats::Summary latency = service.latency_summary();
     EXPECT_EQ(latency.count, static_cast<std::size_t>(2 * n));
     EXPECT_LE(latency.median, latency.p95);
@@ -436,10 +444,10 @@ TEST(QueryService, DrainCompletesEveryAcceptedRequestThenRefuses) {
   service.drain_and_stop();
 }
 
-// The end-to-end ABA scenario the storage token fixes: serve snapshot A,
-// hot-swap to snapshot B of the same shape (old mapping unmapped, new one
-// plausibly at the recycled address), and every post-swap answer must match
-// B's offline labels — never A's cached balls.
+// The end-to-end pointer-ABA scenario: serve snapshot A with a warm answer
+// memo, hot-swap to snapshot B of the same shape (old mapping unmapped, new
+// one plausibly at the recycled address), and every post-swap answer must
+// match B's offline labels — never A's memoized answers.
 TEST(QueryService, HotSwapUnderWarmCacheServesTheNewSnapshotExactly) {
   const fs::path dir =
       fs::temp_directory_path() /
@@ -515,92 +523,93 @@ TEST(QueryService, HotSwapUnderWarmCacheServesTheNewSnapshotExactly) {
   fs::remove_all(dir, ec);
 }
 
-// Live mutation apply: after apply_mutations the service serves the mutated
-// instance bit-for-bit, retained cache entries keep serving (no full flush on
-// a localized delta), and an invalid batch is rejected whole with the served
-// target untouched.
+// Live mutation apply: for every registry family, after apply_mutations the
+// service serves the mutated instance bit-for-bit, memoized answers the batch
+// cannot reach keep serving (no full flush on a localized delta) — for a
+// structural batch and for a label-only one — and an invalid batch is
+// rejected whole with the served target untouched.
 TEST(QueryService, AppliedMutationsServeTheMutatedGraphExactly) {
-  ServeTarget target = target_for("ball-4", 600, 7);
-  const std::shared_ptr<const ErasedInstance> inst = target.instance;
-  const std::vector<int> expected = offline_labels(*inst);
-  const auto n = static_cast<std::int64_t>(expected.size());
+  for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
+    SCOPED_TRACE(entry.name);
+    ServeTarget target = target_for(entry.name, 600, 7);
+    std::shared_ptr<const ErasedInstance> inst = target.instance;
+    const auto n = static_cast<std::int64_t>(inst->node_count());
 
-  ServeConfig config;
-  config.threads = 4;
-  config.queue_capacity = static_cast<std::size_t>(2 * n);
-  config.cache.policy = CachePolicy::Shared;
-  QueryService service(std::move(target), config);
+    ServeConfig config;
+    config.threads = 4;
+    config.queue_capacity = static_cast<std::size_t>(2 * n);
+    config.cache.policy = CachePolicy::Shared;
+    QueryService service(std::move(target), config);
 
-  // Warm the shared cache across every node on the pre-mutation graph.
-  ResultCollector before;
-  for (std::int64_t v = 0; v < n; ++v) {
-    ASSERT_EQ(service.submit(static_cast<std::uint64_t>(v), v, before.sink()),
-              Admission::Accepted);
+    std::uint64_t next_id = 0;
+    // Queries every node and checks the labels against `expected`.
+    auto query_all = [&](const std::vector<int>& expected, const char* when) {
+      ResultCollector collector;
+      const std::uint64_t base = next_id;
+      for (std::int64_t v = 0; v < n; ++v) {
+        ASSERT_EQ(service.submit(next_id++, v, collector.sink()), Admission::Accepted);
+      }
+      collector.wait_for(static_cast<std::size_t>(n));
+      for (const auto& [id, r] : collector.take()) {
+        const auto v = static_cast<std::int64_t>(id - base);
+        ASSERT_EQ(r.status, QueryStatus::Ok);
+        ASSERT_EQ(r.label, expected[static_cast<std::size_t>(v)])
+            << when << ": node " << v << " served a stale answer";
+      }
+    };
+    query_all(offline_labels(*inst), "warm-up");  // memoizes every node
+
+    std::int64_t evicted = 0;
+    std::int64_t retained = 0;
+    // One leaf rewire + two label writes, then a label-only batch: the
+    // mutated oracle is the instance's own mutate path, the same one
+    // check_mutation_case pins against the naive rebuild.
+    for (const int rewires : {1, 0}) {
+      SCOPED_TRACE(rewires == 0 ? "label-only batch" : "structural batch");
+      const MutationBatch batch = inst->propose_mutation(/*seed=*/123 + rewires, rewires,
+                                                         /*label_updates=*/2);
+      ASSERT_FALSE(batch.empty());
+      auto mutated = std::make_shared<const ErasedInstance>(inst->mutated(batch));
+      const std::vector<int> expected_mut = offline_labels(*mutated);
+
+      const MutationOutcome mo = service.apply_mutations(batch);
+      ASSERT_TRUE(mo.ok) << mo.error;
+      EXPECT_GE(mo.apply_ns, 0);
+      // Every node was memoized: each answer is either evicted or kept, and
+      // the changed nodes' own answers are always evicted.
+      EXPECT_EQ(static_cast<std::int64_t>(mo.cache_evicted + mo.cache_retained), n);
+      EXPECT_GE(mo.cache_evicted, 1u);
+      if (entry.name == "ball-4") {
+        // A radius-4 plan touches a small region of a 600-node tree.
+        EXPECT_GT(mo.cache_retained, mo.cache_evicted);
+      }
+      evicted += static_cast<std::int64_t>(mo.cache_evicted);
+      retained += static_cast<std::int64_t>(mo.cache_retained);
+
+      const std::int64_t hits_before_requery = service.cache_stats().hits;
+      query_all(expected_mut, "post-mutation");  // re-memoizes every node
+      if (mo.cache_retained > 0) {
+        EXPECT_GT(service.cache_stats().hits, hits_before_requery);
+      }
+      inst = mutated;
+    }
+
+    // An invalid batch (a self-rewire) is rejected whole; served answers are
+    // unchanged by it.
+    MutationBatch bad;
+    bad.rewires.push_back({0, 0});
+    const MutationOutcome rejected = service.apply_mutations(bad);
+    EXPECT_FALSE(rejected.ok);
+    EXPECT_FALSE(rejected.error.empty());
+    query_all(offline_labels(*inst), "after a rejected batch");
+    service.drain_and_stop();
+
+    // The mutation counters made it into the registry snapshot.
+    const obs::MetricsSnapshot snap = service.metrics().snapshot();
+    EXPECT_EQ(snap.counter("serve.mutations"), 2);
+    EXPECT_EQ(snap.counter("serve.mutate.cache_evicted"), evicted);
+    EXPECT_EQ(snap.counter("serve.mutate.cache_retained"), retained);
   }
-  before.wait_for(static_cast<std::size_t>(n));
-  for (const auto& [id, r] : before.take()) {
-    ASSERT_EQ(r.label, expected[static_cast<std::size_t>(id)]) << "node " << id;
-  }
-
-  // One leaf rewire + two label writes: a localized delta.  The mutated
-  // oracle is the instance's own mutate path, the same one
-  // check_mutation_case pins against the naive rebuild.
-  const MutationBatch batch = inst->propose_mutation(/*seed=*/123, /*rewires=*/1,
-                                                     /*label_updates=*/2);
-  ASSERT_FALSE(batch.empty());
-  const ErasedInstance mutated = inst->mutated(batch);
-  const std::vector<int> expected_mut = offline_labels(mutated);
-
-  const MutationOutcome mo = service.apply_mutations(batch);
-  ASSERT_TRUE(mo.ok) << mo.error;
-  EXPECT_FALSE(mo.flushed);
-  EXPECT_GE(mo.apply_ns, 0);
-  // A radius-4 plan with one rewire touches a small region of a 600-node
-  // tree: some entries die, most survive.
-  EXPECT_GT(mo.cache_evicted, 0u);
-  EXPECT_GT(mo.cache_retained, mo.cache_evicted);
-
-  const std::int64_t hits_before_requery = service.cache_stats().hits;
-  ResultCollector after;
-  for (std::int64_t v = 0; v < n; ++v) {
-    const auto id = static_cast<std::uint64_t>(n + v);
-    ASSERT_EQ(service.submit(id, v, after.sink()), Admission::Accepted);
-  }
-  after.wait_for(static_cast<std::size_t>(n));
-  for (const auto& [id, r] : after.take()) {
-    const auto v = static_cast<std::int64_t>(id) - n;
-    ASSERT_EQ(r.status, QueryStatus::Ok);
-    ASSERT_EQ(r.label, expected_mut[static_cast<std::size_t>(v)])
-        << "post-mutation node " << v << " served a stale answer";
-  }
-  // The retained entries actually served: the re-query round hit the cache.
-  EXPECT_GT(service.cache_stats().hits, hits_before_requery);
-
-  // An invalid batch (rewire of a non-leaf: node 0 is the root of the
-  // complete binary tree, degree > 1) is rejected whole.
-  MutationBatch bad;
-  bad.rewires.push_back({0, 1});
-  const MutationOutcome rejected = service.apply_mutations(bad);
-  EXPECT_FALSE(rejected.ok);
-  EXPECT_FALSE(rejected.error.empty());
-
-  // Served answers are unchanged by the rejected batch.
-  ResultCollector still;
-  ASSERT_EQ(service.submit(static_cast<std::uint64_t>(3 * n), 1, still.sink()),
-            Admission::Accepted);
-  still.wait_for(1);
-  EXPECT_EQ(still.take().at(static_cast<std::uint64_t>(3 * n)).label,
-            expected_mut[1]);
-
-  service.drain_and_stop();
-
-  // The mutation counters made it into the registry snapshot.
-  const obs::MetricsSnapshot snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.counter("serve.mutations"), 1);
-  EXPECT_EQ(snap.counter("serve.mutate.cache_evicted"),
-            static_cast<std::int64_t>(mo.cache_evicted));
-  EXPECT_EQ(snap.counter("serve.mutate.cache_retained"),
-            static_cast<std::int64_t>(mo.cache_retained));
 }
 
 // --- Observability ---------------------------------------------------------

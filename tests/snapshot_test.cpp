@@ -198,9 +198,9 @@ TEST_F(SnapshotTest, MappedFileEdgeDiagnostics) {
   }
 }
 
-// Each load mints its own storage identity: a persistent ViewCache bound to
-// one mapping can never confuse it with a later mapping of the same (or any
-// other) file, even if mmap recycles the address range.
+// Each load mints its own storage identity: state keyed on one mapping can
+// never confuse it with a later mapping of the same (or any other) file,
+// even if mmap recycles the address range.
 TEST_F(SnapshotTest, EachLoadMintsADistinctStorageToken) {
   const ErasedInstance inst = ProblemRegistry::global().find("ball-4")->make(64, 5);
   const std::string file = path("token.vsnap");

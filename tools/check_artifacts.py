@@ -35,8 +35,8 @@ import math
 import sys
 
 ARTIFACT_SCHEMA_VERSION = 2
-MIN_ARTIFACT_SCHEMA_VERSION = 1  # v1 = pre-view-cache, no "cache" block
-CACHE_POLICIES = ("off", "perstart", "shared")
+MIN_ARTIFACT_SCHEMA_VERSION = 1  # v1 = no "cache" block
+CACHE_POLICIES = ("off", "shared")
 CACHE_COUNTERS = ("hits", "misses", "evictions", "served_nodes",
                   "inserted_bytes")
 BACKENDS = ("basic", "batched")
@@ -75,7 +75,7 @@ def check_schema_version(doc, where):
 
 
 def check_cache_block(doc, where):
-    """Schema v2: the view-cache counters between 'phases' and 'alloc'."""
+    """Schema v2: the answer-reuse counters between 'phases' and 'alloc'."""
     cache = doc.get("cache")
     if not check(isinstance(cache, dict), f"{where}: missing 'cache' block"):
         return

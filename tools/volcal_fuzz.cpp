@@ -31,7 +31,7 @@ void print_help() {
       "  --max-n <n>     upper bound for generated instance sizes [600]\n"
       "  --out-dir <d>   write minimized reproducers (*.repro) into <d>\n"
       "  --replay <f>    replay one reproducer file instead of fuzzing\n"
-      "  --cache         also run the view-cache policy differential per case\n"
+      "  --cache         also run the answer-reuse differential per case\n"
       "  --backend       also run the basic-vs-batched backend differential per case\n"
       "  --snapshot      also run the snapshot save/mmap-load round-trip differential\n"
       "  --mutate        also run the dynamic-graph mutation differential per case\n"

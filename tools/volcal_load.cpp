@@ -1,7 +1,7 @@
 // volcal_load — open-loop load generator for volcal_serve.
 //
-// Drives a serve socket with Zipfian per-node queries (hot centers repeat —
-// the regime the cross-request ball cache exists for), measures client-side
+// Drives a serve socket with Zipfian per-node queries (hot nodes repeat —
+// the regime the per-node answer memo exists for), measures client-side
 // latency and sustained throughput, and optionally verifies every response
 // against the offline engine.
 //
@@ -17,8 +17,8 @@
 // --verify FILE loads the same snapshot the server is serving, labels every
 // node offline with the per-start engine (run_at_all_nodes), and fails
 // unless every served label is bit-identical to the offline output for that
-// node — the end-to-end check that the serving path (batched backend + ball
-// cache + admission + hot swap) never changes an answer.
+// node — the end-to-end check that the serving path (batched backend +
+// answer memo + admission + hot swap) never changes an answer.
 //
 // --update-rate F mixes mutations into the workload: F * --requests
 // MutationBatches (deterministic draws from propose_mutation) are applied

@@ -4,22 +4,21 @@
 // per-node label queries over a Unix-domain socket speaking the
 // length-prefixed frame protocol (src/serve/protocol.hpp).  Queries are
 // batched onto the fused multi-start backend where the family's probe plan
-// allows, share one cross-request ball cache, and are admission-controlled
-// by a bounded queue (overload answers Shed + retry-after instead of
-// building unbounded backlog).
+// allows, answered from one per-node answer memo once computed, and are
+// admission-controlled by a bounded queue (overload answers Shed +
+// retry-after instead of building unbounded backlog).
 //
 // Signals:
 //   SIGTERM / SIGINT  graceful drain: stop admission, answer every accepted
 //                     request, write the perf artifact, exit 0.
 //   SIGHUP            hot swap: reload --snapshot and atomically replace the
 //                     served instance; in-flight batches finish against the
-//                     old mapping, the ball cache re-keys via the new
-//                     storage token (never by address — see the pointer-ABA
-//                     notes in runtime/view_cache.hpp).
+//                     old mapping, and the answer memo starts over (see the
+//                     race rule in runtime/answer_memo.hpp).
 //
 // Usage: volcal_serve --snapshot FILE | --family NAME [--n N] [--seed S]
 //                     --socket PATH [--threads N] [--queue N] [--batch N]
-//                     [--cache off|shared] [--cache-mb N]
+//                     [--cache off|shared]
 //                     [--retry-after-ms N] [--artifact FILE]
 //                     [--stats-interval SEC] [--stats-log FILE]
 //                     [--stats-window SEC] [--trace-serve FILE]
@@ -27,7 +26,7 @@
 //
 // The artifact (--artifact) is a schema-v2 bench-report with the "serve"
 // block: accepted/completed/shed counters, nearest-rank p50/p95/p99 latency,
-// sustained QPS, and the shared cache's hit counters —
+// sustained QPS, and the answer memo's hit counters —
 // tools/check_artifacts.py --serve-report validates it in CI.
 //
 // Live observability: --stats-interval writes the service's stats_json()
@@ -186,8 +185,6 @@ int run(int argc, char** argv) {
         std::fprintf(stderr, "volcal_serve: unknown cache policy '%s'\n", v);
         return 2;
       }
-    } else if (const char* v = value_of("--cache-mb")) {
-      config.cache.byte_budget = static_cast<std::size_t>(std::atoll(v)) << 20;
     } else if (const char* v = value_of("--stats-interval")) {
       stats_interval_s = std::atof(v);
     } else if (const char* v = value_of("--stats-log")) {
@@ -213,8 +210,7 @@ int run(int argc, char** argv) {
           "  --queue <n>          admission queue capacity [1024]\n"
           "  --batch <n>          max requests fused per wave [64]\n"
           "  --retry-after-ms <n> shed backoff hint [50]\n"
-          "  --cache <p>          off | shared [shared]\n"
-          "  --cache-mb <n>       ball-cache budget in MiB [256]\n"
+          "  --cache <p>          per-node answer memo: off | shared [shared]\n"
           "  --artifact <f>       write the serve perf artifact on drain\n"
           "  --stats-interval <s> write a stats JSONL line every s seconds\n"
           "  --stats-log <f>      periodic stats destination [stdout]\n"
