@@ -12,6 +12,7 @@
 
 #include "bench_util.hpp"
 #include "labels/generators.hpp"
+#include "obs/histogram.hpp"
 #include "lcl/adversary/leafcoloring_adversary.hpp"
 #include "lcl/algorithms/leaf_coloring_algos.hpp"
 #include "lcl/algorithms/local_view.hpp"
@@ -37,23 +38,22 @@ void walk_length_table(JsonReport& report) {
   Curve mean_c, max_c;  // over the complete-tree sub-family (monotone n)
   for (const auto& [name, inst] : families) {
     RandomTape tape(inst.ids, 17);
-    std::vector<double> steps;
+    obs::Histogram steps;
     for (NodeIndex v : sampled_starts(inst.node_count(), 400)) {
       Execution exec(inst.graph, inst.ids, v);
       Src src(inst, exec);
-      steps.push_back(static_cast<double>(rw_to_leaf_stats(src, tape).steps));
+      steps.add(rw_to_leaf_stats(src, tape).steps);
     }
-    auto s = stats::summarize(steps);
     const double bound = 16 * std::log2(static_cast<double>(inst.node_count()));
     char mean[32], p95[32], mx[32], bd[32];
-    std::snprintf(mean, sizeof mean, "%.1f", s.mean);
-    std::snprintf(p95, sizeof p95, "%.0f", s.p95);
-    std::snprintf(mx, sizeof mx, "%.0f", s.max);
+    std::snprintf(mean, sizeof mean, "%.1f", steps.mean());
+    std::snprintf(p95, sizeof p95, "%lld", static_cast<long long>(steps.quantile(0.95)));
+    std::snprintf(mx, sizeof mx, "%lld", static_cast<long long>(steps.max));
     std::snprintf(bd, sizeof bd, "%.0f", bound);
     table.add_row({name, fmt_int(inst.node_count()), mean, p95, mx, bd});
     if (name.rfind("complete", 0) == 0) {
-      mean_c.add(static_cast<double>(inst.node_count()), s.mean);
-      max_c.add(static_cast<double>(inst.node_count()), s.max);
+      mean_c.add(static_cast<double>(inst.node_count()), steps.mean());
+      max_c.add(static_cast<double>(inst.node_count()), static_cast<double>(steps.max));
     }
   }
   table.print();

@@ -17,12 +17,12 @@
 #include "graph/mutation.hpp"
 #include "io/instance_io.hpp"
 #include "lcl/registry.hpp"
+#include "obs/histogram.hpp"
 #include "obs/replay.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "runtime/answer_memo.hpp"
 #include "runtime/reference_execution.hpp"
-#include "stats/growth.hpp"
 
 namespace volcal::check {
 namespace {
@@ -158,43 +158,31 @@ CheckResult check_tape(const IdAssignment& ids, const FuzzCase& c, NodeIndex n) 
   return {};
 }
 
-// --- stats::summarize cross-check -------------------------------------------
+// --- obs::Histogram cross-check ---------------------------------------------
 
-CheckResult check_summarize(const std::vector<std::int64_t>& per_start) {
-  std::vector<double> values(per_start.begin(), per_start.end());
-  const stats::Summary s = stats::summarize(values);
-  std::vector<double> sorted = values;
+// The one histogram type against an exact sort of the same per-start values.
+CheckResult check_histogram(const std::vector<std::int64_t>& per_start) {
+  obs::Histogram h;
+  for (const std::int64_t v : per_start) h.add(v);
+  std::vector<std::int64_t> sorted = per_start;
   std::sort(sorted.begin(), sorted.end());
-  const std::size_t cnt = sorted.size();
-  if (s.count != cnt) return fail("summarize: wrong count");
-  double sum = 0;
-  for (const double v : sorted) sum += v;
-  const double median = cnt % 2 == 1 ? sorted[cnt / 2]
-                                     : 0.5 * (sorted[cnt / 2 - 1] + sorted[cnt / 2]);
-  const auto nearest_rank = [&](double q) {
-    const std::size_t rank =
-        static_cast<std::size_t>(std::ceil(q * static_cast<double>(cnt)));
-    return sorted[std::max<std::size_t>(rank, 1) - 1];
-  };
-  const double p95 = nearest_rank(0.95);
-  const double p99 = nearest_rank(0.99);
-  auto close = [](double a, double b) {
-    return std::abs(a - b) <= 1e-9 * std::max({std::abs(a), std::abs(b), 1.0});
-  };
-  if (!close(s.min, sorted.front()) || !close(s.max, sorted.back())) {
-    return fail("summarize: min/max disagree with sorted data");
+  const auto cnt = static_cast<std::int64_t>(sorted.size());
+  std::int64_t sum = 0;
+  for (const std::int64_t v : sorted) sum += v;
+  if (h.count != cnt || h.sum != sum) return fail("histogram: count or sum inexact");
+  if (cnt == 0) return {};
+  if (h.min != sorted.front() || h.max != sorted.back()) {
+    return fail("histogram: min/max disagree with sorted data");
   }
-  if (!close(s.mean, sum / static_cast<double>(cnt))) {
-    return fail("summarize: mean disagrees with independent recomputation");
-  }
-  if (!close(s.median, median)) {
-    return fail("summarize: median disagrees with midpoint-of-even-count recomputation");
-  }
-  if (!close(s.p95, p95)) {
-    return fail("summarize: p95 disagrees with nearest-rank recomputation");
-  }
-  if (!close(s.p99, p99)) {
-    return fail("summarize: p99 disagrees with nearest-rank recomputation");
+  for (const double q : {0.50, 0.95, 0.99}) {
+    const auto rank = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(cnt))));
+    const std::int64_t exact = sorted[static_cast<std::size_t>(rank - 1)];
+    if (std::abs(static_cast<double>(h.quantile(q) - exact)) >
+        static_cast<double>(exact) / 32.0) {
+      return fail("histogram: quantile " + std::to_string(q) +
+                  " strays more than 1/32 from the nearest-rank value");
+    }
   }
   return {};
 }
@@ -437,8 +425,8 @@ CheckResult check_case(const FuzzCase& c) {
     }
   }
 
-  if (CheckResult r = check_summarize(serial.volume); !r) return r;
-  if (CheckResult r = check_summarize(serial.distance); !r) return r;
+  if (CheckResult r = check_histogram(serial.volume); !r) return r;
+  if (CheckResult r = check_histogram(serial.distance); !r) return r;
 
   return {};
 }
@@ -745,13 +733,15 @@ CheckResult check_mutation_case(const FuzzCase& c) {
     return fail("mutation: fast and naive CSR adjacency is not bit-identical");
   }
 
-  // --- identity and touched-set contracts ----------------------------------
-  if (gm.storage_identity() == kAnonymousStorage ||
-      gn.storage_identity() == kAnonymousStorage ||
-      gm.storage_identity() == g0.storage_identity() ||
-      gn.storage_identity() == g0.storage_identity() ||
-      gm.storage_identity() == gn.storage_identity()) {
-    return fail("mutation: mutated instances must own fresh storage tokens");
+  // --- fresh-storage and touched-set contracts -----------------------------
+  // All three graphs are alive here, so distinct arrays have distinct data
+  // pointers (an edgeless adjacency may have none to compare).
+  const auto aliases = [](const GraphView& a, const GraphView& b) {
+    return a.offsets_data() == b.offsets_data() ||
+           (a.edge_count() > 0 && a.adjacency_data() == b.adjacency_data());
+  };
+  if (aliases(gm, g0) || aliases(gn, g0) || aliases(gm, gn)) {
+    return fail("mutation: mutated instances must own fresh CSR arrays");
   }
   for (std::size_t i = 0; i < touched.size(); ++i) {
     if (touched[i] < 0 || touched[i] >= n) return fail("mutation: touched node out of range");

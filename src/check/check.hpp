@@ -22,12 +22,13 @@
 //   * tape invariants — words are windows of the bit stream, accounting
 //     matches consumption, ScopedUsage merging equals serial accounting, and
 //     the three randomness models keep their access disciplines;
-//   * helper contracts — bench::sampled_starts and stats::summarize agree
-//     with independent recomputation on the case's own data.
+//   * helper contracts — bench::sampled_starts and obs::Histogram agree
+//     with independent recomputation on the case's own data (the histogram:
+//     exact count/sum/min/max, nearest-rank p50/p95/p99 within 1/32).
 //
 // The checks are exactly the ones that catch the bugs this harness was built
-// around (RandomTape word/bit stream aliasing, summarize median/p95 on even
-// counts, sampled_starts count==1); deliberately re-introducing any of them
+// around (RandomTape word/bit stream aliasing, sampled_starts count==1);
+// deliberately re-introducing any of them
 // makes check_case fail with a pinpointed error string.
 #pragma once
 

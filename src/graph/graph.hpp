@@ -27,39 +27,16 @@ class Graph {
  public:
   class Builder;
 
+  // Copying an owning Graph copies the CSR arrays into fresh storage;
+  // copies of an adopted Graph alias the same external bytes.
   Graph() = default;
-
-  // Storage-token bookkeeping: owned storage is unique to this object, so
-  // copying an owning Graph copies the CSR arrays into fresh storage and
-  // mints a fresh identity.  Adopted storage is shared with the external
-  // owner, so copies of an adopted Graph keep the same identity (they alias
-  // the same bytes).  Moves transfer the storage, so the identity moves too.
-  Graph(const Graph& other)
-      : offsets_(other.offsets_),
-        adjacency_(other.adjacency_),
-        max_degree_(other.max_degree_),
-        adopted_(other.adopted_),
-        token_(other.adopted() ? other.token_ : mint_storage_token()) {}
-  Graph& operator=(const Graph& other) {
-    if (this == &other) return *this;
-    offsets_ = other.offsets_;
-    adjacency_ = other.adjacency_;
-    max_degree_ = other.max_degree_;
-    adopted_ = other.adopted_;
-    token_ = other.adopted() ? other.token_ : mint_storage_token();
-    return *this;
-  }
-  Graph(Graph&&) = default;
-  Graph& operator=(Graph&&) = default;
 
   // Wrap already-laid-out CSR arrays in an owning Graph.  `offsets` must have
   // n+1 entries with offsets[0] == 0, monotone, offsets[n] == adjacency.size();
   // adjacency holds each node's neighbors in port order.  The port-bijectivity
   // invariant is the caller's responsibility (Builder::build validates it; the
   // mutation fast path in graph/mutation.cpp maintains it edit-by-edit and is
-  // cross-checked against the Builder path by check_mutation_case).  A fresh
-  // StorageToken is minted: the result is a *different* storage identity from
-  // whatever the arrays were derived from.
+  // cross-checked against the Builder path by check_mutation_case).
   static Graph from_csr(std::vector<std::size_t> offsets, std::vector<NodeIndex> adjacency,
                         int max_degree) {
     if (offsets.empty() || offsets.front() != 0 || offsets.back() != adjacency.size()) {
@@ -75,26 +52,21 @@ class Graph {
   // Borrow externally owned CSR storage (e.g. an mmap-ed snapshot section).
   // The caller must keep that storage alive and unmodified for the lifetime
   // of the returned Graph and every view taken from it; see
-  // io/snapshot.hpp for the keep-alive pattern used by the loader.  If the
-  // incoming view already carries a storage token (a snapshot view), that
-  // identity is preserved; an anonymous view gets a fresh token minted for
-  // this adoption.
+  // io/snapshot.hpp for the keep-alive pattern used by the loader.
   static Graph adopt(GraphView v) {
     Graph g;
-    if (v.storage_identity() != kAnonymousStorage) g.token_ = v.storage_identity();
-    g.adopted_ = GraphView(v.offsets_data(), v.adjacency_data(), v.node_count(),
-                           v.max_degree(), g.token_);
+    g.adopted_ = v;
     g.offsets_.clear();
     return g;
   }
 
   // The borrowed view of this graph's storage (owned vectors or adopted
-  // mapping).  Cheap: five words, computed on access so copies and moves of
+  // mapping).  Cheap: four words, computed on access so copies and moves of
   // Graph never need fix-up.
   GraphView view() const {
     if (adopted_.offsets_data() != nullptr) return adopted_;
     return GraphView(offsets_.data(), adjacency_.data(),
-                     static_cast<NodeIndex>(offsets_.size()) - 1, max_degree_, token_);
+                     static_cast<NodeIndex>(offsets_.size()) - 1, max_degree_);
   }
 
   bool adopted() const { return adopted_.offsets_data() != nullptr; }
@@ -141,7 +113,6 @@ class Graph {
   std::vector<NodeIndex> adjacency_;
   int max_degree_ = 0;
   GraphView adopted_{};
-  StorageToken token_ = mint_storage_token();
 
   friend class Builder;
 };

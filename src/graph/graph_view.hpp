@@ -13,7 +13,6 @@
 // lifetime of the sweep it was bound for.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -28,25 +27,6 @@ using Port = int;  // 1-based; 0 is reserved for "no port" (the label ⊥)
 
 inline constexpr NodeIndex kNoNode = -1;
 inline constexpr Port kNoPort = 0;
-
-// Process-unique identity of one logical graph storage (one Builder::build,
-// one Graph::adopt of a fresh mapping, one snapshot load).  Raw pointers are
-// NOT identity: munmap/mmap recycles addresses, so state keyed on a pointer
-// (a worker's executor binding, say) can mistake a new snapshot that landed
-// at the same address for the previous one (pointer ABA).  Tokens are minted
-// from a monotonic counter and never reused within a process.
-//
-// Token 0 is reserved for "anonymous" storage — a bare GraphView constructed
-// over raw arrays with no minting owner.  Anything keyed on identity must
-// treat anonymous views as unkeyable (two of them cannot be told apart).
-using StorageToken = std::uint64_t;
-
-inline constexpr StorageToken kAnonymousStorage = 0;
-
-inline StorageToken mint_storage_token() {
-  static std::atomic<StorageToken> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -82,13 +62,6 @@ class GraphView {
   constexpr GraphView(const std::size_t* offsets, const NodeIndex* adjacency,
                       NodeIndex node_count, int max_degree)
       : offsets_(offsets), adjacency_(adjacency), n_(node_count), max_degree_(max_degree) {}
-  constexpr GraphView(const std::size_t* offsets, const NodeIndex* adjacency,
-                      NodeIndex node_count, int max_degree, StorageToken token)
-      : offsets_(offsets),
-        adjacency_(adjacency),
-        n_(node_count),
-        max_degree_(max_degree),
-        token_(token) {}
 
   NodeIndex node_count() const { return n_; }
   std::int64_t edge_count() const {
@@ -140,13 +113,6 @@ class GraphView {
   const std::size_t* offsets_data() const { return offsets_; }
   const NodeIndex* adjacency_data() const { return adjacency_; }
 
-  // Identity of the underlying storage: the token minted when the storage
-  // was built or adopted (Graph, io::Snapshot).  Pointer equality is
-  // deliberately NOT used — munmap/mmap recycles addresses across snapshot
-  // swaps, so two distinct graphs can share an offsets pointer over a
-  // process lifetime.  kAnonymousStorage (0) means "no minting owner".
-  StorageToken storage_identity() const { return token_; }
-
  private:
   void check_node(NodeIndex v) const {
     if (!valid_node(v)) detail::throw_node_out_of_range(v);
@@ -158,7 +124,6 @@ class GraphView {
   const NodeIndex* adjacency_ = nullptr;
   NodeIndex n_ = 0;
   int max_degree_ = 0;
-  StorageToken token_ = kAnonymousStorage;
 };
 
 static_assert(std::is_trivially_copyable_v<GraphView>,

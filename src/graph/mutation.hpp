@@ -17,9 +17,8 @@
 //     is a real structural edit (the leaf moves to the last port).
 //
 // Copy-on-write contract: apply_mutation never touches the input storage.  It
-// materializes the post-batch CSR into *fresh owned arrays* with a freshly
-// minted StorageToken, so every GraphView borrowed from the old graph stays
-// valid.  In-flight readers finish against the old view; the query
+// materializes the post-batch CSR into *fresh owned arrays*, so every
+// GraphView borrowed from the old graph stays valid.  In-flight readers finish against the old view; the query
 // service's AnswerMemo (runtime/answer_memo.hpp) evicts only the answers a
 // batch's changed nodes (changed_nodes below) can reach.
 //
@@ -89,7 +88,7 @@ struct MutationBatch {
 
 // Result of applying a batch's structural part.
 struct AppliedMutation {
-  Graph graph;  // fresh owned storage, fresh StorageToken
+  Graph graph;  // fresh owned storage
 
   // Structural endpoints of the batch — for each rewire the leaf, its old
   // parent (resolved at the rewire's turn in the sequential application), and

@@ -231,11 +231,6 @@ Snapshot Snapshot::load(const std::string& path, Options opts) {
   Snapshot snap;
   snap.path_ = path;
   snap.map_ = MappedFile::map(path);
-  // One identity per load: views handed out by this snapshot all carry the
-  // same token, and a reload of the same file (or a different file mapped at
-  // a recycled address) gets a different one, so nothing keyed on identity
-  // can mistake one load for another.
-  snap.token_ = mint_storage_token();
   const std::uint8_t* base = snap.map_->data();
   const std::uint64_t file_size = snap.map_->size();
 
@@ -336,7 +331,7 @@ GraphView Snapshot::graph() const {
   const Section& adj = require("adj", 8, adjacency_count_);
   return GraphView(reinterpret_cast<const std::size_t*>(map_->data() + off.offset),
                    reinterpret_cast<const NodeIndex*>(map_->data() + adj.offset),
-                   node_count_, max_degree_, token_);
+                   node_count_, max_degree_);
 }
 
 std::span<const NodeId> Snapshot::ids() const {

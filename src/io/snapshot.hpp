@@ -116,13 +116,8 @@ class Snapshot {
   std::uint64_t adjacency_count() const { return adjacency_count_; }
   int max_degree() const { return max_degree_; }
 
-  // The CSR graph, zero-copy over the mapping.  Every view returned by one
-  // Snapshot object (and its copies, which share the mapping) carries the
-  // same storage token, minted once at load.
+  // The CSR graph, zero-copy over the mapping.
   GraphView graph() const;
-
-  // The storage-identity token minted for this load (see graph_view.hpp).
-  StorageToken storage_token() const { return token_; }
 
   // The ID table, zero-copy over the mapping.
   std::span<const NodeId> ids() const;
@@ -155,7 +150,6 @@ class Snapshot {
   NodeIndex node_count_ = 0;
   std::uint64_t adjacency_count_ = 0;
   int max_degree_ = 0;
-  StorageToken token_ = kAnonymousStorage;
   std::vector<Section> sections_;
 };
 

@@ -51,13 +51,9 @@ bool HHTHCProblem::valid_at(const InstanceType& inst, const Output& out, NodeInd
     // the sides in disjoint components, so full-graph hierarchy links agree
     // with induced-subgraph ones.
     if (out[v].is_bt) return false;
-    std::vector<ThcColor> thc(out.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      thc[i] = out[i].is_bt ? ThcColor::D : out[i].thc;
-    }
     ThcValidityOptions opt;
     opt.k = l_;
-    return thc_conditions_hold(*hier_side_, chi, thc, v, opt);
+    return thc_conditions_hold(*hier_side_, chi, thc_symbol_at(out), v, opt);
   }
 
   // Side 1: Hybrid-THC(k).
@@ -73,19 +69,12 @@ bool HHTHCProblem::valid_at(const InstanceType& inst, const Output& out, NodeInd
     return true;
   }
   if (out[v].is_bt) return false;
-  std::vector<ThcColor> thc(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    thc[i] = out[i].is_bt ? ThcColor::D : out[i].thc;
-  }
-  std::vector<std::uint8_t> certified(out.size(), 0);
-  if (level == 2) {
-    const NodeIndex d = h.down(v);
-    certified[v] = (d != kNoNode && out[d].is_bt) ? 1 : 0;
-  }
+  const NodeIndex d = h.down(v);
+  const bool certified = level == 2 && d != kNoNode && out[d].is_bt;
   ThcValidityOptions opt;
   opt.k = k_;
   opt.hybrid_level2 = true;
-  return thc_conditions_hold(h, chi, thc, v, opt, &certified);
+  return thc_conditions_hold(h, chi, thc_symbol_at(out), v, opt, certified);
 }
 
 }  // namespace volcal

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,9 +41,8 @@ inline char thc_char(ThcColor c) {
 // from input labels).  `chi_in` is v's input color.  `k` is the problem
 // parameter; h.cap() must be k+1.
 //
-// `modified_exemption_at_2` implements Def. 6.1's replacement of 4(b) at
-// level 2 for Hybrid-THC, where the sub-level-1 certificate set is supplied
-// by the caller via `down_certifies`.
+// `hybrid_level2` implements Def. 6.1's replacement of 4(b) at level 2 for
+// Hybrid-THC, where the caller supplies v's sub-level-1 certificate.
 struct ThcValidityOptions {
   int k = 1;
   bool hybrid_level2 = false;  // level-2 X gated by BalancedTree output below
@@ -75,13 +75,14 @@ class HierarchicalTHCProblem {
   std::shared_ptr<Hierarchy> hierarchy_;
 };
 
-// The condition engine shared by Hierarchical-, Hybrid-, and HH-THC.
-// `down_out(v)` must return the output of the node hanging below v via RC
-// (or D if absent — which never certifies), and `next_out(v)` the output of
-// v's backbone successor.
+// The condition engine shared by Hierarchical-, Hybrid-, and HH-THC.  It
+// reads outputs only at v, at v's backbone successor and at the node hanging
+// below v via RC, each through `out_at` — callers whose outputs are not THC
+// symbols project them per node, so verifying a whole graph stays linear.
+// `level2_certified` is v's certificate for Def. 6.1's level-2 exemption,
+// read only when opt.hybrid_level2 is set.
 bool thc_conditions_hold(const Hierarchy& h, const std::vector<Color>& chi_in,
-                         const std::vector<ThcColor>& out, NodeIndex v,
-                         const ThcValidityOptions& opt,
-                         const std::vector<std::uint8_t>* down_certified_override = nullptr);
+                         const std::function<ThcColor(NodeIndex)>& out_at, NodeIndex v,
+                         const ThcValidityOptions& opt, bool level2_certified = false);
 
 }  // namespace volcal

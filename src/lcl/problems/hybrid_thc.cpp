@@ -61,21 +61,14 @@ bool HybridTHCProblem::valid_at(const InstanceType& inst, const Output& out,
 
   // Levels >= 2 (and exempt > k) speak the THC symbol alphabet.
   if (out[v].is_bt) return false;
-  std::vector<ThcColor> thc(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    thc[i] = out[i].is_bt ? ThcColor::D : out[i].thc;
-  }
   // Level-2 exemption certificate: the BalancedTree component below solved
   // (its root produced a bt output) — Def. 6.1's replacement of 4(b)/5(a).
-  std::vector<std::uint8_t> certified(out.size(), 0);
-  if (level == 2) {
-    const NodeIndex d = h.down(v);
-    certified[v] = (d != kNoNode && out[d].is_bt) ? 1 : 0;
-  }
+  const NodeIndex d = h.down(v);
+  const bool certified = level == 2 && d != kNoNode && out[d].is_bt;
   ThcValidityOptions opt;
   opt.k = k_;
   opt.hybrid_level2 = true;
-  return thc_conditions_hold(h, inst.labels.color, thc, v, opt, &certified);
+  return thc_conditions_hold(h, inst.labels.color, thc_symbol_at(out), v, opt, certified);
 }
 
 }  // namespace volcal

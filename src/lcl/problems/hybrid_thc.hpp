@@ -37,6 +37,13 @@ struct HybridOutput {
   static HybridOutput symbol(ThcColor c) { return {false, {}, c}; }
 };
 
+// Node u's output as the THC conditions of levels >= 2 read it (a
+// BalancedTree output counts as D) — the projection thc_conditions_hold
+// takes, so no per-node copy of the outputs is made.
+inline auto thc_symbol_at(const std::vector<HybridOutput>& out) {
+  return [&out](NodeIndex u) { return out[u].is_bt ? ThcColor::D : out[u].thc; };
+}
+
 class HybridTHCProblem {
  public:
   using InstanceType = HybridInstance;

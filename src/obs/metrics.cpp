@@ -1,41 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <bit>
 #include <cinttypes>
 #include <cstdio>
 
 namespace volcal::obs {
-
-int LogHistogram::bucket_of(std::int64_t v) {
-  if (v <= 0) return 0;
-  return std::bit_width(static_cast<std::uint64_t>(v));
-}
-
-void LogHistogram::add(std::int64_t v) {
-  ++buckets[static_cast<std::size_t>(bucket_of(v))];
-  if (count == 0) {
-    min = max = v;
-  } else {
-    min = std::min(min, v);
-    max = std::max(max, v);
-  }
-  ++count;
-  sum += v;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.count == 0) return;
-  for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += other.buckets[b];
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-}
 
 void SweepMetrics::merge(const SweepMetrics& other) {
   sweeps += other.sweeps;
@@ -67,25 +35,11 @@ void SweepMetrics::merge(const SweepMetrics& other) {
 
 namespace {
 
-void append_histogram(std::string& out, const char* name, const LogHistogram& h) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "\"%s\": {\"count\": %" PRId64 ", \"min\": %" PRId64 ", \"max\": %" PRId64
-                ", \"sum\": %" PRId64 ", \"buckets\": {",
-                name, h.count, h.min, h.max, h.sum);
-  out += buf;
-  bool first = true;
-  for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-    if (h.buckets[b] == 0) continue;
-    // Bucket key is the inclusive value range it covers.
-    const std::int64_t lo = b == 0 ? 0 : (std::int64_t{1} << (b - 1));
-    const std::int64_t hi = b == 0 ? 0 : (std::int64_t{1} << b) - 1;
-    std::snprintf(buf, sizeof buf, "%s\"%" PRId64 "-%" PRId64 "\": %" PRId64,
-                  first ? "" : ", ", lo, hi, h.buckets[b]);
-    out += buf;
-    first = false;
-  }
-  out += "}}";
+void append_histogram(std::string& out, const char* name, const Histogram& h) {
+  out += '"';
+  out += name;
+  out += "\": ";
+  h.append_json(out);
 }
 
 }  // namespace

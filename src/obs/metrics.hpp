@@ -1,10 +1,10 @@
 // SweepMetrics — aggregate observability for whole-graph sweeps.
 //
 // Where a trace (obs/trace.hpp) answers "what exactly did execution i do",
-// metrics answer "what did the sweep look like in aggregate": log2 histograms
-// of per-start volume / distance / query counts, totals matching SweepStats,
-// tape-bit high-water mark, and (when a SweepProfile was attached) wall time
-// per start and per-worker busy time.
+// metrics answer "what did the sweep look like in aggregate": histograms
+// (obs/histogram.hpp) of per-start volume / distance / query counts, totals
+// matching SweepStats, tape-bit high-water mark, and (when a SweepProfile was
+// attached) wall time per start and per-worker busy time.
 //
 // Determinism: every field except the wall-time and reuse-counter ones is
 // derived from the SweepResult's per-start slot vectors, which the engine guarantees are
@@ -18,40 +18,22 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/histogram.hpp"
 #include "perf/probe.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "runtime/randomness.hpp"
 
 namespace volcal::obs {
 
-// Power-of-two bucket histogram: bucket b counts values v with
-// bit_width(v) == b, i.e. bucket 0 holds v=0, bucket 1 holds v=1,
-// bucket 2 holds 2-3, bucket 3 holds 4-7, ...  Fixed 64 buckets — covers the
-// full int64 range, trivially mergeable.
-struct LogHistogram {
-  std::array<std::int64_t, 64> buckets{};
-  std::int64_t count = 0;
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-  std::int64_t sum = 0;
-
-  static int bucket_of(std::int64_t v);
-
-  void add(std::int64_t v);
-  void merge(const LogHistogram& other);
-
-  friend bool operator==(const LogHistogram&, const LogHistogram&) = default;
-};
-
 struct SweepMetrics {
   std::int64_t sweeps = 0;  // measure()/run_at calls folded in
   SweepStats stats;         // totals and sups across all folded sweeps
-  LogHistogram volume_hist;
-  LogHistogram distance_hist;
-  LogHistogram queries_hist;
+  Histogram volume_hist;
+  Histogram distance_hist;
+  Histogram queries_hist;
   // Wall-clock (non-deterministic) — only populated when a SweepProfile was
   // attached to the sweep.
-  LogHistogram start_wall_us_hist;       // per-start execution wall micros
+  Histogram start_wall_us_hist;          // per-start execution wall micros
   std::array<std::int64_t, 256> worker_busy_ns{};  // per-worker total
   std::array<std::int64_t, 256> worker_starts{};
   int workers_seen = 0;

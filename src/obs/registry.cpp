@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 
 namespace volcal::obs {
@@ -17,38 +16,23 @@ unsigned thread_shard_slot() {
 
 }  // namespace detail
 
-std::int64_t HistogramSnapshot::approx_quantile(double q) const {
-  if (count <= 0) return 0;
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank: the smallest rank covering fraction q of the samples.
-  const auto rank = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(clamped * static_cast<double>(count))));
-  std::int64_t cum = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    cum += buckets[b];
-    if (cum >= rank) {
-      // Upper bound of bucket b: 0 for b == 0, else 2^b - 1.
-      return b == 0 ? 0 : static_cast<std::int64_t>((std::uint64_t{1} << b) - 1);
-    }
-  }
-  return max;
-}
-
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot out;
+Histogram ShardedHistogram::snapshot() const {
+  Histogram out;
   for (std::size_t s = 0; s < detail::kMetricShards; ++s) {
     const Slot& slot = slots_[s];
-    const std::int64_t n = slot.count.load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    out.count += n;
-    out.sum += slot.sum.load(std::memory_order_relaxed);
-    out.min = out.count == n ? slot.min.load(std::memory_order_relaxed)
-                             : std::min(out.min, slot.min.load(std::memory_order_relaxed));
-    out.max = out.count == n ? slot.max.load(std::memory_order_relaxed)
-                             : std::max(out.max, slot.max.load(std::memory_order_relaxed));
-    for (std::size_t b = 0; b < out.buckets.size(); ++b) {
-      out.buckets[b] += slot.buckets[b].load(std::memory_order_relaxed);
+    std::int64_t n = 0;
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+      const std::int64_t c = slot.buckets[b].load(std::memory_order_acquire);
+      out.buckets[b] += c;
+      n += c;
     }
+    if (n == 0) continue;
+    const std::int64_t lo = slot.min.load(std::memory_order_relaxed);
+    const std::int64_t hi = slot.max.load(std::memory_order_relaxed);
+    out.min = out.count == 0 ? lo : std::min(out.min, lo);
+    out.max = out.count == 0 ? hi : std::max(out.max, hi);
+    out.sum = Histogram::wrapping_add(out.sum, slot.sum.load(std::memory_order_relaxed));
+    out.count += n;
   }
   return out;
 }
@@ -120,27 +104,14 @@ void MetricsSnapshot::append_json(std::string& out) const {
   out += ", ";
   append_scalar_map(out, "gauges", gauges);
   out += ", \"histograms\": {";
-  char buf[128];
   bool first = true;
   for (const auto& [name, h] : histograms) {
     if (!first) out += ", ";
     first = false;
     out += '"';
     append_escaped(out, name);
-    std::snprintf(buf, sizeof buf,
-                  "\": {\"count\": %" PRId64 ", \"min\": %" PRId64 ", \"max\": %" PRId64
-                  ", \"sum\": %" PRId64 ", \"buckets\": {",
-                  h.count, h.count > 0 ? h.min : 0, h.count > 0 ? h.max : 0, h.sum);
-    out += buf;
-    bool first_bucket = true;
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] == 0) continue;
-      std::snprintf(buf, sizeof buf, "%s\"%zu\": %" PRId64,
-                    first_bucket ? "" : ", ", b, h.buckets[b]);
-      out += buf;
-      first_bucket = false;
-    }
-    out += "}}";
+    out += "\": ";
+    h.append_json(out);
   }
   out += "}}";
 }
@@ -165,10 +136,10 @@ Gauge* MetricsRegistry::gauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::histogram(const std::string& name) {
+ShardedHistogram* MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard lock(mu_);
   auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
+  if (slot == nullptr) slot = std::make_unique<ShardedHistogram>();
   return slot.get();
 }
 

@@ -12,9 +12,9 @@
 //   Gauge      single atomic level (set/add) — queue depths, connection
 //              counts; also registrable as a callback (gauge_fn) evaluated
 //              at snapshot time for values owned elsewhere.
-//   Histogram  the LogHistogram bucketing (bucket b = values with
-//              bit_width(v) == b; bucket 0 holds v <= 0) with count/sum/
-//              min/max, sharded like Counter and merged on read.
+//   ShardedHistogram  an obs::Histogram (obs/histogram.hpp) sharded like
+//              Counter — 16 atomic copies, ~124 KB in all — and merged on
+//              read into one obs::Histogram.
 //
 // Shard-merge determinism: every shard field is an order-independent
 // reduction (sum, min, max), so a snapshot taken after N adds reads the
@@ -32,7 +32,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -41,6 +40,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/histogram.hpp"
 
 namespace volcal::obs {
 
@@ -105,50 +106,33 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-// Merged read of one Histogram: same bucketing as obs::LogHistogram
-// (bucket_of(v) = bit_width(v), clamped to 0 for v <= 0).
-struct HistogramSnapshot {
-  std::array<std::int64_t, 64> buckets{};
-  std::int64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-
-  // Nearest-rank quantile resolved to the upper bound of the holding bucket
-  // (exact for bucket 0/1, a <= 2x overestimate above) — good enough for a
-  // dashboard; exact percentiles come from sample vectors where they matter.
-  std::int64_t approx_quantile(double q) const;
-
-  friend bool operator==(const HistogramSnapshot&, const HistogramSnapshot&) = default;
-};
-
-class Histogram {
+class ShardedHistogram {
  public:
-  Histogram() : slots_(std::make_unique<Slot[]>(detail::kMetricShards)) {}
+  ShardedHistogram() : slots_(std::make_unique<Slot[]>(detail::kMetricShards)) {}
 
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
+  ShardedHistogram(const ShardedHistogram&) = delete;
+  ShardedHistogram& operator=(const ShardedHistogram&) = delete;
 
-  static int bucket_of(std::int64_t v) {
-    return v <= 0 ? 0 : std::bit_width(static_cast<std::uint64_t>(v));
-  }
-
+  // The bucket bump goes last, with release order: a snapshot that sees a
+  // bucket count (acquire) also sees the min/max/sum of the values behind
+  // it, so a live snapshot always has buckets summing to count and, once
+  // non-empty, min <= max.
   void add(std::int64_t v) {
     Slot& slot = slots_[detail::thread_shard_slot() % detail::kMetricShards];
-    slot.buckets[static_cast<std::size_t>(bucket_of(v))].fetch_add(
-        1, std::memory_order_relaxed);
-    slot.count.fetch_add(1, std::memory_order_relaxed);
-    slot.sum.fetch_add(v, std::memory_order_relaxed);
     detail::atomic_min(slot.min, v);
     detail::atomic_max(slot.max, v);
+    slot.sum.fetch_add(v, std::memory_order_relaxed);
+    slot.buckets[Histogram::bucket_of(v)].fetch_add(1, std::memory_order_release);
   }
 
-  HistogramSnapshot snapshot() const;
+  Histogram snapshot() const;
+
+  // Heap bytes behind one histogram — a compile-time constant.
+  static constexpr std::size_t footprint_bytes();
 
  private:
   struct alignas(64) Slot {
-    std::array<std::atomic<std::int64_t>, 64> buckets{};
-    std::atomic<std::int64_t> count{0};
+    std::array<std::atomic<std::int64_t>, Histogram::kBuckets> buckets{};
     std::atomic<std::int64_t> sum{0};
     std::atomic<std::int64_t> min{INT64_MAX};
     std::atomic<std::int64_t> max{INT64_MIN};
@@ -156,19 +140,22 @@ class Histogram {
   std::unique_ptr<Slot[]> slots_;
 };
 
+constexpr std::size_t ShardedHistogram::footprint_bytes() {
+  return detail::kMetricShards * sizeof(Slot);
+}
+
 // One deterministic read of a whole registry (metrics in name order, gauge
 // callbacks evaluated at snapshot time).
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::int64_t>> counters;
   std::vector<std::pair<std::string, std::int64_t>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+  std::vector<std::pair<std::string, Histogram>> histograms;
 
   std::int64_t counter(const std::string& name, std::int64_t fallback = 0) const;
   std::int64_t gauge(const std::string& name, std::int64_t fallback = 0) const;
 
-  // {"counters": {...}, "gauges": {...}, "histograms": {"name": {"count",
-  // "min", "max", "sum", "buckets": {"<bucket>": n, ...}}, ...}} — bucket
-  // keys are bucket indices, matching the SweepMetrics JSON convention.
+  // {"counters": {...}, "gauges": {...}, "histograms": {"name": <the
+  // Histogram::append_json object>, ...}}.
   std::string to_json() const;
   void append_json(std::string& out) const;
 };
@@ -183,7 +170,7 @@ class MetricsRegistry {
   // handle.  Handles stay valid for the registry's lifetime.
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
-  Histogram* histogram(const std::string& name);
+  ShardedHistogram* histogram(const std::string& name);
 
   // Callback gauge for a value owned elsewhere (queue depth, connection
   // count); evaluated under the registry mutex at snapshot time, so keep it
@@ -200,7 +187,7 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<ShardedHistogram>> histograms_;
   std::map<std::string, std::function<std::int64_t()>> gauge_fns_;
 };
 

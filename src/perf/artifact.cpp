@@ -51,6 +51,23 @@ void ArtifactCurve::refit() {
   r_squared = fit.r_squared;
 }
 
+void ServeStatsBlock::set_latency(const obs::Histogram& latency_ns) {
+  latency_samples = latency_ns.count;
+  p50_ns = static_cast<double>(latency_ns.quantile(0.50));
+  p95_ns = static_cast<double>(latency_ns.quantile(0.95));
+  p99_ns = static_cast<double>(latency_ns.quantile(0.99));
+  mean_ns = latency_ns.mean();
+  max_ns = static_cast<double>(latency_ns.max);
+}
+
+ArtifactCurve ServeStatsBlock::latency_curve() const {
+  ArtifactCurve curve;
+  curve.name = "latency-percentiles";
+  curve.points = {{50.0, p50_ns, 0.0}, {95.0, p95_ns, 0.0}, {99.0, p99_ns, 0.0}};
+  curve.refit();
+  return curve;
+}
+
 const ArtifactCurve* BenchArtifact::find_curve(const std::string& name) const {
   for (const ArtifactCurve& c : curves) {
     if (c.name == name) return &c;

@@ -54,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/histogram.hpp"
 #include "perf/json.hpp"
 #include "perf/probe.hpp"
 #include "runtime/sweep_stats.hpp"
@@ -121,6 +122,13 @@ struct ServeStatsBlock {
   double shed_p99_ns = 0.0;
   std::int64_t retries = 0;          // shed requests re-submitted
   std::int64_t retry_compliant = 0;  // retries waiting >= retry_after_ms
+
+  // Sets latency_samples and p50/p95/p99/mean/max_ns from a latency
+  // histogram in ns (percentiles within 1/32 of exact; obs/histogram.hpp).
+  void set_latency(const obs::Histogram& latency_ns);
+  // p50/p95/p99 as the "latency-percentiles" curve (abscissa = percentile,
+  // cost = ns): the one curve serve and load artifacts carry.
+  ArtifactCurve latency_curve() const;
 
   friend bool operator==(const ServeStatsBlock&, const ServeStatsBlock&) = default;
 };

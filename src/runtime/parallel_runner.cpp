@@ -111,7 +111,7 @@ void note_sweep(const SweepStats& stats) {
   static obs::Counter* const c_truncated = reg.counter("sweep.truncated");
   static obs::Counter* const c_cache_hits = reg.counter("sweep.cache.hits");
   static obs::Counter* const c_cache_misses = reg.counter("sweep.cache.misses");
-  static obs::Histogram* const h_max_volume = reg.histogram("sweep.max_volume");
+  static obs::ShardedHistogram* const h_max_volume = reg.histogram("sweep.max_volume");
   c_runs->inc();
   c_starts->inc(stats.starts);
   c_queries->inc(stats.total_queries);

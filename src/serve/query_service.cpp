@@ -13,11 +13,6 @@ namespace volcal::serve {
 
 namespace {
 
-// Bound on the sliding-window sample ring.  At 2^16 completions the window
-// covers the newest 65536 requests — more than stats_window_seconds of
-// traffic at any rate the percentiles are meaningful for.
-constexpr std::size_t kWindowRingCapacity = std::size_t{1} << 16;
-
 QueryResult to_result(const Answer& a) {
   QueryResult r;
   r.label = a.label;
@@ -45,7 +40,8 @@ QueryService::QueryService(ServeTarget target, ServeConfig config)
       start_(std::chrono::steady_clock::now()),
       target_(std::make_shared<const ServeTarget>(std::move(target))),
       memo_(config.cache.policy == CachePolicy::Shared ? target_->instance->node_count() : 0),
-      memo_on_(config.cache.policy == CachePolicy::Shared) {
+      memo_on_(config.cache.policy == CachePolicy::Shared),
+      latency_(config.stats_window_seconds) {
   c_accepted_ = metrics_.counter("serve.accepted");
   c_completed_ = metrics_.counter("serve.completed");
   c_shed_ = metrics_.counter("serve.shed");
@@ -59,7 +55,6 @@ QueryService::QueryService(ServeTarget target, ServeConfig config)
   c_mutations_ = metrics_.counter("serve.mutations");
   c_mut_evicted_ = metrics_.counter("serve.mutate.cache_evicted");
   c_mut_retained_ = metrics_.counter("serve.mutate.cache_retained");
-  h_latency_us_ = metrics_.histogram("serve.latency_us");
   // Live levels: evaluated at snapshot time.  The callbacks take mu_ (or the
   // memo's stripe locks) *after* the registry mutex — nothing in the service
   // takes those locks and then re-enters the registry, so the order is safe.
@@ -135,6 +130,7 @@ Admission QueryService::submit(std::uint64_t request_id, std::int64_t node,
 void QueryService::swap_target(ServeTarget next) {
   auto holder = std::make_shared<const ServeTarget>(std::move(next));
   {
+    std::lock_guard update(update_mu_);
     std::lock_guard lock(target_mu_);
     if (memo_on_) memo_.reset(holder->instance->node_count());
     target_ = std::move(holder);
@@ -145,28 +141,35 @@ void QueryService::swap_target(ServeTarget next) {
 MutationOutcome QueryService::apply_mutations(const MutationBatch& batch) {
   MutationOutcome out;
   const auto t0 = std::chrono::steady_clock::now();
-  // One critical section covers mutate + evict + swap: workers snapshot the
-  // target and its memo generation under the same mutex (snapshot_target),
-  // so no wave can take the new generation before the eviction pass is done
-  // and the mutated target is in place.
-  std::lock_guard lock(target_mu_);
-  const std::shared_ptr<const ServeTarget> old = target_;
+  // update_mu_ keeps `old` the served target until the install below (no
+  // other mutation or swap runs in between).  The copy-on-write rebuild runs
+  // outside target_mu_, so waves keep snapshotting the old target meanwhile.
+  std::lock_guard update(update_mu_);
+  const std::shared_ptr<const ServeTarget> old = current_target();
   std::vector<NodeIndex> touched;
-  std::shared_ptr<const ErasedInstance> next;
+  std::shared_ptr<const ServeTarget> next;
   try {
-    next = std::make_shared<const ErasedInstance>(
-        old->instance->mutated(batch, &touched));
+    next = std::make_shared<const ServeTarget>(ServeTarget{
+        std::make_shared<const ErasedInstance>(old->instance->mutated(batch, &touched)),
+        old->plan});
   } catch (const std::invalid_argument& e) {
     out.error = e.what();
     return out;
   }
-  if (memo_on_) {
-    const AnswerMemo::Eviction ev =
-        memo_.evict_region(old->instance->graph(), changed_nodes(batch, touched));
-    out.cache_evicted = ev.evicted;
-    out.cache_retained = ev.retained;
+  {
+    // Evict + install in one critical section: workers snapshot the target
+    // and its memo generation under the same mutex (snapshot_target), so no
+    // wave can take the new generation before the eviction pass is done and
+    // the mutated target is in place.
+    std::lock_guard lock(target_mu_);
+    if (memo_on_) {
+      const AnswerMemo::Eviction ev =
+          memo_.evict_region(old->instance->graph(), changed_nodes(batch, touched));
+      out.cache_evicted = ev.evicted;
+      out.cache_retained = ev.retained;
+    }
+    target_ = std::move(next);
   }
-  target_ = std::make_shared<const ServeTarget>(ServeTarget{std::move(next), old->plan});
   c_swaps_->inc();
   c_mutations_->inc();
   c_mut_evicted_->inc(static_cast<std::int64_t>(out.cache_evicted));
@@ -207,34 +210,8 @@ ServeCounters QueryService::counters() const {
   return out;
 }
 
-std::vector<std::int64_t> QueryService::latencies_ns() const {
-  std::lock_guard lock(stats_mu_);
-  return latencies_;
-}
-
-stats::Summary QueryService::latency_summary() const {
-  std::vector<double> values;
-  {
-    std::lock_guard lock(stats_mu_);
-    values.assign(latencies_.begin(), latencies_.end());
-  }
-  return stats::summarize(std::move(values));
-}
-
-stats::Summary QueryService::window_latency_summary() const {
-  const std::int64_t now_ns = since_start_ns(std::chrono::steady_clock::now());
-  const auto span_ns =
-      static_cast<std::int64_t>(config_.stats_window_seconds * 1e9);
-  const std::int64_t cutoff = now_ns - span_ns;
-  std::vector<double> values;
-  {
-    std::lock_guard lock(stats_mu_);
-    values.reserve(window_ring_.size());
-    for (const LatencySample& s : window_ring_) {
-      if (s.done_ns >= cutoff) values.push_back(static_cast<double>(s.latency_ns));
-    }
-  }
-  return stats::summarize(std::move(values));
+obs::WindowedHistogram::Views QueryService::latency() const {
+  return latency_.read(since_start_ns(std::chrono::steady_clock::now()));
 }
 
 std::size_t QueryService::queue_depth() const {
@@ -259,13 +236,18 @@ std::vector<SlowQuery> QueryService::slow_queries() const {
 
 namespace {
 
-void append_summary(std::string& out, const char* key, const stats::Summary& s) {
+// A latency block: the percentile fields every consumer reads, then the
+// histogram itself (count, min, max, sum, buckets).
+void append_latency(std::string& out, const char* key, const obs::Histogram& h) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "\"%s\": {\"count\": %zu, \"p50_ns\": %.0f, \"p95_ns\": %.0f"
-                ", \"p99_ns\": %.0f, \"mean_ns\": %.1f, \"max_ns\": %.0f}",
-                key, s.count, s.median, s.p95, s.p99, s.mean, s.max);
-  out += buf;
+                "\"p50_ns\": %" PRId64 ", \"p95_ns\": %" PRId64 ", \"p99_ns\": %" PRId64
+                ", \"mean_ns\": %.1f, \"max_ns\": %" PRId64 ", ",
+                h.quantile(0.50), h.quantile(0.95), h.quantile(0.99), h.mean(), h.max);
+  out += '"';
+  out += key;
+  out += "\": ";
+  h.append_json(out, buf);
 }
 
 }  // namespace
@@ -275,31 +257,14 @@ std::string QueryService::stats_json() const {
   const std::size_t depth = queue_depth();
   const std::size_t inflight = in_flight();
   const ServeCounters c = counters();
-  // Both latency views under one lock hold: read separately, a batch landing
-  // between the reads could give the window more samples than "since start"
-  // claims to have — an impossible state for consumers that cross-check the
-  // two (check_artifacts.py does).
-  std::vector<double> lat_values, win_values;
-  {
-    const std::int64_t now_ns = since_start_ns(std::chrono::steady_clock::now());
-    const std::int64_t cutoff =
-        now_ns - static_cast<std::int64_t>(config_.stats_window_seconds * 1e9);
-    std::lock_guard lock(stats_mu_);
-    lat_values.assign(latencies_.begin(), latencies_.end());
-    win_values.reserve(window_ring_.size());
-    for (const LatencySample& s : window_ring_) {
-      if (s.done_ns >= cutoff) win_values.push_back(static_cast<double>(s.latency_ns));
-    }
-  }
-  const stats::Summary lat = stats::summarize(std::move(lat_values));
-  const stats::Summary win = stats::summarize(std::move(win_values));
+  const obs::WindowedHistogram::Views lat = latency();
   const CacheStats cache = cache_stats();
   const std::int64_t waves = c_waves_->value();
   const std::int64_t batched_runs = c_batches_->value();
   const std::int64_t batched_starts = c_batched_starts_->value();
 
   std::string out;
-  out.reserve(4096);
+  out.reserve(16384);
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "{\"kind\": \"serve-stats\", \"schema_version\": 1"
@@ -311,12 +276,12 @@ std::string QueryService::stats_json() const {
                 uptime, depth, inflight, c.accepted, c.completed, c.shed,
                 c.invalid, c.swaps, c_slow_->value());
   out += buf;
-  append_summary(out, "latency", lat);
+  append_latency(out, "latency", lat.since_start);
   out += ", \"window\": {";
   std::snprintf(buf, sizeof buf, "\"seconds\": %.3f, ",
                 config_.stats_window_seconds);
   out += buf;
-  append_summary(out, "latency", win);
+  append_latency(out, "latency", lat.window);
   out += "}, ";
   std::snprintf(buf, sizeof buf,
                 "\"cache\": {\"hits\": %" PRId64 ", \"misses\": %" PRId64
@@ -341,20 +306,18 @@ std::string QueryService::stats_json() const {
 }
 
 void QueryService::finish(Request& req, QueryResult result,
-                          const FinishContext& ctx,
-                          std::vector<LatencySample>& local_samples) {
+                          const FinishContext& ctx) {
   result.request_id = req.id;
   result.node = req.node;
   const auto now = std::chrono::steady_clock::now();
   result.latency_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           now - req.enqueued)
                           .count();
-  local_samples.push_back({since_start_ns(now), result.latency_ns});
+  latency_.add(since_start_ns(now), result.latency_ns);
   const bool invalid = result.status == QueryStatus::InvalidNode;
   c_completed_->inc();
   if (invalid) c_invalid_->inc();
   if (ctx.cache_hit) c_cache_hit_serves_->inc();
-  h_latency_us_->add(result.latency_ns / 1000);
   if (ctx.volume_hist != nullptr && !invalid) {
     ctx.volume_hist->add(result.volume);
   }
@@ -401,14 +364,13 @@ void QueryService::worker_loop(int worker) {
   ExecutionScratch scratch;
   BatchedBallExecutor exec;
   std::vector<Request> batch;
-  std::vector<LatencySample> local_samples;
   NodeIndex centers[BatchedBallExecutor::kMaxBatch];
   std::size_t slot_of[BatchedBallExecutor::kMaxBatch];
   // Per-family volume histogram handle, re-resolved only when the served
   // family changes (i.e. across a hot swap) — lookups take the registry
   // mutex, so keep them off the per-wave path.
   std::string volume_family;
-  obs::Histogram* volume_hist = nullptr;
+  obs::ShardedHistogram* volume_hist = nullptr;
 
   while (true) {
     batch.clear();
@@ -452,8 +414,6 @@ void QueryService::worker_loop(int worker) {
     ctx.dequeued = std::chrono::steady_clock::now();
     ctx.volume_hist = volume_hist;
 
-    local_samples.clear();
-
     // Invalid nodes and memo hits are answered at once; the batched path
     // collects the remaining centers for one fused run, the per-request path
     // runs the family's own solve() — by definition the offline per-start
@@ -480,7 +440,7 @@ void QueryService::worker_loop(int worker) {
         result = to_result(a);
       }
       ctx.exec_end = std::chrono::steady_clock::now();
-      finish(req, result, ctx, local_samples);
+      finish(req, result, ctx);
     }
     if (b > 0) {
       exec.bind(g);  // O(1) unless the graph outgrew the executor
@@ -492,22 +452,10 @@ void QueryService::worker_loop(int worker) {
       for (int s = 0; s < b; ++s) {
         const Answer a = exec.answer(s);
         if (memo_on_) memo_.store(centers[s], generation, a);
-        finish(batch[slot_of[s]], to_result(a), ctx, local_samples);
+        finish(batch[slot_of[s]], to_result(a), ctx);
       }
     }
 
-    {
-      std::lock_guard slock(stats_mu_);
-      for (const LatencySample& s : local_samples) {
-        latencies_.push_back(s.latency_ns);
-        if (window_ring_.size() < kWindowRingCapacity) {
-          window_ring_.push_back(s);
-        } else {
-          window_ring_[window_next_] = s;
-          window_next_ = (window_next_ + 1) % kWindowRingCapacity;
-        }
-      }
-    }
     {
       std::lock_guard lock(mu_);
       in_flight_ -= batch.size();

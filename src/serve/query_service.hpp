@@ -36,20 +36,23 @@
 // Threading: `threads` workers pop up to `batch_max` requests at a time;
 // completion callbacks run on worker threads and must be fast and
 // thread-safe (the socket layer serializes per-connection writes).  Latency
-// is measured enqueue -> callback-dispatch per request and summarized with
-// stats::summarize (nearest-rank p50/p95/p99, same definition everywhere in
-// this repo).
+// is measured enqueue -> callback-dispatch per request and recorded once,
+// into an obs::WindowedHistogram (obs/histogram.hpp): since-start and
+// windowed nearest-rank percentiles within 1/32 of the exact ones, in
+// constant memory however long the service runs.
 //
 // Observability: every counter lives in the service's obs::MetricsRegistry
 // (per-thread sharded atomics — the query path bumps them without taking a
 // lock), readable at any moment via metrics() or as one JSON snapshot via
-// stats_json(): uptime, queue depth, in-flight, admission counters, exact
-// since-start latency percentiles, windowed percentiles over the last
-// stats_window_seconds, memo counters, wave/batch occupancy, and the
-// per-family volume histograms ("serve.volume.<family>").  The transport
-// answers the protocol's Stats frame with exactly this snapshot.  Optional
-// per-request spans (ServeConfig::tracer) and a bounded slow-query log
-// (slow_threshold_ns) attribute tail latency to specific requests.
+// stats_json(): uptime, queue depth, in-flight, admission counters, the
+// since-start latency histogram and the one over the last
+// stats_window_seconds (percentiles plus buckets), memo counters, wave/batch
+// occupancy, and the per-family volume histograms ("serve.volume.<family>").
+// A poll reads fixed-size histograms, so its cost does not grow with uptime
+// or traffic.  The transport answers the protocol's Stats frame with exactly
+// this snapshot.  Optional per-request spans (ServeConfig::tracer) and a
+// bounded slow-query log (slow_threshold_ns) attribute tail latency to
+// specific requests.
 #pragma once
 
 #include <chrono>
@@ -68,7 +71,6 @@
 #include "runtime/answer_memo.hpp"
 #include "serve/protocol.hpp"
 #include "serve/trace.hpp"
-#include "stats/growth.hpp"
 
 namespace volcal::serve {
 
@@ -99,7 +101,9 @@ struct ServeConfig {
   // Per-node answer memo (policy Shared to enable; Off recomputes every
   // answer).
   CacheConfig cache;
-  // Sliding window for the windowed percentiles in stats_json().
+  // Sliding window for the windowed latency in stats_json(), resolved to a
+  // tenth of its length.  Must be finite and > 0 (the constructor throws
+  // std::invalid_argument otherwise).
   double stats_window_seconds = 10.0;
   // Slow-query log: completed requests with latency_ns >= slow_threshold_ns
   // are kept (newest slow_log_capacity of them); < 0 disables the log.
@@ -179,7 +183,9 @@ class QueryService {
   // swap_target.  An invalid batch (bad rewire, unsupported label channel)
   // is rejected whole: `ok == false`, the served target and the memo are
   // untouched.  Safe under full load and from any thread; calls serialize
-  // with each other and with swap_target.
+  // with each other and with swap_target.  The copy-on-write rebuild runs
+  // before the target lock is taken, so waves keep starting against the old
+  // target meanwhile; only the memo eviction and the install hold it.
   MutationOutcome apply_mutations(const MutationBatch& batch);
 
   // Stops admission, completes every accepted request, joins the workers.
@@ -194,14 +200,10 @@ class QueryService {
   // Memo counters (zeros when the memo is off).
   CacheStats cache_stats() const;
 
-  // Enqueue->completion latencies of every completed request, and their
-  // nearest-rank summary.  Snapshot under lock; callable at any time.
-  std::vector<std::int64_t> latencies_ns() const;
-  stats::Summary latency_summary() const;
-  // Nearest-rank summary over completions of the last
-  // config().stats_window_seconds (bounded ring — under sustained load the
-  // window may cover only the newest samples).
-  stats::Summary window_latency_summary() const;
+  // Enqueue->completion latency (ns) of every completed request, and of the
+  // completions of the last config().stats_window_seconds, read together so
+  // the window never holds a sample since_start lacks.  Callable at any time.
+  obs::WindowedHistogram::Views latency() const;
 
   // The service's metric namespace.  The transport registers its own
   // gauges/counters here (serve.connections, serve.accept_retries) so one
@@ -237,14 +239,7 @@ class QueryService {
     std::chrono::steady_clock::time_point dequeued;
     std::chrono::steady_clock::time_point exec_end;
     bool cache_hit = false;
-    obs::Histogram* volume_hist = nullptr;
-  };
-
-  // One completed latency sample with its completion time (steady ns since
-  // start_), feeding both the exact since-start vector and the window ring.
-  struct LatencySample {
-    std::int64_t done_ns = 0;
-    std::int64_t latency_ns = 0;
+    obs::ShardedHistogram* volume_hist = nullptr;
   };
 
   std::shared_ptr<const ServeTarget> current_target() const;
@@ -254,8 +249,7 @@ class QueryService {
   // lookups and stores.
   std::shared_ptr<const ServeTarget> snapshot_target(AnswerMemo::Generation* generation) const;
   void worker_loop(int worker);
-  void finish(Request& req, QueryResult result, const FinishContext& ctx,
-              std::vector<LatencySample>& local_samples);
+  void finish(Request& req, QueryResult result, const FinishContext& ctx);
   std::int64_t since_start_ns(std::chrono::steady_clock::time_point tp) const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(tp - start_).count();
   }
@@ -265,6 +259,9 @@ class QueryService {
   int batch_max_ = 64;
   std::chrono::steady_clock::time_point start_;
 
+  // Serializes apply_mutations and swap_target, so the target a mutation was
+  // built from is still the served one when the mutated target is installed.
+  std::mutex update_mu_;
   mutable std::mutex target_mu_;
   std::shared_ptr<const ServeTarget> target_;
 
@@ -296,17 +293,11 @@ class QueryService {
   obs::Counter* c_mutations_ = nullptr;
   obs::Counter* c_mut_evicted_ = nullptr;
   obs::Counter* c_mut_retained_ = nullptr;
-  obs::Histogram* h_latency_us_ = nullptr;
 
   std::atomic<std::uint64_t> seq_{0};   // admission sequence
   std::atomic<std::uint64_t> wave_{0};  // wave (popped batch) sequence
 
-  // Exact latency samples (since-start percentiles) plus a bounded ring of
-  // recent completions for the sliding window.
-  mutable std::mutex stats_mu_;
-  std::vector<std::int64_t> latencies_;
-  std::vector<LatencySample> window_ring_;
-  std::size_t window_next_ = 0;
+  obs::WindowedHistogram latency_;
 
   mutable std::mutex slow_mu_;
   std::deque<SlowQuery> slow_;

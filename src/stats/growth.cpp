@@ -153,30 +153,4 @@ GrowthFit classify_growth(const std::vector<double>& ns, const std::vector<doubl
   return best;
 }
 
-Summary summarize(std::vector<double> values) {
-  Summary s;
-  if (values.empty()) return s;
-  std::sort(values.begin(), values.end());
-  s.count = values.size();
-  s.min = values.front();
-  s.max = values.back();
-  double total = 0;
-  for (double v : values) total += v;
-  s.mean = total / static_cast<double>(values.size());
-  // Median: midpoint of the two central order statistics for even counts
-  // (the upper-middle element alone biases high).  p95/p99: nearest-rank,
-  // ceil(q·count), 1-based — the smallest value with >= q of the data at or
-  // below it, so a single-element sample reports itself.
-  const std::size_t mid = values.size() / 2;
-  s.median = (values.size() % 2 == 1) ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
-  const auto nearest_rank = [&](double q) {
-    const auto rank =
-        static_cast<std::size_t>(std::ceil(q * static_cast<double>(values.size())));
-    return values[std::max<std::size_t>(rank, 1) - 1];
-  };
-  s.p95 = nearest_rank(0.95);
-  s.p99 = nearest_rank(0.99);
-  return s;
-}
-
 }  // namespace volcal::stats

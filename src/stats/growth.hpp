@@ -43,10 +43,4 @@ LinearFit least_squares(const std::vector<double>& xs, const std::vector<double>
 // Log-log slope: the empirical polynomial exponent of cost(n).
 double loglog_slope(const std::vector<double>& ns, const std::vector<double>& costs);
 
-struct Summary {
-  double min = 0, max = 0, mean = 0, median = 0, p95 = 0, p99 = 0;
-  std::size_t count = 0;
-};
-Summary summarize(std::vector<double> values);
-
 }  // namespace volcal::stats

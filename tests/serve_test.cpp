@@ -1,6 +1,6 @@
 // Query-service layer (src/serve/): wire protocol, admission control, drain
-// ordering, latency accounting, and the end-to-end hot-swap exactness the
-// token-based storage identity exists for.
+// ordering, latency accounting, and end-to-end hot-swap exactness (a swap
+// resets the answer memo, so nothing keys on a recyclable address).
 //
 // The load-bearing contract: a label served by QueryService equals the
 // offline engine's output for that node, bit for bit — through the batched
@@ -350,10 +350,10 @@ TEST(QueryService, ServedLabelsMatchTheOfflineSweep) {
     EXPECT_EQ(counters.invalid, 0);
     EXPECT_EQ(service.cache_stats().hits, n);
     EXPECT_EQ(service.cache_stats().misses, n);
-    const stats::Summary latency = service.latency_summary();
-    EXPECT_EQ(latency.count, static_cast<std::size_t>(2 * n));
-    EXPECT_LE(latency.median, latency.p95);
-    EXPECT_LE(latency.p95, latency.p99);
+    const obs::Histogram latency = service.latency().since_start;
+    EXPECT_EQ(latency.count, 2 * n);
+    EXPECT_LE(latency.quantile(0.50), latency.quantile(0.95));
+    EXPECT_LE(latency.quantile(0.95), latency.quantile(0.99));
   }
 }
 
@@ -500,7 +500,7 @@ TEST(QueryService, HotSwapUnderWarmCacheServesTheNewSnapshotExactly) {
 
   // Swap to B while the service is live.  The old target's mapping is
   // released here (no other holder), so B's mmap may land on A's address —
-  // the exact pointer-ABA recycling the token identity defends against.
+  // pointer-ABA recycling that must not let anything of A's be served.
   service.swap_target(make_serve_target(
       std::make_shared<const ErasedInstance>(io::load_instance(path_b))));
 
@@ -668,11 +668,18 @@ TEST(QueryService, StatsJsonReconcilesWithTypedCountersAfterDrain) {
   EXPECT_EQ(counters_obj->int_at("serve.accepted"), counters.accepted);
   EXPECT_EQ(counters_obj->int_at("serve.completed"), counters.completed);
 
-  // The windowed summary covers the run we just finished (it all happened
-  // well inside the default 10 s window).
-  const stats::Summary window = service.window_latency_summary();
-  EXPECT_EQ(window.count, static_cast<std::size_t>(n));
-  EXPECT_LE(window.median, window.p95);
+  // The window covers the run we just finished (it all happened well inside
+  // the default 10 s window).
+  const obs::Histogram window = service.latency().window;
+  EXPECT_EQ(window.count, n);
+  EXPECT_LE(window.quantile(0.50), window.quantile(0.95));
+
+  // Bounded memory: the service's distributions are its registry's sharded
+  // histograms plus the latency window ring, all fixed-size.
+  EXPECT_LE(service.metrics().snapshot().histograms.size() *
+                    obs::ShardedHistogram::footprint_bytes() +
+                sizeof(obs::WindowedHistogram),
+            std::size_t{512} * 1024);
 }
 
 // Slow-query log threshold edges: 0 records everything (bounded by
@@ -871,6 +878,14 @@ TEST(SocketServer, SlowClientTimesOutInsteadOfWedgingDrain) {
   server.stop();
 }
 
+void expect_buckets_sum_to_count(const perf::JsonValue& h, const std::string& where) {
+  const perf::JsonValue* buckets = h.find("buckets");
+  ASSERT_NE(buckets, nullptr) << where;
+  std::int64_t total = 0;
+  for (const auto& [range, count] : buckets->members()) total += count.as_int();
+  EXPECT_EQ(total, h.int_at("count")) << where;
+}
+
 // The Stats frame answers live, mid-load, on the reader thread — polls must
 // round-trip while query traffic is in flight, return monotone counters
 // across polls, and reconcile with the service's final numbers.
@@ -928,8 +943,22 @@ TEST(SocketServer, StatsFrameRoundTripsUnderConcurrentLoad) {
     EXPECT_GE(completed, prev_completed);
     prev_completed = completed;
     EXPECT_GE(doc.int_at("accepted"), completed);
-    if (const perf::JsonValue* lat = doc.find("latency")) {
-      EXPECT_LE(lat->number_at("p50_ns"), lat->number_at("p99_ns"));
+    const perf::JsonValue* lat = doc.find("latency");
+    const perf::JsonValue* window = doc.find("window");
+    ASSERT_NE(lat, nullptr);
+    ASSERT_NE(window, nullptr);
+    ASSERT_NE(window->find("latency"), nullptr);
+    EXPECT_LE(lat->number_at("p50_ns"), lat->number_at("p99_ns"));
+    // The window is part of since-start, and every histogram in the frame —
+    // both latency blocks and the registry's — has buckets summing to count.
+    EXPECT_LE(window->find("latency")->int_at("count"), lat->int_at("count"));
+    expect_buckets_sum_to_count(*lat, "latency");
+    expect_buckets_sum_to_count(*window->find("latency"), "window.latency");
+    const perf::JsonValue* metrics = doc.find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    ASSERT_NE(metrics->find("histograms"), nullptr);
+    for (const auto& [name, h] : metrics->find("histograms")->members()) {
+      expect_buckets_sum_to_count(h, name);
     }
     ++polls_answered;
     probe.close();
@@ -976,9 +1005,8 @@ TEST(SocketServer, UpdateFramesApplyMutationsOverTheWire) {
 
   ServeClient client;
   ASSERT_TRUE(client.connect(path));
-  // Warm round on the pre-mutation graph: binds the shared cache to the old
-  // token, so the update below takes the region invalidation, not the
-  // cold-cache flush fallback.
+  // Warm round on the pre-mutation graph: memoizes every answer, so the
+  // update below has warm answers to evict or keep.
   for (std::int64_t v = 0; v < n; ++v) {
     const ServeClient::QueryReply reply = client.query(v);
     ASSERT_TRUE(reply.ok);

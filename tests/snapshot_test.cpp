@@ -90,11 +90,11 @@ TEST_F(SnapshotTest, EveryFamilyRoundTripsBitIdenticallyOnBothBackends) {
     const NodeIndex n = inst.node_count();
     ASSERT_EQ(loaded.node_count(), n);
 
-    // The loaded CSR is a different allocation (in fact a file mapping) —
-    // the cache-identity key must see that — with identical bytes.
+    // The loaded CSR is a different allocation (in fact a file mapping)
+    // with identical bytes.
     const GraphView a = inst.graph();
     const GraphView b = loaded.graph();
-    EXPECT_NE(a.storage_identity(), b.storage_identity());
+    EXPECT_NE(a.offsets_data(), b.offsets_data());
     ASSERT_EQ(a.edge_count(), b.edge_count());
     ASSERT_EQ(a.max_degree(), b.max_degree());
     EXPECT_EQ(std::memcmp(a.offsets_data(), b.offsets_data(),
@@ -198,27 +198,6 @@ TEST_F(SnapshotTest, MappedFileEdgeDiagnostics) {
   }
 }
 
-// Each load mints its own storage identity: state keyed on one mapping can
-// never confuse it with a later mapping of the same (or any other) file,
-// even if mmap recycles the address range.
-TEST_F(SnapshotTest, EachLoadMintsADistinctStorageToken) {
-  const ErasedInstance inst = ProblemRegistry::global().find("ball-4")->make(64, 5);
-  const std::string file = path("token.vsnap");
-  inst.save_snapshot(file);
-
-  const io::Snapshot first = io::Snapshot::load(file);
-  const io::Snapshot second = io::Snapshot::load(file);
-  EXPECT_NE(first.graph().storage_identity(), kAnonymousStorage);
-  EXPECT_NE(second.graph().storage_identity(), kAnonymousStorage);
-  EXPECT_NE(first.graph().storage_identity(), second.graph().storage_identity());
-  // One snapshot's views all share its token; copies share the mapping and
-  // therefore the identity.
-  EXPECT_EQ(first.graph().storage_identity(), first.graph().storage_identity());
-  EXPECT_EQ(first.storage_token(), first.graph().storage_identity());
-  const io::Snapshot copy = first;  // NOLINT(performance-unnecessary-copy-initialization)
-  EXPECT_EQ(copy.graph().storage_identity(), first.graph().storage_identity());
-}
-
 // --- byte-layout pins --------------------------------------------------------
 
 TEST_F(SnapshotTest, HeaderLayoutIsLittleEndianAtFixedOffsets) {
@@ -302,9 +281,11 @@ TEST(GraphViewAdopt, AdoptedGraphDelegatesAndThrowsIdentically) {
   }
   // An adopted Graph's view borrows the *original* storage: copying the
   // Graph must not re-point it (the adopt contract is pointer-stable).
-  EXPECT_EQ(adopted.view().storage_identity(), view.storage_identity());
+  EXPECT_EQ(adopted.view().offsets_data(), view.offsets_data());
+  EXPECT_EQ(adopted.view().adjacency_data(), view.adjacency_data());
   const Graph copy = adopted;
-  EXPECT_EQ(copy.view().storage_identity(), view.storage_identity());
+  EXPECT_EQ(copy.view().offsets_data(), view.offsets_data());
+  EXPECT_EQ(copy.view().adjacency_data(), view.adjacency_data());
 
   // Error wording is shared via the one CSR port-check helper, so engine
   // diagnostics are identical no matter which facade raised them.

@@ -86,60 +86,6 @@ TEST(ClassifyGrowth, NoisyLogStaysLog) {
   EXPECT_EQ(classify_growth(ns, cs).cls, GrowthClass::Log);
 }
 
-TEST(Summarize, Basics) {
-  auto s = summarize({5, 1, 3, 2, 4});
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.min, 1);
-  EXPECT_DOUBLE_EQ(s.max, 5);
-  EXPECT_DOUBLE_EQ(s.mean, 3);
-  EXPECT_DOUBLE_EQ(s.median, 3);
-  // Nearest-rank p95 of 5 values: rank ceil(4.75) = 5 -> the maximum.
-  EXPECT_DOUBLE_EQ(s.p95, 5);
-}
-
-// Regression: the pre-fix median took the upper element for even counts
-// (here 3 instead of 2.5) and p95 floor-truncated its rank index (9 instead
-// of 10 for ten values).
-TEST(Summarize, EvenCountMedianIsMidpoint) {
-  auto s = summarize({4, 1, 3, 2});
-  EXPECT_DOUBLE_EQ(s.median, 2.5);
-  EXPECT_DOUBLE_EQ(s.p95, 4);  // rank ceil(3.8) = 4
-}
-
-TEST(Summarize, P95IsNearestRank) {
-  std::vector<double> v;
-  for (int i = 1; i <= 10; ++i) v.push_back(i);
-  auto s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.median, 5.5);
-  EXPECT_DOUBLE_EQ(s.p95, 10);  // rank ceil(9.5) = 10
-  v.clear();
-  for (int i = 1; i <= 100; ++i) v.push_back(i);
-  EXPECT_DOUBLE_EQ(summarize(v).p95, 95);  // rank ceil(95) = 95
-  EXPECT_DOUBLE_EQ(summarize({7.0}).p95, 7.0);
-}
-
-// p99 follows the same nearest-rank definition as p95 (it feeds the serve
-// layer's tail-latency reporting, where p99 is the headline number).
-TEST(Summarize, P99IsNearestRank) {
-  std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) v.push_back(i);
-  auto s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.p99, 99);  // rank ceil(99) = 99
-  v.push_back(101);
-  v.push_back(102);
-  // 102 values: rank ceil(100.98) = 101 -> the 101st order statistic.
-  EXPECT_DOUBLE_EQ(summarize(v).p99, 101);
-  EXPECT_DOUBLE_EQ(summarize({7.0}).p99, 7.0);
-  EXPECT_DOUBLE_EQ(summarize({3, 1}).p99, 3);
-  // p99 >= p95 always (both nearest-rank over the same sorted data).
-  EXPECT_GE(summarize(v).p99, summarize(v).p95);
-}
-
-TEST(Summarize, Empty) {
-  auto s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-}
-
 TEST(Table, RendersAligned) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});

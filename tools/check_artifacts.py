@@ -6,10 +6,11 @@ writes (BENCH_<family>.json, BENCH_SUMMARY.json).
 CI runs a small bench with all four flags and then this script; a schema
 drift in any exporter (bench JsonReport, obs SweepMetrics, trace JSONL,
 Chrome trace_event, perf BenchArtifact) fails the job.  Internal
-cross-checks go beyond JSON well-formedness: metrics totals must be
-self-consistent with the histograms, every trace query line must belong to
-a declared sweep/exec, and bench-family n-sweeps must be strictly monotone
-with finite non-negative costs.
+cross-checks go beyond JSON well-formedness: every histogram (one encoding,
+obs::Histogram) has ordered buckets summing to its count, metrics totals
+must be self-consistent with the histograms, every trace query line must
+belong to a declared sweep/exec, and bench-family n-sweeps must be strictly
+monotone with finite non-negative costs.
 
 Usage:
   check_artifacts.py --json b.json --metrics m.json --trace t.jsonl \
@@ -26,7 +27,7 @@ Live-observability artifacts: --stats-jsonl validates a volcal_serve
 ordered within each), --stats-snapshot a single captured Stats poll, and
 --against-serve reconciles both with the end-of-run serve artifact — no
 snapshot may exceed the final totals, and the last JSONL line (written
-after drain) must equal them exactly.
+after drain) must equal them exactly, percentiles included.
 """
 
 import argparse
@@ -63,6 +64,33 @@ def check(ok, what):
 def require_keys(obj, keys, where):
     for k in keys:
         check(k in obj, f"{where}: missing key '{k}'")
+
+
+def check_histogram(hist, where):
+    """The one histogram encoding (obs::Histogram::append_json): count, min,
+    max, sum, and sparse buckets keyed by inclusive "lo-hi" value ranges in
+    ascending order, summing to count."""
+    if not check(isinstance(hist, dict), f"{where}: histogram is not an object"):
+        return
+    require_keys(hist, ["count", "min", "max", "sum", "buckets"], where)
+    buckets = hist.get("buckets")
+    if not check(isinstance(buckets, dict), f"{where}: 'buckets' is not an object"):
+        return
+    prev_hi = -1
+    for key, n in buckets.items():
+        lo, _, hi = key.partition("-")
+        if not check(lo.isdigit() and hi.isdigit() and int(lo) <= int(hi),
+                     f"{where}: bad bucket key {key!r}"):
+            return
+        check(int(lo) > prev_hi, f"{where}: bucket {key!r} out of order")
+        check(isinstance(n, int) and n > 0,
+              f"{where}: bucket {key!r} count must be a positive integer")
+        prev_hi = int(hi)
+    count = hist.get("count")
+    check(sum(buckets.values()) == count,
+          f"{where}: buckets sum {sum(buckets.values())} != count {count}")
+    check(hist.get("min", 0) <= hist.get("max", 0),
+          f"{where}: min {hist.get('min')} > max {hist.get('max')}")
 
 
 def check_schema_version(doc, where):
@@ -343,13 +371,11 @@ def check_metrics_json(path):
                           "wall_seconds"], f"{path} totals")
     check(doc.get("sweeps", 0) > 0, f"{path}: no sweeps recorded")
     check(totals.get("starts", 0) > 0, f"{path}: no starts recorded")
+    for name in ("volume", "distance", "queries", "start_wall_us"):
+        if name in doc:
+            check_histogram(doc[name], f"{path} {name} histogram")
     for name in ("volume", "distance", "queries"):
         hist = doc.get(name, {})
-        require_keys(hist, ["count", "min", "max", "sum", "buckets"],
-                     f"{path} {name} histogram")
-        bucket_total = sum(hist.get("buckets", {}).values())
-        check(bucket_total == hist.get("count"),
-              f"{path}: {name} buckets sum {bucket_total} != count {hist.get('count')}")
         # One histogram sample per start, every sweep.
         check(hist.get("count") == totals.get("starts"),
               f"{path}: {name} count {hist.get('count')} != starts {totals.get('starts')}")
@@ -431,21 +457,21 @@ def check_stats_line(doc, where):
     check(doc.get("completed", 0) <= doc.get("accepted", 0),
           f"{where}: completed {doc.get('completed')} exceeds accepted "
           f"{doc.get('accepted')}")
-    for block in ("latency", ("window", "latency")):
-        if isinstance(block, tuple):
-            lat = doc.get(block[0], {}).get(block[1], {})
-            lwhere = f"{where} window latency"
-        else:
-            lat = doc.get(block, {})
-            lwhere = f"{where} latency"
+    for lat, lwhere in ((doc.get("latency"), f"{where} latency"),
+                        (doc.get("window", {}).get("latency"),
+                         f"{where} window latency")):
         if not check(isinstance(lat, dict), f"{lwhere}: missing"):
             continue
+        check_histogram(lat, lwhere)
         p50, p95, p99 = (lat.get("p50_ns", 0), lat.get("p95_ns", 0),
                          lat.get("p99_ns", 0))
         check(p50 <= p95 <= p99,
               f"{lwhere}: percentiles not monotone "
               f"(p50 {p50}, p95 {p95}, p99 {p99})")
-        check(lat.get("count", -1) >= 0, f"{lwhere}: negative sample count")
+    hists = doc.get("metrics", {}).get("histograms", {})
+    if check(isinstance(hists, dict), f"{where}: metrics.histograms missing"):
+        for name, hist in hists.items():
+            check_histogram(hist, f"{where} metrics histogram {name!r}")
     # The window is a subset of history: it can never hold more samples than
     # ever completed.
     win = doc.get("window", {}).get("latency", {})
@@ -465,11 +491,14 @@ def stats_vs_serve_block(doc, serve, where, final):
             check(snap <= total,
                   f"{where}: mid-run {k} {snap} exceeds artifact total {total}")
     if final:
-        check(doc.get("latency", {}).get("count", 0)
-              == serve.get("latency_samples", 0),
-              f"{where}: final latency count "
-              f"{doc.get('latency', {}).get('count')} != artifact "
+        lat = doc.get("latency", {})
+        check(lat.get("count", 0) == serve.get("latency_samples", 0),
+              f"{where}: final latency count {lat.get('count')} != artifact "
               f"latency_samples {serve.get('latency_samples')}")
+        for k in ("p50_ns", "p95_ns", "p99_ns"):
+            check(lat.get(k) == serve.get(k),
+                  f"{where}: final latency {k} {lat.get(k)} != artifact "
+                  f"{serve.get(k)}")
         check(doc.get("queue_depth", -1) == 0 and doc.get("in_flight", -1) == 0,
               f"{where}: final snapshot not quiescent (queue "
               f"{doc.get('queue_depth')}, in-flight {doc.get('in_flight')})")

@@ -8,8 +8,10 @@
 // Open loop: requests are sent on a fixed schedule (--rate) regardless of
 // response progress, so an overloaded server sheds instead of silently
 // slowing the generator down.  Shed responses are accounted separately from
-// query latency — their round-trips get their own summary (shed_* artifact
-// fields), so the query percentiles measure served work only.  With
+// query latency — their round-trips get their own histogram (shed_* artifact
+// fields), so the query percentiles measure served work only.  Every series
+// (query, shed, update round-trip, apply) is an obs::Histogram: nearest-rank
+// percentiles within 1/32 of exact, in fixed memory per connection.  With
 // --retry-sheds each shed request is replayed once after honoring the
 // server's advertised retry_after_ms, and the artifact records how many
 // retries actually waited the full backoff ("retries" / "retry_compliant").
@@ -39,6 +41,7 @@
 #include <signal.h>
 
 #include <chrono>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +53,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/histogram.hpp"
 #include "perf/artifact.hpp"
 #include "util/hash.hpp"
 #include "volcal/io.hpp"
@@ -95,8 +99,20 @@ struct ConnectionTally {
   std::int64_t mismatches = 0;
   std::int64_t retries = 0;          // shed requests replayed (--retry-sheds)
   std::int64_t retry_compliant = 0;  // replays that waited >= retry_after_ms
-  std::vector<std::int64_t> latencies_ns;       // served results only
-  std::vector<std::int64_t> shed_latencies_ns;  // shed round-trips, separately
+  obs::Histogram latency;            // served results only, ns
+  obs::Histogram shed_latency;       // shed round-trips, separately
+
+  void merge(const ConnectionTally& t) {
+    sent += t.sent;
+    results += t.results;
+    shed += t.shed;
+    invalid += t.invalid;
+    mismatches += t.mismatches;
+    retries += t.retries;
+    retry_compliant += t.retry_compliant;
+    latency.merge(t.latency);
+    shed_latency.merge(t.shed_latency);
+  }
 };
 
 struct LoadPlan {
@@ -122,8 +138,8 @@ struct UpdateTally {
   std::int64_t cache_evicted = 0;
   std::int64_t cache_retained = 0;
   std::int64_t flushes = 0;
-  std::vector<std::int64_t> update_latencies_ns;  // client round-trip
-  std::vector<double> apply_ns;                   // server-side apply time
+  obs::Histogram round_trip;  // client round-trip, ns
+  obs::Histogram apply;       // server-side apply time, ns
 };
 
 // One shed response eligible for replay: the node, the advertised backoff,
@@ -192,8 +208,8 @@ bool run_connection(const LoadPlan& plan, int conn_index, ConnectionTally* tally
       if (frame.type == serve::FrameType::Shed) {
         ++tally->shed;
         // Shed round-trips are timed into their own series — never into the
-        // query latency summary.
-        tally->shed_latencies_ns.push_back(
+        // query latency histogram.
+        tally->shed_latency.add(
             std::chrono::duration_cast<std::chrono::nanoseconds>(received_at -
                                                                  sent_at)
                 .count());
@@ -204,7 +220,7 @@ bool run_connection(const LoadPlan& plan, int conn_index, ConnectionTally* tally
         continue;
       }
       ++tally->results;
-      tally->latencies_ns.push_back(
+      tally->latency.add(
           std::chrono::duration_cast<std::chrono::nanoseconds>(received_at -
                                                                sent_at)
               .count());
@@ -291,7 +307,7 @@ bool run_connection(const LoadPlan& plan, int conn_index, ConnectionTally* tally
         if (frame.type == serve::FrameType::Result &&
             frame.result.request_id == id) {
           ++tally->results;
-          tally->latencies_ns.push_back(rtt_ns);
+          tally->latency.add(rtt_ns);
           if (frame.result.status != serve::QueryStatus::Ok) {
             ++tally->invalid;
           } else if (plan.expected != nullptr &&
@@ -306,7 +322,7 @@ bool run_connection(const LoadPlan& plan, int conn_index, ConnectionTally* tally
         if (frame.type == serve::FrameType::Shed && frame.shed.request_id == id) {
           // Shed again: count it, replay only once.
           ++tally->shed;
-          tally->shed_latencies_ns.push_back(rtt_ns);
+          tally->shed_latency.add(rtt_ns);
           got = true;
           break;
         }
@@ -359,10 +375,9 @@ bool run_updater(const LoadPlan& plan, ErasedInstance* local, UpdateTally* tally
       return false;
     }
     ++tally->updates;
-    tally->update_latencies_ns.push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - sent_at)
-            .count());
+    tally->round_trip.add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - sent_at)
+                              .count());
     if (reply.result.status != serve::UpdateStatus::Ok) {
       // Batches are proposed against the acknowledged graph, so a rejection
       // means the two sides disagree about the current structure — fatal.
@@ -375,7 +390,7 @@ bool run_updater(const LoadPlan& plan, ErasedInstance* local, UpdateTally* tally
     tally->cache_evicted += static_cast<std::int64_t>(reply.result.cache_evicted);
     tally->cache_retained += static_cast<std::int64_t>(reply.result.cache_retained);
     if (reply.result.flushed != 0) ++tally->flushes;
-    tally->apply_ns.push_back(static_cast<double>(reply.result.apply_ns));
+    tally->apply.add(reply.result.apply_ns);
     *local = local->mutated(batch);
   }
   client.bye();
@@ -417,7 +432,6 @@ bool final_verify(const LoadPlan& plan, const std::vector<int>& expected,
 }
 
 bool write_artifact(const std::string& path, const ConnectionTally& total,
-                    const stats::Summary& latency, const stats::Summary& shed_latency,
                     const UpdateTally& updates, double wall_seconds) {
   perf::BenchArtifact artifact;
   artifact.kind = "bench-report";
@@ -432,30 +446,19 @@ bool write_artifact(const std::string& path, const ConnectionTally& total,
   serve_block.shed = total.shed;
   serve_block.invalid = total.invalid;
   serve_block.swaps = 0;
-  serve_block.latency_samples = static_cast<std::int64_t>(latency.count);
-  serve_block.p50_ns = latency.median;
-  serve_block.p95_ns = latency.p95;
-  serve_block.p99_ns = latency.p99;
-  serve_block.mean_ns = latency.mean;
-  serve_block.max_ns = latency.max;
+  serve_block.set_latency(total.latency);
   serve_block.wall_seconds = wall_seconds;
   serve_block.qps =
       wall_seconds > 0.0 ? static_cast<double>(total.results) / wall_seconds : 0.0;
-  serve_block.shed_latency_samples = static_cast<std::int64_t>(shed_latency.count);
-  serve_block.shed_p50_ns = shed_latency.median;
-  serve_block.shed_p95_ns = shed_latency.p95;
-  serve_block.shed_p99_ns = shed_latency.p99;
+  serve_block.shed_latency_samples = total.shed_latency.count;
+  serve_block.shed_p50_ns = static_cast<double>(total.shed_latency.quantile(0.50));
+  serve_block.shed_p95_ns = static_cast<double>(total.shed_latency.quantile(0.95));
+  serve_block.shed_p99_ns = static_cast<double>(total.shed_latency.quantile(0.99));
   serve_block.retries = total.retries;
   serve_block.retry_compliant = total.retry_compliant;
   artifact.serve = serve_block;
 
-  perf::ArtifactCurve curve;
-  curve.name = "latency-percentiles";
-  curve.points.push_back({50.0, latency.median, 0.0});
-  curve.points.push_back({95.0, latency.p95, 0.0});
-  curve.points.push_back({99.0, latency.p99, 0.0});
-  curve.refit();
-  artifact.curves.push_back(std::move(curve));
+  artifact.curves.push_back(serve_block.latency_curve());
 
   if (updates.updates > 0) {
     perf::MutateStatsBlock mutate;
@@ -465,14 +468,10 @@ bool write_artifact(const std::string& path, const ConnectionTally& total,
     mutate.cache_evicted = updates.cache_evicted;
     mutate.cache_retained = updates.cache_retained;
     mutate.flushes = updates.flushes;
-    std::vector<double> rtts(updates.update_latencies_ns.begin(),
-                             updates.update_latencies_ns.end());
-    const stats::Summary rtt = stats::summarize(std::move(rtts));
-    mutate.update_p50_ns = rtt.median;
-    mutate.update_p95_ns = rtt.p95;
-    mutate.update_p99_ns = rtt.p99;
-    std::vector<double> applies(updates.apply_ns);
-    mutate.apply_p50_ns = stats::summarize(std::move(applies)).median;
+    mutate.update_p50_ns = static_cast<double>(updates.round_trip.quantile(0.50));
+    mutate.update_p95_ns = static_cast<double>(updates.round_trip.quantile(0.95));
+    mutate.update_p99_ns = static_cast<double>(updates.round_trip.quantile(0.99));
+    mutate.apply_p50_ns = static_cast<double>(updates.apply.quantile(0.50));
     artifact.mutate = mutate;
   }
   return artifact.write_file(path);
@@ -610,24 +609,9 @@ int run(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
 
   ConnectionTally total;
-  std::vector<double> latencies;
-  std::vector<double> shed_latencies;
-  for (const ConnectionTally& t : tallies) {
-    total.sent += t.sent;
-    total.results += t.results;
-    total.shed += t.shed;
-    total.invalid += t.invalid;
-    total.mismatches += t.mismatches;
-    total.retries += t.retries;
-    total.retry_compliant += t.retry_compliant;
-    total.latencies_ns.insert(total.latencies_ns.end(), t.latencies_ns.begin(),
-                              t.latencies_ns.end());
-    shed_latencies.insert(shed_latencies.end(), t.shed_latencies_ns.begin(),
-                          t.shed_latencies_ns.end());
-  }
-  latencies.assign(total.latencies_ns.begin(), total.latencies_ns.end());
-  const stats::Summary latency = stats::summarize(std::move(latencies));
-  const stats::Summary shed_latency = stats::summarize(std::move(shed_latencies));
+  for (const ConnectionTally& t : tallies) total.merge(t);
+  const obs::Histogram& latency = total.latency;
+  const obs::Histogram& shed_latency = total.shed_latency;
 
   std::printf(
       "volcal_load: sent %lld, results %lld, shed %lld, invalid %lld in %.3f s "
@@ -636,13 +620,15 @@ int run(int argc, char** argv) {
       static_cast<long long>(total.shed), static_cast<long long>(total.invalid),
       wall_seconds,
       wall_seconds > 0 ? static_cast<double>(total.results) / wall_seconds : 0.0);
-  std::printf("volcal_load: latency p50 %.0f ns, p95 %.0f ns, p99 %.0f ns (%zu samples)\n",
-              latency.median, latency.p95, latency.p99, latency.count);
+  std::printf("volcal_load: latency p50 %" PRId64 " ns, p95 %" PRId64 " ns, p99 %" PRId64
+              " ns (%" PRId64 " samples)\n",
+              latency.quantile(0.50), latency.quantile(0.95), latency.quantile(0.99),
+              latency.count);
   if (shed_latency.count > 0) {
     std::printf(
-        "volcal_load: shed round-trips p50 %.0f ns, p99 %.0f ns (%zu samples)"
-        "; retries %lld (%lld honored retry-after)\n",
-        shed_latency.median, shed_latency.p99, shed_latency.count,
+        "volcal_load: shed round-trips p50 %" PRId64 " ns, p99 %" PRId64 " ns (%" PRId64
+        " samples); retries %lld (%lld honored retry-after)\n",
+        shed_latency.quantile(0.50), shed_latency.quantile(0.99), shed_latency.count,
         static_cast<long long>(total.retries),
         static_cast<long long>(total.retry_compliant));
   }
@@ -679,8 +665,7 @@ int run(int argc, char** argv) {
   }
 
   if (!artifact_path.empty() &&
-      !write_artifact(artifact_path, total, latency, shed_latency, updates,
-                      wall_seconds)) {
+      !write_artifact(artifact_path, total, updates, wall_seconds)) {
     return 1;
   }
   for (const char c : ok) {

@@ -25,7 +25,8 @@
 //                     [--slow-ms MS] [--slow-log FILE]
 //
 // The artifact (--artifact) is a schema-v2 bench-report with the "serve"
-// block: accepted/completed/shed counters, nearest-rank p50/p95/p99 latency,
+// block: accepted/completed/shed counters, nearest-rank p50/p95/p99 latency
+// (read from the service's latency histogram, within 1/32 of exact),
 // sustained QPS, and the answer memo's hit counters —
 // tools/check_artifacts.py --serve-report validates it in CI.
 //
@@ -46,6 +47,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,7 +100,6 @@ serve::ServeTarget load_target(const std::string& snapshot_path,
 bool write_artifact(const std::string& path, const serve::QueryService& service,
                     double wall_seconds) {
   const serve::ServeCounters counters = service.counters();
-  const stats::Summary latency = service.latency_summary();
 
   perf::BenchArtifact artifact;
   artifact.kind = "bench-report";
@@ -113,27 +115,15 @@ bool write_artifact(const std::string& path, const serve::QueryService& service,
   serve_block.shed = counters.shed;
   serve_block.invalid = counters.invalid;
   serve_block.swaps = counters.swaps;
-  serve_block.latency_samples = static_cast<std::int64_t>(latency.count);
-  serve_block.p50_ns = latency.median;
-  serve_block.p95_ns = latency.p95;
-  serve_block.p99_ns = latency.p99;
-  serve_block.mean_ns = latency.mean;
-  serve_block.max_ns = latency.max;
+  serve_block.set_latency(service.latency().since_start);
   serve_block.wall_seconds = wall_seconds;
   serve_block.qps =
       wall_seconds > 0.0 ? static_cast<double>(counters.completed) / wall_seconds : 0.0;
   artifact.serve = serve_block;
 
   // The latency percentiles double as the artifact's curve (schema requires
-  // at least one): abscissa = percentile, cost = nanoseconds.
-  perf::ArtifactCurve curve;
-  curve.name = "latency-percentiles";
-  curve.claim = "";
-  curve.points.push_back({50.0, latency.median, 0.0});
-  curve.points.push_back({95.0, latency.p95, 0.0});
-  curve.points.push_back({99.0, latency.p99, 0.0});
-  curve.refit();
-  artifact.curves.push_back(std::move(curve));
+  // at least one).
+  artifact.curves.push_back(serve_block.latency_curve());
   return artifact.write_file(path);
 }
 
@@ -190,7 +180,16 @@ int run(int argc, char** argv) {
     } else if (const char* v = value_of("--stats-log")) {
       stats_log_path = v;
     } else if (const char* v = value_of("--stats-window")) {
-      config.stats_window_seconds = std::atof(v);
+      char* end = nullptr;
+      config.stats_window_seconds = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(config.stats_window_seconds) ||
+          config.stats_window_seconds <= 0.0) {
+        std::fprintf(stderr,
+                     "volcal_serve: --stats-window must be a finite number of "
+                     "seconds > 0, got '%s'\n",
+                     v);
+        return 2;
+      }
     } else if (const char* v = value_of("--trace-serve")) {
       trace_path = v;
     } else if (const char* v = value_of("--slow-ms")) {
@@ -371,7 +370,7 @@ int run(int argc, char** argv) {
   }
 
   const serve::ServeCounters counters = service.counters();
-  const stats::Summary latency = service.latency_summary();
+  const obs::Histogram latency = service.latency().since_start;
   const CacheStats cache = service.cache_stats();
   std::printf(
       "volcal_serve: drained — accepted %lld, completed %lld, shed %lld, "
@@ -380,11 +379,10 @@ int run(int argc, char** argv) {
       static_cast<long long>(counters.completed),
       static_cast<long long>(counters.shed), static_cast<long long>(counters.invalid),
       static_cast<long long>(counters.swaps));
-  std::printf(
-      "volcal_serve: latency p50 %.0f ns, p95 %.0f ns, p99 %.0f ns over %zu "
-      "samples; cache hits %lld / misses %lld\n",
-      latency.median, latency.p95, latency.p99, latency.count,
-      static_cast<long long>(cache.hits), static_cast<long long>(cache.misses));
+  std::printf("volcal_serve: latency p50 %" PRId64 " ns, p95 %" PRId64 " ns, p99 %" PRId64
+              " ns over %" PRId64 " samples; cache hits %" PRId64 " / misses %" PRId64 "\n",
+              latency.quantile(0.50), latency.quantile(0.95), latency.quantile(0.99),
+              latency.count, cache.hits, cache.misses);
 
   if (!artifact_path.empty() && !write_artifact(artifact_path, service, wall_seconds)) {
     return 1;
