@@ -301,6 +301,29 @@ CacheConfig policy_config(CachePolicy p) {
   return cfg;
 }
 
+// Which part of two graphs' CSR differs — "" when shape, offsets and
+// adjacency are byte-identical.
+std::string csr_difference(GraphView a, GraphView b) {
+  if (a.node_count() != b.node_count()) return "node count";
+  if (a.max_degree() != b.max_degree() || a.edge_count() != b.edge_count()) {
+    return "graph shape (max degree / edge count)";
+  }
+  if (std::memcmp(a.offsets_data(), b.offsets_data(),
+                  sizeof(std::size_t) * static_cast<std::size_t>(a.node_count() + 1)) != 0) {
+    return "CSR offsets";
+  }
+  if (a.edge_count() > 0 &&
+      std::memcmp(a.adjacency_data(), b.adjacency_data(),
+                  sizeof(NodeIndex) * static_cast<std::size_t>(2 * a.edge_count())) != 0) {
+    return "CSR adjacency";
+  }
+  return "";
+}
+
+bool same_ids(const IdAssignment& a, const IdAssignment& b) {
+  return std::ranges::equal(a.span(), b.span());
+}
+
 }  // namespace
 
 const char* model_name(RandomnessModel m) {
@@ -615,23 +638,10 @@ CheckResult check_snapshot_case(const FuzzCase& c) {
   }
   const GraphView a = inst.graph();
   const GraphView b = loaded.graph();
-  if (a.max_degree() != b.max_degree() || a.edge_count() != b.edge_count()) {
-    return fail("snapshot: graph shape (max degree / edge count) diverged");
+  if (const std::string d = csr_difference(a, b); !d.empty()) {
+    return fail("snapshot: " + d + " not bit-identical");
   }
-  if (std::memcmp(a.offsets_data(), b.offsets_data(),
-                  sizeof(std::size_t) * static_cast<std::size_t>(n + 1)) != 0) {
-    return fail("snapshot: CSR offsets are not bit-identical");
-  }
-  if (a.edge_count() > 0 &&
-      std::memcmp(a.adjacency_data(), b.adjacency_data(),
-                  sizeof(NodeIndex) * static_cast<std::size_t>(2 * a.edge_count())) != 0) {
-    return fail("snapshot: CSR adjacency is not bit-identical");
-  }
-  for (NodeIndex v = 0; v < n; ++v) {
-    if (inst.ids().id_of(v) != loaded.ids().id_of(v)) {
-      return fail("snapshot: ID table diverged at node " + std::to_string(v));
-    }
-  }
+  if (!same_ids(inst.ids(), loaded.ids())) return fail("snapshot: ID table diverged");
 
   // Differential sweeps: the loaded instance must be bit-identical to the
   // in-RAM one in outputs and costs, serial and 8-thread, and on the
@@ -678,6 +688,43 @@ CheckResult check_snapshot_case(const FuzzCase& c) {
                   std::to_string(verdict.first_bad) + ")");
     }
   }
+
+  // Two mutated generations of the loaded instance, whose ID table is
+  // adopted from the mapping: the first must copy that table and the second
+  // share the copy, and each must equal the same generation of the in-RAM
+  // instance in CSR bytes, IDs, outputs and costs.
+  if (c.mutation_rewires < 0 || c.mutation_labels < 0) {
+    return fail("snapshot: negative mutation batch size in case");
+  }
+  ErasedInstance mi = inst;
+  ErasedInstance ml = loaded;
+  for (int gen = 0; gen < 2; ++gen) {
+    const std::string where = " in mutated generation " + std::to_string(gen + 1);
+    const MutationBatch batch =
+        mi.propose_mutation(c.mutation_seed + static_cast<std::uint64_t>(gen),
+                            c.mutation_rewires, c.mutation_labels);
+    mi = mi.mutated(batch);
+    ErasedInstance next = ml.mutated(batch);
+    const bool copied = next.ids().span().data() != ml.ids().span().data();
+    if (next.ids().adopted() || copied != (gen == 0)) {
+      return fail("snapshot: the adopted ID table was not copied exactly once" + where);
+    }
+    ml = std::move(next);
+    if (const std::string d = csr_difference(mi.graph(), ml.graph()); !d.empty()) {
+      return fail("snapshot: " + d + " not bit-identical" + where);
+    }
+    if (!same_ids(mi.ids(), ml.ids())) return fail("snapshot: ID table diverged" + where);
+    auto solve_mi = [&](auto& exec) { return mi.solve(exec); };
+    auto solve_ml = [&](auto& exec) { return ml.solve(exec); };
+    const ParallelRunner serial(1);
+    const auto run_mi = serial.run_at(mi.graph(), mi.ids(), span, solve_mi, c.budget);
+    const auto run_ml = serial.run_at(ml.graph(), ml.ids(), span, solve_ml, c.budget);
+    if (run_mi.output != run_ml.output || run_mi.volume != run_ml.volume ||
+        run_mi.distance != run_ml.distance || run_mi.queries != run_ml.queries ||
+        !same_costs(run_mi.stats, run_ml.stats)) {
+      return fail("snapshot: sweep of the mutated loaded instance diverges" + where);
+    }
+  }
   return {};
 }
 
@@ -720,17 +767,8 @@ CheckResult check_mutation_case(const FuzzCase& c) {
   if (mut.node_count() != n || naive.node_count() != n) {
     return fail("mutation: node count changed by a leaf rewire");
   }
-  if (gm.max_degree() != gn.max_degree() || gm.edge_count() != gn.edge_count()) {
-    return fail("mutation: fast and naive paths disagree on graph shape");
-  }
-  if (std::memcmp(gm.offsets_data(), gn.offsets_data(),
-                  sizeof(std::size_t) * static_cast<std::size_t>(n + 1)) != 0) {
-    return fail("mutation: fast and naive CSR offsets are not bit-identical");
-  }
-  if (gm.edge_count() > 0 &&
-      std::memcmp(gm.adjacency_data(), gn.adjacency_data(),
-                  sizeof(NodeIndex) * static_cast<std::size_t>(2 * gm.edge_count())) != 0) {
-    return fail("mutation: fast and naive CSR adjacency is not bit-identical");
+  if (const std::string d = csr_difference(gm, gn); !d.empty()) {
+    return fail("mutation: fast and naive " + d + " not bit-identical");
   }
 
   // --- fresh-storage and touched-set contracts -----------------------------
@@ -758,11 +796,7 @@ CheckResult check_mutation_case(const FuzzCase& c) {
       return fail("mutation: rewire endpoint missing from the touched set");
     }
   }
-  for (NodeIndex v = 0; v < n; ++v) {
-    if (mut.ids().id_of(v) != inst.ids().id_of(v)) {
-      return fail("mutation: ID table changed at node " + std::to_string(v));
-    }
-  }
+  if (!same_ids(mut.ids(), inst.ids())) return fail("mutation: ID table changed");
 
   // --- sweep differential: mutated vs naive-rebuilt, both backends, every
   // cache policy, 1 and 8 threads --------------------------------------------

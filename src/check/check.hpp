@@ -95,7 +95,10 @@ CheckResult check_backend_case(const FuzzCase& c);
 // CSR/ID arrays and produce bit-identical outputs and costs on the same
 // sweep — basic serial, 8-thread, and the family's planned backend — and the
 // loaded instance's whole-graph output must pass the family's verifier.
-// Run by the driver when --snapshot is set.
+// Two mutated generations of the loaded instance (whose ID table is adopted
+// from the mapping: the first generation copies it, the second shares the
+// copy) must equal the same generations of the in-RAM instance in CSR bytes,
+// IDs, outputs and costs.  Run by volcal_fuzz when --snapshot is set.
 CheckResult check_snapshot_case(const FuzzCase& c);
 
 // Dynamic-graph differential (graph/mutation.hpp + AnswerMemo::

@@ -1,6 +1,8 @@
 #include "graph/mutation.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -34,53 +36,67 @@ AppliedMutation apply_mutation(GraphView g, const MutationBatch& batch) {
     check_index(u.node, n, "label-update node");
   }
 
-  // Per-node neighbor lists, port order implicit in position (port p lives at
-  // index p-1) — erase *is* the port compaction, push_back *is* "next free
+  // Rows of the nodes the batch touches, copied from `g` on first touch and
+  // edited in batch order.  Port order is implicit in position (port p lives
+  // at index p-1) — erase *is* the port compaction, push_back *is* "next free
   // port".  The Builder-based reference path below carries explicit port
   // numbers instead, so the two implementations share no representation.
-  std::vector<std::vector<NodeIndex>> nbrs(static_cast<std::size_t>(n));
-  for (NodeIndex v = 0; v < n; ++v) {
-    const auto span = g.neighbors(v);
-    nbrs[static_cast<std::size_t>(v)].assign(span.begin(), span.end());
-  }
-
-  std::vector<NodeIndex> touched;
-  touched.reserve(batch.rewires.size() * 3);
+  // std::map keeps references stable across inserts and iterates in node
+  // order, which the splice below walks.
+  std::map<NodeIndex, std::vector<NodeIndex>> rows;
+  const auto row = [&](NodeIndex v) -> std::vector<NodeIndex>& {
+    const auto [it, fresh] = rows.try_emplace(v);
+    if (fresh) {
+      const auto span = g.neighbors(v);
+      it->second.assign(span.begin(), span.end());
+    }
+    return it->second;
+  };
   for (const LeafRewire& r : batch.rewires) {
     check_index(r.leaf, n, "rewire leaf");
     check_index(r.new_parent, n, "rewire new_parent");
     if (r.leaf == r.new_parent) throw_self_rewire(r.leaf);
-    auto& ln = nbrs[static_cast<std::size_t>(r.leaf)];
+    auto& ln = row(r.leaf);
     if (ln.size() != 1) throw_not_a_leaf(r.leaf, ln.size());
     const NodeIndex old_parent = ln.front();
-    auto& pn = nbrs[static_cast<std::size_t>(old_parent)];
+    auto& pn = row(old_parent);
     pn.erase(std::find(pn.begin(), pn.end(), r.leaf));
-    nbrs[static_cast<std::size_t>(r.new_parent)].push_back(r.leaf);
+    row(r.new_parent).push_back(r.leaf);
     ln.front() = r.new_parent;
-    touched.push_back(r.leaf);
-    touched.push_back(old_parent);
-    touched.push_back(r.new_parent);
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
-  std::vector<std::size_t> offsets;
-  offsets.reserve(static_cast<std::size_t>(n) + 1);
-  offsets.push_back(0);
-  std::size_t total = 0;
+  // Splice: every offset shifts by the running change in degree of the
+  // touched rows before it, and the adjacency between touched rows is copied
+  // as contiguous ranges.
+  const std::size_t* off = g.offsets_data();
+  const NodeIndex* adj = g.adjacency_data();
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1);
+  std::ptrdiff_t shift = 0;
   int max_degree = 0;
+  auto next = rows.begin();
   for (NodeIndex v = 0; v < n; ++v) {
-    const auto deg = nbrs[static_cast<std::size_t>(v)].size();
-    total += deg;
-    offsets.push_back(total);
-    max_degree = std::max(max_degree, static_cast<int>(deg));
+    const auto i = static_cast<std::size_t>(v);
+    if (next != rows.end() && next->first == v) {
+      shift += static_cast<std::ptrdiff_t>(next->second.size()) -
+               static_cast<std::ptrdiff_t>(off[i + 1] - off[i]);
+      ++next;
+    }
+    offsets[i + 1] = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(off[i + 1]) + shift);
+    max_degree = std::max(max_degree, static_cast<int>(offsets[i + 1] - offsets[i]));
   }
   std::vector<NodeIndex> adjacency;
-  adjacency.reserve(total);
-  for (NodeIndex v = 0; v < n; ++v) {
-    const auto& vn = nbrs[static_cast<std::size_t>(v)];
-    adjacency.insert(adjacency.end(), vn.begin(), vn.end());
+  adjacency.reserve(offsets.back());
+  std::vector<NodeIndex> touched;
+  touched.reserve(rows.size());
+  std::size_t copied = 0;  // old adjacency slots [0, copied) are handled
+  for (const auto& [v, r] : rows) {
+    const auto i = static_cast<std::size_t>(v);
+    adjacency.insert(adjacency.end(), adj + copied, adj + off[i]);
+    adjacency.insert(adjacency.end(), r.begin(), r.end());
+    copied = off[i + 1];
+    touched.push_back(v);
   }
+  adjacency.insert(adjacency.end(), adj + copied, adj + off[static_cast<std::size_t>(n)]);
 
   AppliedMutation out;
   out.graph = Graph::from_csr(std::move(offsets), std::move(adjacency), max_degree);

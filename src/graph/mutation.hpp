@@ -18,15 +18,21 @@
 //
 // Copy-on-write contract: apply_mutation never touches the input storage.  It
 // materializes the post-batch CSR into *fresh owned arrays*, so every
-// GraphView borrowed from the old graph stays valid.  In-flight readers finish against the old view; the query
-// service's AnswerMemo (runtime/answer_memo.hpp) evicts only the answers a
-// batch's changed nodes (changed_nodes below) can reach.
+// GraphView borrowed from the old graph stays valid.  In-flight readers
+// finish against the old view; the query service's AnswerMemo
+// (runtime/answer_memo.hpp) evicts only the answers a batch's changed nodes
+// (changed_nodes below) can reach.
 //
 // Two independent implementations back the differential harness:
-// apply_mutation edits per-node port vectors directly; apply_mutation_naive
-// replays the same semantics through Graph::Builder (whose build() validates
-// port bijectivity from scratch).  check_mutation_case requires the two CSRs
-// to be byte-identical on every fuzz case.
+// apply_mutation splices the CSR — it keeps port vectors only for the nodes
+// the batch touches, edits them in batch order, then writes the new offsets
+// in one pass (each shifted by the running change in degree) and copies the
+// adjacency between touched rows as contiguous ranges (no per-node
+// allocation: its O(n) part is writing the two fresh arrays);
+// apply_mutation_naive replays the same semantics through Graph::Builder
+// (whose build() validates port bijectivity from scratch).
+// check_mutation_case requires the two CSRs to be byte-identical on every
+// fuzz case.
 #pragma once
 
 #include <cstdint>

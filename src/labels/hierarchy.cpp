@@ -93,18 +93,20 @@ void Hierarchy::decompose_backbones() {
   backbones_.clear();
   for (NodeIndex v = 0; v < n; ++v) {
     if (!in_hierarchy(v) || backbone_of_[v] != -1) continue;
+    // Walk towards the root end; `fast` takes two steps per step of `head`
+    // and meets it only on a cycle.  Once `fast` runs off the root end the
+    // chain is a path, and `head` walks on to that end alone.
     NodeIndex head = v;
     bool cycle = false;
     {
-      NodeIndex slow = v, fast = v;
+      NodeIndex fast = v;
       while (true) {
         NodeIndex prev = backbone_prev(head);
         if (prev == kNoNode) break;
         head = prev;
-        slow = backbone_prev(slow);
-        fast = backbone_prev(fast);
         if (fast != kNoNode) fast = backbone_prev(fast);
-        if (fast != kNoNode && slow == fast) {
+        if (fast != kNoNode) fast = backbone_prev(fast);
+        if (fast != kNoNode && head == fast) {
           cycle = true;
           head = v;  // arbitrary rotation
           break;

@@ -8,14 +8,17 @@
 
 namespace volcal {
 
-IdAssignment::IdAssignment(std::vector<NodeId> ids) : ids_(std::move(ids)) {
+IdAssignment::IdAssignment(std::vector<NodeId> ids) {
   std::unordered_set<NodeId> seen;
-  seen.reserve(ids_.size());
-  for (NodeId id : ids_) {
+  seen.reserve(ids.size());
+  for (NodeId id : ids) {
     if (!seen.insert(id).second) {
       throw std::invalid_argument("IdAssignment: duplicate node ID");
     }
   }
+  owned_ = std::make_shared<const std::vector<NodeId>>(std::move(ids));
+  data_ = owned_->data();
+  count_ = static_cast<NodeIndex>(owned_->size());
 }
 
 IdAssignment IdAssignment::sequential(NodeIndex n) {

@@ -238,15 +238,22 @@ ErasedInstance erase(std::string family, std::shared_ptr<Held<Labels, Problem>> 
   }
   // Dynamic-graph hooks.  Each returned instance re-enters erase_instance, so
   // a mutation of a mutation is wired exactly like the original — and the new
-  // Held owns fresh graph/ids/labels with no retainer chained to the old one
-  // (repeated mutations must not accumulate dead generations).
+  // Held owns a fresh graph and labels with no retainer chained to the old
+  // one (repeated mutations must not accumulate dead generations).  A batch
+  // never changes IDs, so an owned ID table passes to the next generation as
+  // is (shared, not copied).  A table adopted from a snapshot mapping is
+  // copied once, through the validating constructor — a snapshot with
+  // duplicate IDs fails its first update here — and later generations share
+  // that copy; either way no generation keeps the mapping alive.
   impl.mutate = [held, family](const MutationBatch& batch,
                                std::vector<NodeIndex>* touched) {
     AppliedMutation applied = apply_mutation(held->inst.graph.view(), batch);
     Instance<Labels> next;
     next.graph = std::move(applied.graph);
-    const auto ids = held->inst.ids.span();
-    next.ids = IdAssignment(std::vector<NodeId>(ids.begin(), ids.end()));
+    const IdAssignment& ids = held->inst.ids;
+    next.ids = ids.adopted()
+                   ? IdAssignment(std::vector<NodeId>(ids.span().begin(), ids.span().end()))
+                   : ids;
     next.labels = held->inst.labels;
     apply_label_updates(next.labels, batch);
     if (touched != nullptr) *touched = std::move(applied.touched);

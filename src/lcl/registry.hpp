@@ -105,9 +105,10 @@ class ErasedInstance {
   // --- dynamic graphs (graph/mutation.hpp) ---------------------------------
 
   // Applies `batch` copy-on-write: this instance (and every view borrowed
-  // from it) is untouched; the returned instance owns fresh graph storage,
-  // carries copies of the ids and the mutated
-  // labels, and is wired through the same solver/verifier closures.  If
+  // from it) is untouched; the returned instance owns fresh graph storage
+  // and the mutated labels, shares this instance's ID table (copying it once
+  // if it is adopted from a snapshot mapping), and is wired through the same
+  // solver/verifier closures.  If
   // `touched` is non-null it receives the batch's structural endpoints,
   // sorted.  Throws std::invalid_argument on an invalid rewire or a label
   // channel the family does not carry.

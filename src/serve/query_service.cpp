@@ -401,7 +401,6 @@ void QueryService::worker_loop(int worker) {
     const GraphView g = inst.graph();
     const NodeIndex n = g.node_count();
     const bool batched = target->plan.batchable();
-    scratch.reserve(n);
 
     if (inst.family() != volume_family) {
       volume_family = inst.family();

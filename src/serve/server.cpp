@@ -119,15 +119,15 @@ bool SocketServer::start(QueryService& service, const std::string& socket_path,
     listen_fd_ = -1;
     return false;
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  acceptor_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   return true;
 }
 
-void SocketServer::accept_loop() {
+void SocketServer::accept_loop(int listen_fd) {
   while (!stopped_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
-      if (stopped_.load(std::memory_order_acquire)) return;  // socket closed by stop()
+      if (stopped_.load(std::memory_order_acquire)) return;  // shut down by stop()
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
           errno == ENOMEM) {
@@ -239,15 +239,16 @@ void SocketServer::reader_loop(std::shared_ptr<Connection> conn) {
 
 void SocketServer::stop() {
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
+  // Shutting the listening socket down fails the blocking accept() and ends
+  // the acceptor, which holds its own copy of the fd.  The fd is closed only
+  // after the join, so its number cannot be reused while accept() may still
+  // be called on it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    // Closing the listening socket fails the blocking accept() and ends the
-    // acceptor; shutdown first for kernels that keep accept() sleeping on a
-    // closed fd.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   if (service_ != nullptr) {
     // Replace the connection-count callback with a constant: a snapshot
     // taken after the transport is gone must not call into a dead server.

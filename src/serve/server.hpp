@@ -83,7 +83,7 @@ class SocketServer {
  private:
   struct Connection;
 
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void reader_loop(std::shared_ptr<Connection> conn);
 
   QueryService* service_ = nullptr;

@@ -293,8 +293,13 @@ TEST(AnswerMemoRace, SwapToARecycledAddressServesNothingStale) {
     for (NodeIndex v = 0; v < kNodes; ++v) {
       EXPECT_EQ(service.submit(base + static_cast<std::uint64_t>(v), v,
                                [&](const serve::QueryResult& r) {
-                                 std::lock_guard lock(mu);
-                                 labels[r.request_id - base] = r.label;
+                                 {
+                                   std::lock_guard lock(mu);
+                                   labels[r.request_id - base] = r.label;
+                                 }
+                                 // Counted only once `mu` is released:
+                                 // query_all may return (and its stack
+                                 // go) as soon as the count is complete.
                                  done.fetch_add(1);
                                }),
                 serve::Admission::Accepted);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/bfs.hpp"
+#include "graph/mutation.hpp"
 
 namespace volcal {
 namespace {
@@ -162,6 +169,106 @@ TEST(Bfs, ConnectedComponents) {
   EXPECT_EQ(comps.component_of[3], comps.component_of[4]);
   EXPECT_NE(comps.component_of[0], comps.component_of[2]);
   EXPECT_NE(comps.component_of[0], comps.component_of[3]);
+}
+
+// --- apply_mutation: the CSR splice against the Builder replay -------------
+
+struct Csr {
+  std::vector<std::size_t> offsets;
+  std::vector<NodeIndex> adjacency;
+  int max_degree = 0;
+
+  explicit Csr(GraphView g)
+      : offsets(g.offsets_data(), g.offsets_data() + g.node_count() + 1),
+        adjacency(g.adjacency_data(), g.adjacency_data() + 2 * g.edge_count()),
+        max_degree(g.max_degree()) {}
+
+  bool operator==(const Csr&) const = default;
+};
+
+Graph build_edges(NodeIndex n, const std::vector<std::pair<NodeIndex, NodeIndex>>& edges) {
+  Graph::Builder b(n);
+  for (const auto& [v, w] : edges) b.add_edge(v, w);
+  return std::move(b).build();
+}
+
+// The splice must equal apply_mutation_naive byte for byte, in arrays that
+// alias neither the input nor each other, and leave the input untouched.
+AppliedMutation expect_splice_matches_naive(const Graph& g, const MutationBatch& batch) {
+  const Csr before(g);
+  AppliedMutation fast = apply_mutation(g, batch);
+  const Graph naive = apply_mutation_naive(g, batch);
+  EXPECT_EQ(Csr(fast.graph), Csr(naive));
+  EXPECT_EQ(Csr(g), before);
+  EXPECT_NE(fast.graph.view().offsets_data(), g.view().offsets_data());
+  EXPECT_NE(fast.graph.view().adjacency_data(), g.view().adjacency_data());
+  return fast;
+}
+
+TEST(ApplyMutation, RewiresAtTheFirstAndLastNode) {
+  // Path 0-1-2-3-4: both ends are leaves, so the splice's first and last
+  // rows are edited as leaf, old parent and new parent in turn.
+  const Graph g = build_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  for (const LeafRewire r : {LeafRewire{0, 3}, LeafRewire{4, 0}, LeafRewire{0, 4},
+                             LeafRewire{4, 1}}) {
+    SCOPED_TRACE("leaf " + std::to_string(r.leaf) + " -> " + std::to_string(r.new_parent));
+    const AppliedMutation m = expect_splice_matches_naive(g, {{r}, {}});
+    const NodeIndex old_parent = r.leaf == 0 ? 1 : 3;
+    std::vector<NodeIndex> touched = {r.leaf, old_parent, r.new_parent};
+    std::sort(touched.begin(), touched.end());
+    EXPECT_EQ(m.touched, touched);
+  }
+  // Both ends in one batch, the second rewire landing on the first's leaf.
+  expect_splice_matches_naive(g, {{{0, 2}, {4, 0}}, {}});
+}
+
+TEST(ApplyMutation, RewireToTheSameParentMovesTheLeafToTheLastPort) {
+  const Graph g = build_edges(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
+  const AppliedMutation m = expect_splice_matches_naive(g, {{{1, 0}}, {}});
+  const auto ports = m.graph.neighbors(0);
+  EXPECT_EQ(std::vector<NodeIndex>(ports.begin(), ports.end()),
+            (std::vector<NodeIndex>{2, 3, 4, 1}));
+  EXPECT_EQ(m.touched, (std::vector<NodeIndex>{0, 1}));
+}
+
+TEST(ApplyMutation, TwoRewiresSharingAnOldParent) {
+  // Star around node 0: both rewires compact node 0's ports, and its degree
+  // (the maximum) falls from 4 to 2.
+  const Graph g = build_edges(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
+  const AppliedMutation m = expect_splice_matches_naive(g, {{{1, 2}, {3, 4}}, {}});
+  EXPECT_EQ(m.graph.max_degree(), 2);
+  EXPECT_EQ(m.touched, (std::vector<NodeIndex>{0, 1, 2, 3, 4}));
+}
+
+TEST(ApplyMutation, LabelOnlyBatchCopiesTheSameBytesIntoFreshArrays) {
+  const Graph g = build_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  const AppliedMutation m =
+      expect_splice_matches_naive(g, {{}, {{2, LabelChannel::InColor, 1}}});
+  EXPECT_EQ(Csr(m.graph), Csr(g));
+  EXPECT_TRUE(m.touched.empty());
+}
+
+TEST(ApplyMutation, BatchRejectedMidwayLeavesTheInputUntouched) {
+  // The first rewire hangs leaf 0 on node 2, so node 2 has degree 3 (not 2)
+  // when the second rewire reaches it: rewires apply in batch order.
+  const Graph g = build_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  const Csr before(g);
+  const MutationBatch batch{{{0, 2}, {2, 4}}, {}};
+  for (const bool naive : {false, true}) {
+    SCOPED_TRACE(naive ? "naive" : "splice");
+    try {
+      if (naive) {
+        (void)apply_mutation_naive(g, batch);
+      } else {
+        (void)apply_mutation(g, batch);
+      }
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("node 2 with degree 3"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(Csr(g), before);
+  }
 }
 
 }  // namespace

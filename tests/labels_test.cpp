@@ -298,6 +298,26 @@ TEST(Hierarchy, BackboneCycleDetected) {
   EXPECT_EQ(h.backbones()[0].nodes.size(), static_cast<std::size_t>(len));
 }
 
+TEST(Hierarchy, BackbonePathWalkedFromItsTail) {
+  // LC path 4 -> 3 -> 2 -> 1 -> 0 at one level: node 0 is visited first and
+  // sits at the tail, four steps from the root end, so the cycle check's
+  // two-step pointer runs off that end before the walk gets there.
+  const int len = 5;
+  Graph::Builder b(len);
+  for (int i = 0; i + 1 < len; ++i) {
+    b.add_edge_with_ports(i, i + 1, 1, i + 2 < len ? 2 : 1);  // the root end has one port
+  }
+  Graph g = std::move(b).build();
+  TreeLabeling l(len);
+  for (int i = 0; i + 1 < len; ++i) l.parent[i] = 1;
+  for (int i = 1; i + 1 < len; ++i) l.left[i] = 2;
+  l.left[len - 1] = 1;
+  Hierarchy h(g, l, 3);
+  ASSERT_EQ(h.backbones().size(), 1u);
+  EXPECT_FALSE(h.backbones()[0].is_cycle);
+  EXPECT_EQ(h.backbones()[0].nodes, (std::vector<NodeIndex>{4, 3, 2, 1, 0}));
+}
+
 // ---------------------------------------------------------------------------
 // Generator sanity
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 // executions, deterministically in (n_target, seed).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -175,6 +176,30 @@ TEST(Registry, NTargetScalesInstances) {
   const ErasedInstance small = entry->make(200, 3);
   const ErasedInstance large = entry->make(3000, 3);
   EXPECT_LT(small.node_count(), large.node_count());
+}
+
+// A batch never changes IDs: successive mutated generations share one ID
+// table, which outlives the instance it was built for; the naive reference
+// path keeps its own copy.
+TEST(Registry, MutatedGenerationsShareTheIdTable) {
+  for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
+    SCOPED_TRACE(entry.name);
+    std::optional<ErasedInstance> second;
+    std::vector<NodeId> expect;
+    {
+      const ErasedInstance inst = entry.make(300, 7);
+      const auto ids = inst.ids().span();
+      expect.assign(ids.begin(), ids.end());
+      const MutationBatch batch = inst.propose_mutation(1, 2, 2);
+      const ErasedInstance first = inst.mutated(batch);
+      second.emplace(first.mutated(first.propose_mutation(2, 2, 2)));
+      EXPECT_EQ(first.ids().span().data(), ids.data());
+      EXPECT_EQ(second->ids().span().data(), ids.data());
+      EXPECT_NE(inst.mutated_naive(batch).ids().span().data(), ids.data());
+    }
+    const auto ids = second->ids().span();
+    EXPECT_EQ(std::vector<NodeId>(ids.begin(), ids.end()), expect);
+  }
 }
 
 }  // namespace

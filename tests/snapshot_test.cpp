@@ -13,7 +13,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,31 @@ std::uint64_t u64_at(const std::vector<std::uint8_t>& b, std::size_t off) {
   std::uint64_t v = 0;
   std::memcpy(&v, b.data() + off, 8);
   return v;  // the test target is pinned little-endian by snapshot.cpp
+}
+
+// File offset of the section tagged `tag` (section table: 32-byte entries
+// after the 104-byte header; section count u32 at 68, entry offset u64 at +24).
+std::size_t section_offset(const std::vector<std::uint8_t>& b, const std::string& tag) {
+  const std::uint32_t count = b[68] | (std::uint32_t{b[69]} << 8);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::size_t e = 104 + 32 * static_cast<std::size_t>(i);
+    const char* name = reinterpret_cast<const char*>(b.data() + e);
+    if (tag == std::string(name, ::strnlen(name, 8))) return u64_at(b, e + 24);
+  }
+  ADD_FAILURE() << "no section " << tag;
+  return 0;
+}
+
+// Rewrites the header checksum (u64 at 88): FNV-1a over the payload region.
+void recompute_checksum(std::vector<std::uint8_t>& b) {
+  const std::uint64_t payload_offset = u64_at(b, 72);
+  const std::uint64_t payload_bytes = u64_at(b, 80);
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::uint64_t i = payload_offset; i < payload_offset + payload_bytes; ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  std::memcpy(b.data() + 88, &h, 8);
 }
 
 // --- the tentpole contract: write -> mmap -> execute, bit-identical ---------
@@ -196,6 +223,51 @@ TEST_F(SnapshotTest, MappedFileEdgeDiagnostics) {
     write_file(file, std::vector<std::uint8_t>(16, 0x56));
     expect_load_error(file, "truncated header");
   }
+}
+
+// --- mutating a loaded instance ----------------------------------------------
+
+// A loaded instance's ID table is adopted from the mapping.  Its first
+// mutated generation owns a copy and the second shares that copy; neither
+// needs the loaded instance, its mapping or the file to stay alive.
+TEST_F(SnapshotTest, FirstMutationCopiesAdoptedIdsAndLaterGenerationsShareThem) {
+  const ErasedInstance inst = ProblemRegistry::global().find("ball-4")->make(300, 7);
+  const std::string file = path("ids.vsnap");
+  inst.save_snapshot(file);
+  const auto ids = inst.ids().span();
+  const std::vector<NodeId> expect(ids.begin(), ids.end());
+  std::optional<ErasedInstance> second;
+  {
+    const ErasedInstance loaded = io::load_instance(file);
+    ASSERT_TRUE(loaded.ids().adopted());
+    const ErasedInstance first = loaded.mutated(loaded.propose_mutation(1, 2, 2));
+    EXPECT_FALSE(first.ids().adopted());
+    EXPECT_NE(first.ids().span().data(), loaded.ids().span().data());
+    second.emplace(first.mutated(first.propose_mutation(2, 2, 2)));
+    EXPECT_EQ(second->ids().span().data(), first.ids().span().data());
+  }
+  fs::remove(file);
+  const auto got = second->ids().span();
+  EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), expect);
+}
+
+// Loading does not check IDs for duplicates.  A snapshot whose ID section
+// repeats an ID (checksum recomputed, so it passes every load-time check) is
+// refused at its first mutation, where the adopted table is copied through
+// IdAssignment's validating constructor.
+TEST_F(SnapshotTest, DuplicateIdsFailTheFirstMutationOfALoadedInstance) {
+  const ErasedInstance inst = ProblemRegistry::global().find("leaf-coloring")->make(64, 3);
+  const std::string file = path("dup.vsnap");
+  inst.save_snapshot(file);
+  std::vector<std::uint8_t> b = read_file(file);
+  const std::size_t ids = section_offset(b, "ids");
+  std::memcpy(b.data() + ids + 8, b.data() + ids, 8);  // ids[1] = ids[0]
+  recompute_checksum(b);
+  write_file(file, b);
+
+  const ErasedInstance loaded = io::load_instance(file);
+  ASSERT_EQ(loaded.ids().id_of(1), loaded.ids().id_of(0));
+  EXPECT_THROW((void)loaded.mutated(loaded.propose_mutation(1, 2, 2)), std::invalid_argument);
 }
 
 // --- byte-layout pins --------------------------------------------------------
