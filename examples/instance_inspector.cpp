@@ -1,9 +1,7 @@
-// Instance inspector: generate (or read) an instance, print a structural
-// summary, and emit the serialized form and/or a Graphviz rendering — the
-// tooling face of the library.
+// Instance inspector: generate an instance, print a structural summary, and
+// optionally emit a Graphviz rendering — the tooling face of the library.
 //
 //   $ ./instance_inspector leafcoloring --depth 4 --dot        # DOT to stdout
-//   $ ./instance_inspector leafcoloring --depth 6 --save       # text format
 //   $ ./instance_inspector balancedtree --depth 3 --dot
 //   $ ./instance_inspector hierarchical --k 3 --b 5
 #include <cstdio>
@@ -48,7 +46,6 @@ int main(int argc, char** argv) {
   using namespace volcal;
   const char* kind = argc > 1 ? argv[1] : "leafcoloring";
   const bool dot = has_flag(argc, argv, "--dot");
-  const bool save = has_flag(argc, argv, "--save");
 
   if (std::strcmp(kind, "leafcoloring") == 0) {
     const int depth = find_arg(argc, argv, "--depth", 4);
@@ -63,13 +60,11 @@ int main(int argc, char** argv) {
     std::printf("G_T: %lld internal, %lld leaves\n", static_cast<long long>(internals),
                 static_cast<long long>(leaves));
     if (dot) std::cout << io::to_dot(inst, 127);
-    if (save) io::write_instance(std::cout, inst);
   } else if (std::strcmp(kind, "balancedtree") == 0) {
     const int depth = find_arg(argc, argv, "--depth", 3);
     auto inst = make_balanced_instance(depth);
     summarize(inst);
     if (dot) std::cout << io::to_dot(inst, 127);
-    if (save) io::write_instance(std::cout, inst);
   } else if (std::strcmp(kind, "hierarchical") == 0) {
     const int k = find_arg(argc, argv, "--k", 3);
     const NodeIndex b = find_arg(argc, argv, "--b", 5);

@@ -1,19 +1,11 @@
-// One-call instance persistence over both on-disk formats.
+// One-call instance loading: the single place an instance file enters the
+// program.
 //
-// The repo has two serialized instance forms:
-//   * the line-oriented text format (io/serialize.hpp) — human-diffable,
-//     writers exist for the families with a natural text shape;
-//   * the versioned binary snapshot (io/snapshot.hpp) — the zero-copy,
-//     mmap-loadable form volcal_gen produces and the bench/fuzz tools load.
-//
-// load_instance() sniffs the format from the file header (snapshot magic vs
-// the text magic line), parses it, and rehydrates the recorded family's
-// solver/verifier wiring via lcl/registry's erase_instance — so callers get
-// a ready-to-execute ErasedInstance regardless of which format the file is.
-//
-// This header (re-exported as volcal/io.hpp) is the intended include for
-// instance persistence; direct includes of io/serialize.hpp are deprecated
-// outside the io layer itself (see DESIGN.md, deprecation ledger).
+// The on-disk form of an instance is the versioned binary snapshot
+// (io/snapshot.hpp).  load_instance() maps and validates it, then rehydrates
+// the recorded family's solver/verifier wiring via lcl/registry's
+// load_snapshot_instance, so callers get a ready-to-execute ErasedInstance.
+// Writers call ErasedInstance::save_snapshot.
 #pragma once
 
 #include <string>
@@ -23,24 +15,10 @@
 
 namespace volcal::io {
 
-enum class InstanceFormat {
-  snapshot,  // binary snapshot (io/snapshot.hpp)
-  text,      // line-oriented text (io/serialize.hpp)
-};
-
-// Sniffs the serialized format at `path` from its leading bytes.  Throws
-// SnapshotError when the file is unreadable or matches neither header.
-InstanceFormat sniff_format(const std::string& path);
-
-// Loads either format into an executable ErasedInstance of its recorded
-// family.  Snapshot loads are zero-copy for the CSR graph and ID table (the
-// instance keeps the mapping alive); text loads parse into owned storage.
+// Loads the snapshot at `path` into an executable ErasedInstance of its
+// recorded family.  The CSR graph and ID table stay zero-copy views into the
+// mapping (the instance keeps it alive).  Throws SnapshotError when the file
+// is missing, unreadable or not a valid snapshot.
 ErasedInstance load_instance(const std::string& path);
-
-// Saves in the requested format.  InstanceFormat::text throws
-// std::invalid_argument for families without a text form
-// (inst.has_text_format() == false); the snapshot form covers every family.
-void save_instance(const ErasedInstance& inst, const std::string& path,
-                   InstanceFormat format = InstanceFormat::snapshot);
 
 }  // namespace volcal::io

@@ -225,9 +225,7 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 }  // namespace
 
-Snapshot Snapshot::load(const std::string& path) { return load(path, Options{}); }
-
-Snapshot Snapshot::load(const std::string& path, Options opts) {
+Snapshot Snapshot::load(const std::string& path) {
   Snapshot snap;
   snap.path_ = path;
   snap.map_ = MappedFile::map(path);
@@ -255,6 +253,7 @@ Snapshot Snapshot::load(const std::string& path, Options opts) {
   snap.node_count_ = node_count;
   snap.adjacency_count_ = get_u64(base + 56);
   snap.max_degree_ = static_cast<int>(get_u32(base + 64));
+  if (snap.max_degree_ < 0) fail(path, "negative max_degree");
 
   const std::uint32_t section_count = get_u32(base + 68);
   const std::uint64_t payload_offset = get_u64(base + 72);
@@ -288,22 +287,41 @@ Snapshot Snapshot::load(const std::string& path, Options opts) {
     snap.sections_.push_back(std::move(s));
   }
 
-  if (opts.verify_checksum &&
-      fnv1a(kFnvBasis, base + payload_offset, static_cast<std::size_t>(payload_bytes)) !=
-          checksum) {
+  if (fnv1a(kFnvBasis, base + payload_offset, static_cast<std::size_t>(payload_bytes)) !=
+      checksum) {
     fail(path, "checksum mismatch (corrupt payload)");
   }
 
-  // Structural invariants of the CSR sections (O(1); deep validation is
-  // volcal_gen --validate's job, payload corruption is the checksum's).
+  // Structural invariants of the CSR sections, O(n + m).  The checksum only
+  // detects accidental corruption; a file written with a bad CSR passes it,
+  // and the engine indexes `adj` by these offsets and node arrays by these
+  // entries without further checks.  Port symmetry and label domains are not
+  // checked here.
   const auto n = static_cast<std::uint64_t>(snap.node_count_);
   const Section& offsets = snap.require("offsets", 8, n + 1);
-  snap.require("adj", 8, snap.adjacency_count_);
+  const Section& adjacency = snap.require("adj", 8, snap.adjacency_count_);
   snap.require("ids", 8, n);
-  const auto* off =
-      reinterpret_cast<const std::size_t*>(base + offsets.offset);
+  const auto* off = reinterpret_cast<const std::size_t*>(base + offsets.offset);
   if (off[0] != 0 || off[n] != snap.adjacency_count_) {
     fail(path, "inconsistent CSR offsets");
+  }
+  const auto max_degree = static_cast<std::uint64_t>(snap.max_degree_);
+  for (std::uint64_t v = 0; v < n; ++v) {
+    if (off[v + 1] < off[v]) {
+      fail(path, "CSR offsets decrease at node " + std::to_string(v));
+    }
+    if (off[v + 1] - off[v] > max_degree) {
+      fail(path, "node " + std::to_string(v) + " has degree " +
+                     std::to_string(off[v + 1] - off[v]) + " above max_degree " +
+                     std::to_string(max_degree));
+    }
+  }
+  const auto* adj = reinterpret_cast<const NodeIndex*>(base + adjacency.offset);
+  for (std::uint64_t i = 0; i < snap.adjacency_count_; ++i) {
+    if (static_cast<std::uint64_t>(adj[i]) >= n) {
+      fail(path, "adjacency entry " + std::to_string(i) + " (" + std::to_string(adj[i]) +
+                     ") outside [0, " + std::to_string(n) + ")");
+    }
   }
   return snap;
 }
@@ -402,16 +420,6 @@ void write_snapshot(const std::string& path, std::string_view family,
   sections.push_back({"levelin", 4, h.level_in.size(), h.level_in.data()});
   sections.push_back({"side", 1, inst.labels.side.size(), inst.labels.side.data()});
   write_snapshot_file(path, family, inst.graph, inst.ids.span(), sections);
-}
-
-bool sniff_snapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char head[sizeof(kSnapshotMagic)];
-  const bool ok = std::fread(head, 1, sizeof(head), f) == sizeof(head) &&
-                  std::memcmp(head, kSnapshotMagic, sizeof(head)) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace volcal::io

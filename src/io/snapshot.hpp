@@ -100,15 +100,11 @@ class MappedFile {
 // views into the mapping (see the lifetime contract above).
 class Snapshot {
  public:
-  struct Options {
-    // Verify the payload checksum on load.  On by default — a corrupt
-    // snapshot must never reach the engine; the bench's load phase includes
-    // this cost deliberately (it is part of an honest load path).
-    bool verify_checksum = true;
-  };
-
+  // Maps `path` and validates it: header, section table, payload checksum,
+  // and the CSR's structure (monotone offsets, degrees within max_degree,
+  // adjacency entries in [0, n)).  Throws SnapshotError naming the first
+  // violation, so the CSR of a loaded snapshot never indexes outside itself.
   static Snapshot load(const std::string& path);
-  static Snapshot load(const std::string& path, Options opts);
 
   const std::string& path() const { return path_; }
   const std::string& family() const { return family_; }
@@ -163,9 +159,5 @@ void write_snapshot(const std::string& path, std::string_view family,
                     const HybridInstance& inst);
 void write_snapshot(const std::string& path, std::string_view family,
                     const HHInstance& inst);
-
-// True iff `path` exists and begins with the snapshot magic (format sniffing
-// for io::load_instance; never throws).
-bool sniff_snapshot(const std::string& path);
 
 }  // namespace volcal::io

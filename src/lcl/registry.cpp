@@ -6,11 +6,6 @@
 #include <span>
 #include <utility>
 
-// This file *is* part of the io consolidation surface (it wires the text and
-// snapshot serializers into the erased instances), so the direct include is
-// intentional; everyone else goes through volcal/io.hpp.
-#define VOLCAL_ALLOW_DIRECT_SERIALIZE_INCLUDE
-#include "io/serialize.hpp"
 #include "io/snapshot.hpp"
 #include "labels/generators.hpp"
 #include "labels/label_mutation.hpp"
@@ -231,11 +226,6 @@ ErasedInstance erase(std::string family, std::shared_ptr<Held<Labels, Problem>> 
   impl.save_snapshot = [held, family](const std::string& path) {
     io::write_snapshot(path, family, held->inst);
   };
-  if constexpr (requires(std::ostream& os, const Instance<Labels>& i) {
-                  io::write_instance(os, i);
-                }) {
-    impl.save_text = [held](std::ostream& os) { io::write_instance(os, held->inst); };
-  }
   // Dynamic-graph hooks.  Each returned instance re-enters erase_instance, so
   // a mutation of a mutation is wired exactly like the original — and the new
   // Held owns a fresh graph and labels with no retainer chained to the old
@@ -296,8 +286,8 @@ NodeIndex backbone_for(int k, NodeIndex n_target) {
 // --- per-family wiring ------------------------------------------------------
 //
 // One function per registry family, taking an already built typed instance.
-// Generators, the text reader, and the snapshot loader all funnel through
-// these, so every path yields identically wired ErasedInstances.
+// Generators and the snapshot loader both funnel through these, so every
+// path yields identically wired ErasedInstances.
 
 [[noreturn]] void unknown_family(std::string_view family, const char* labels) {
   throw std::invalid_argument("erase_instance: family '" + std::string(family) +
@@ -483,7 +473,7 @@ ProblemRegistry::ProblemRegistry() {
   // variant 0, so the canonical shapes are unchanged.  Each non-canonical
   // variant reuses a generator whose solver/verifier compatibility is pinned
   // by that family's unit tests.  Solver/verifier wiring lives in the
-  // erase_instance overloads above, shared with the snapshot/text loaders.
+  // erase_instance overloads above, shared with the snapshot loader.
   auto add = [this](RegistryEntry e) {
     auto mv = e.make_variant;
     e.make = [mv](NodeIndex n_target, std::uint64_t seed) { return mv(n_target, seed, 0); };

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -49,14 +48,12 @@ class ErasedInstance {
     std::function<int(Execution&)> solve;
     std::function<int(obs::TracedExecution&)> solve_traced;
     std::function<VerifyResult(const std::vector<int>&)> verify;
-    // Serializers for the held typed instance; save_text is null for
-    // families without a text form (the binary snapshot covers everything).
+    // Writes the held typed instance as a binary snapshot.
     std::function<void(const std::string& path)> save_snapshot;
-    std::function<void(std::ostream& os)> save_text;
     // Dynamic-graph hooks (graph/mutation.hpp), installed by the one erase()
-    // wiring point so generated, text-loaded and snapshot-loaded instances
-    // all mutate identically.  `mutate` applies a batch copy-on-write and
-    // returns a freshly wired instance (optionally reporting the structural
+    // wiring point so generated and snapshot-loaded instances all mutate
+    // identically.  `mutate` applies a batch copy-on-write and returns a
+    // freshly wired instance (optionally reporting the structural
     // endpoints); `mutate_naive` is the Builder-based reference path the
     // differential harness compares against; `propose_mutation` draws a
     // deterministic in-domain batch for fuzzing and load generation.
@@ -78,10 +75,6 @@ class ErasedInstance {
   // Writes the instance as a versioned binary snapshot (io/snapshot.hpp);
   // io::load_instance() round-trips it into an equivalent ErasedInstance.
   void save_snapshot(const std::string& path) const { impl_.save_snapshot(path); }
-
-  // The line-oriented text form (io/serialize.hpp), where the family has one.
-  bool has_text_format() const { return static_cast<bool>(impl_.save_text); }
-  void save_text(std::ostream& os) const { impl_.save_text(os); }
 
   // The family's upper-bound algorithm from one start node; the returned int
   // is the encoded output label (encoding is entry-private — only verify()
@@ -168,9 +161,9 @@ struct RegistryEntry {
       make_variant;
 };
 
-// Wraps an externally built typed instance (text reader, snapshot loader,
-// tests) in the named family's solver/verifier machinery — the same closures
-// the family's generator path installs.  Throws std::invalid_argument if the
+// Wraps an externally built typed instance (snapshot loader, tests) in the
+// named family's solver/verifier machinery — the same closures the family's
+// generator path installs.  Throws std::invalid_argument if the
 // family is unknown or uses a different labeling type.  `keep_alive` is
 // retained for the instance's lifetime (the snapshot loader parks the file
 // mapping here; see io/snapshot.hpp for the adoption contract).

@@ -201,9 +201,7 @@ EnvFingerprint env_from_json(const JsonValue& v) {
   env.build_type = v.string_at("build_type");
   env.os = v.string_at("os");
   env.threads = static_cast<int>(v.int_at("threads", 1));
-  // Pre-backend artifacts (through PR 5) predate the plan layer: every sweep
-  // ran per-start, so the tolerant default is "basic".
-  env.backend = v.string_at("backend", "basic");
+  env.backend = v.string_at("backend");
   return env;
 }
 
@@ -230,8 +228,7 @@ std::optional<BenchArtifact> BenchArtifact::from_json(const JsonValue& doc,
   if (!doc.has("schema_version")) return fail("missing schema_version");
   BenchArtifact a;
   a.schema_version = static_cast<int>(doc.int_at("schema_version"));
-  if (a.schema_version < kMinArtifactSchemaVersion ||
-      a.schema_version > kArtifactSchemaVersion) {
+  if (a.schema_version != kArtifactSchemaVersion) {
     return fail("unsupported schema_version " + std::to_string(a.schema_version));
   }
   a.kind = doc.string_at("kind");
@@ -268,7 +265,6 @@ std::optional<BenchArtifact> BenchArtifact::from_json(const JsonValue& doc,
       a.phases.push_back({pv.string_at("name"), pv.number_at("wall_seconds")});
     }
   }
-  // Absent in v1 artifacts: the defaults (zeros, policy Off) are correct.
   if (const JsonValue* cache = doc.find("cache")) {
     CachePolicy policy = CachePolicy::Off;
     CacheConfig::policy_from_name(cache->string_at("policy").c_str(), &policy);
@@ -378,8 +374,7 @@ std::optional<BenchSummary> BenchSummary::load(const std::string& path, std::str
   if (doc.string_at("kind") != "bench-summary") return fail("not a bench-summary artifact");
   BenchSummary s;
   s.schema_version = static_cast<int>(doc.int_at("schema_version"));
-  if (s.schema_version < kMinArtifactSchemaVersion ||
-      s.schema_version > kArtifactSchemaVersion) {
+  if (s.schema_version != kArtifactSchemaVersion) {
     return fail("unsupported schema_version " + std::to_string(s.schema_version));
   }
   s.tool = doc.string_at("tool");

@@ -13,11 +13,11 @@
 //     "family": "...", "title": "...",    // bench-family only: registry
 //     "theta": "...", "algorithm": "...", //   metadata (Θ-claims included)
 //     "env": {"git_sha", "compiler", "flags", "build_type", "os", "threads",
-//             "backend"},                      // v2: plan execution backend
+//             "backend"},                      // plan execution backend
 //     "curves": [{"name", "claim", "fitted", "exponent", "r_squared",
 //                 "points": [{"n", "cost", "wall_seconds"}, ...]}, ...],
 //     "phases": [{"name", "wall_seconds"}, ...],
-//     "cache": {"policy", "hits", "misses", "evictions",   // v2: answer-reuse
+//     "cache": {"policy", "hits", "misses", "evictions",   // answer-reuse
 //               "served_nodes", "inserted_bytes"},         //   counters
 //     "serve": {"accepted", "completed", "shed", "invalid", "swaps",
 //               "latency_samples", "p50_ns", "p95_ns", "p99_ns", "mean_ns",
@@ -37,9 +37,7 @@
 //     "families": [...]                   // bench-summary only: embedded
 //   }                                     //   bench-family artifacts
 //
-// v1 artifacts (no "cache" block) still load — the reader defaults the
-// counters to zero with policy "off", which is exactly what a v1-era run
-// measured.
+// Readers accept exactly schema v2; any layout change bumps the version.
 //
 // Determinism contract: "n", "cost", "fitted", "exponent", "r_squared" and
 // the curve/point ordering are pure functions of the code (the sweep engine
@@ -63,8 +61,6 @@
 namespace volcal::perf {
 
 inline constexpr int kArtifactSchemaVersion = 2;
-// Oldest artifact version the readers still accept (v1 = no "cache" block).
-inline constexpr int kMinArtifactSchemaVersion = 1;
 
 struct CurvePoint {
   double n = 0.0;
@@ -167,8 +163,8 @@ struct BenchArtifact {
   std::vector<ArtifactCurve> curves;
   std::vector<PhaseTimer::Phase> phases;
   // Answer-reuse counters accumulated over the tool's measured sweeps, or the
-  // answer memo's for serve runs (schema v2; zeros with policy Off for v1
-  // artifacts and runs without reuse).
+  // answer memo's for serve runs (zeros with policy Off for runs without
+  // reuse).
   CacheStats cache;
   // Query-service block — present only for serve/load runs.
   std::optional<ServeStatsBlock> serve;

@@ -108,15 +108,6 @@ void diff_artifact(const BenchArtifact& base, const BenchArtifact& cand,
                    const DiffOptions& opt, DiffResult& out) {
   using Sev = DiffFinding::Severity;
   const std::string key = artifact_key(base);
-  // The reader normalizes every supported version into one struct (v1
-  // artifacts read as v2 with zero cache counters), so a version change is
-  // informational — the deterministic fields below are still compared 1:1.
-  if (base.schema_version != cand.schema_version) {
-    add(out, Sev::Note, key,
-        fmt("schema_version changed %d -> %d (cross-version diff; cache counters "
-            "default to zero on the older side)",
-            base.schema_version, cand.schema_version));
-  }
   if (base.env.compiler != cand.env.compiler || base.env.build_type != cand.env.build_type) {
     add(out, Sev::Note, key,
         "env differs: " + base.env.compiler + "/" + base.env.build_type + " vs " +

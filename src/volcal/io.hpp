@@ -1,15 +1,10 @@
-// volcal/io.hpp — instance persistence: binary snapshots, the text format,
-// and the format-sniffing load_instance/save_instance entry points.
+// volcal/io.hpp — instance persistence and export.
 //
-//   io/instance_io.hpp  load_instance / save_instance / sniff_format
+//   io/instance_io.hpp  load_instance: the one entry point for instance files
 //   io/snapshot.hpp     versioned binary snapshots + mmap GraphView loader
-//   io/serialize.hpp    the text layer's typed writers/readers + DOT export
-//                       (re-exported here; direct includes are deprecated —
-//                       DESIGN.md, deprecation ledger)
+//   io/dot.hpp          Graphviz rendering of the claimed structure
 #pragma once
 
+#include "io/dot.hpp"
 #include "io/instance_io.hpp"
 #include "io/snapshot.hpp"
-
-#define VOLCAL_ALLOW_DIRECT_SERIALIZE_INCLUDE
-#include "io/serialize.hpp"

@@ -2,7 +2,7 @@
 //
 //   volcal/runtime.hpp   graphs, executions, sweep engine, answer memo
 //   volcal/problems.hpp  LCL formalization, instance generators, registry
-//   volcal/io.hpp        instance persistence: snapshots + text + sniffing
+//   volcal/io.hpp        instance persistence: snapshots, load_instance, DOT
 //   volcal/bench.hpp     observability, perf artifacts, growth fitting
 //
 // Include the narrower umbrella when the translation unit only needs one

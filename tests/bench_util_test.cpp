@@ -18,7 +18,9 @@ void expect_valid_sample(NodeIndex n, NodeIndex count) {
   ASSERT_FALSE(starts.empty());
   EXPECT_LE(starts.size(), static_cast<std::size_t>(count));
   EXPECT_EQ(starts.front(), 0);
-  if (count >= 2) EXPECT_EQ(starts.back(), n - 1);
+  if (count >= 2) {
+    EXPECT_EQ(starts.back(), n - 1);
+  }
   EXPECT_TRUE(std::is_sorted(starts.begin(), starts.end()));
   EXPECT_EQ(std::adjacent_find(starts.begin(), starts.end()), starts.end()) << "duplicates";
   for (const NodeIndex v : starts) EXPECT_LT(v, n);

@@ -123,6 +123,13 @@ TEST(Artifact, FromJsonRejectsWrongSchemaAndMissingKeys) {
   const JsonValue missing = parse_json(R"({"kind": "bench-report"})", &err);
   ASSERT_TRUE(missing.is_object());
   EXPECT_FALSE(BenchArtifact::from_json(missing, &err).has_value());
+
+  // Readers accept exactly the current schema: a v1 document is rejected.
+  const JsonValue v1 = parse_json(
+      R"({"schema_version": 1, "kind": "bench-report", "tool": "t", "curves": []})", &err);
+  ASSERT_TRUE(v1.is_object());
+  EXPECT_FALSE(BenchArtifact::from_json(v1, &err).has_value());
+  EXPECT_NE(err.find("unsupported schema_version 1"), std::string::npos) << err;
 }
 
 TEST(Artifact, FileRoundTrip) {
@@ -193,7 +200,7 @@ TEST(Probe, PhaseScopeRecordsElapsedTime) {
   {
     auto s = t.scope("work");
     volatile double sink = 0;
-    for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+    for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
   }
   ASSERT_EQ(t.phases().size(), 1u);
   EXPECT_GT(t.phases()[0].wall_seconds, 0.0);

@@ -110,7 +110,6 @@ TEST_F(SnapshotTest, EveryFamilyRoundTripsBitIdenticallyOnBothBackends) {
     const ErasedInstance inst = entry.make(300, 7);
     const std::string file = path(entry.name + ".vsnap");
     inst.save_snapshot(file);
-    ASSERT_EQ(io::sniff_format(file), io::InstanceFormat::snapshot);
     const ErasedInstance loaded = io::load_instance(file);
 
     ASSERT_EQ(loaded.family(), entry.name);
@@ -196,6 +195,37 @@ TEST_F(SnapshotTest, RejectsCorruptHeadersAndPayloads) {
     bad[bad.size() - 1] ^= 1;
     write_file(file, bad);
     expect_load_error(file, "checksum mismatch");
+  }
+  // A re-checksummed payload with a broken CSR passes the checksum; the
+  // structural pass must reject it before the engine indexes through it.
+  {  // adjacency entry far outside [0, n)
+    std::vector<std::uint8_t> bad = good;
+    const std::uint64_t far = std::uint64_t{1} << 40;
+    std::memcpy(bad.data() + section_offset(bad, "adj"), &far, 8);
+    recompute_checksum(bad);
+    write_file(file, bad);
+    expect_load_error(file, "adjacency entry 0 (1099511627776) outside [0, ");
+  }
+  {  // offsets[2] < offsets[1]
+    std::vector<std::uint8_t> bad = good;
+    const std::size_t off = section_offset(bad, "offsets");
+    const std::uint64_t lowered = u64_at(bad, off + 8) - 1;
+    std::memcpy(bad.data() + off + 16, &lowered, 8);
+    recompute_checksum(bad);
+    write_file(file, bad);
+    expect_load_error(file, "CSR offsets decrease at node 1");
+  }
+  {  // header max_degree below the largest degree
+    std::vector<std::uint8_t> bad = good;
+    bad[64] -= 1;
+    write_file(file, bad);
+    expect_load_error(file, "above max_degree");
+  }
+  {  // header max_degree with the sign bit set
+    std::vector<std::uint8_t> bad = good;
+    bad[67] = 0x80;
+    write_file(file, bad);
+    expect_load_error(file, "negative max_degree");
   }
   {  // intact bytes still load (the victim file was not the problem)
     write_file(file, good);
@@ -379,47 +409,13 @@ TEST(GraphViewAdopt, AdoptedGraphDelegatesAndThrowsIdentically) {
             message_of([&] { (void)owned.neighbor(-1, 1); }));
 }
 
-// --- io consolidation: sniffing + the text path ------------------------------
+// --- io::load_instance: the one entry point for instance files -------------
 
-TEST_F(SnapshotTest, LoadInstanceSniffsTextAndSnapshotForms) {
-  const ErasedInstance inst = ProblemRegistry::global().find("leaf-coloring")->make(64, 5);
-
-  const std::string text_file = path("inst.txt");
-  ASSERT_TRUE(inst.has_text_format());
-  io::save_instance(inst, text_file, io::InstanceFormat::text);
-  EXPECT_EQ(io::sniff_format(text_file), io::InstanceFormat::text);
-
-  const std::string snap_file = path("inst.vsnap");
-  io::save_instance(inst, snap_file);  // snapshot is the default form
-  EXPECT_EQ(io::sniff_format(snap_file), io::InstanceFormat::snapshot);
-  EXPECT_TRUE(io::sniff_snapshot(snap_file));
-  EXPECT_FALSE(io::sniff_snapshot(text_file));
-
-  // Both forms rehydrate through the same entry point into equivalent
-  // instances: identical whole-graph outputs.
-  const ErasedInstance from_text = io::load_instance(text_file);
-  const ErasedInstance from_snap = io::load_instance(snap_file);
-  EXPECT_EQ(from_text.family(), inst.family());
-  EXPECT_EQ(from_snap.family(), inst.family());
-  const auto expect = run_at_all_nodes(inst.graph(), inst.ids(),
-                                       [&](Execution& e) { return inst.solve(e); });
-  const auto got_text = run_at_all_nodes(from_text.graph(), from_text.ids(),
-                                         [&](Execution& e) { return from_text.solve(e); });
-  const auto got_snap = run_at_all_nodes(from_snap.graph(), from_snap.ids(),
-                                         [&](Execution& e) { return from_snap.solve(e); });
-  EXPECT_EQ(expect.output, got_text.output);
-  EXPECT_EQ(expect.output, got_snap.output);
-
-  // Garbage is neither format.
+TEST_F(SnapshotTest, LoadInstanceRejectsJunkAndMissingFiles) {
   const std::string junk = path("junk.bin");
   write_file(junk, {0xde, 0xad, 0xbe, 0xef});
-  EXPECT_THROW((void)io::sniff_format(junk), io::SnapshotError);
-
-  // HH has no text writer — save_instance must say so, not write garbage.
-  const ErasedInstance hh = ProblemRegistry::global().find("hh-2-3")->make(200, 5);
-  EXPECT_FALSE(hh.has_text_format());
-  EXPECT_THROW(io::save_instance(hh, path("hh.txt"), io::InstanceFormat::text),
-               std::invalid_argument);
+  EXPECT_THROW((void)io::load_instance(junk), io::SnapshotError);
+  EXPECT_THROW((void)io::load_instance(path("missing.vsnap")), io::SnapshotError);
 }
 
 TEST_F(SnapshotTest, EraseInstanceRejectsUnknownFamilies) {

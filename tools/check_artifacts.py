@@ -36,7 +36,6 @@ import math
 import sys
 
 ARTIFACT_SCHEMA_VERSION = 2
-MIN_ARTIFACT_SCHEMA_VERSION = 1  # v1 = no "cache" block
 CACHE_POLICIES = ("off", "shared")
 CACHE_COUNTERS = ("hits", "misses", "evictions", "served_nodes",
                   "inserted_bytes")
@@ -95,11 +94,8 @@ def check_histogram(hist, where):
 
 def check_schema_version(doc, where):
     v = doc.get("schema_version")
-    check(isinstance(v, int)
-          and MIN_ARTIFACT_SCHEMA_VERSION <= v <= ARTIFACT_SCHEMA_VERSION,
-          f"{where}: schema_version {v} outside supported range "
-          f"[{MIN_ARTIFACT_SCHEMA_VERSION}, {ARTIFACT_SCHEMA_VERSION}]")
-    return v
+    check(isinstance(v, int) and v == ARTIFACT_SCHEMA_VERSION,
+          f"{where}: schema_version {v!r} != {ARTIFACT_SCHEMA_VERSION}")
 
 
 def check_cache_block(doc, where):
@@ -202,7 +198,7 @@ def check_mutate_block(doc, where, required=False):
 
 
 def check_artifact_body(doc, where, kind, monotone_n):
-    """Shared checks for the canonical perf artifact (schema v1/v2).
+    """Shared checks for the canonical perf artifact (schema v2).
 
     `monotone_n` enforces a strictly increasing n-sweep per curve — required
     for bench-family artifacts (volcal_bench's doubling sweep), but not for
@@ -212,21 +208,15 @@ def check_artifact_body(doc, where, kind, monotone_n):
     require_keys(doc, ["schema_version", "kind", "tool", "env", "curves",
                        "phases", "alloc", "rss_high_water_kb",
                        "total_wall_seconds"], where)
-    version = check_schema_version(doc, where)
-    if version == 2:
-        check_cache_block(doc, where)
+    check_schema_version(doc, where)
+    check_cache_block(doc, where)
     check(doc.get("kind") == kind,
           f"{where}: kind {doc.get('kind')!r} != {kind!r}")
     require_keys(doc.get("env", {}),
                  ["git_sha", "compiler", "flags", "build_type", "os",
-                  "threads"], f"{where} env")
-    if version == 2:
-        # v2 artifacts stamp the plan execution backend; v1 readers default
-        # it to "basic".
-        require_keys(doc.get("env", {}), ["backend"], f"{where} env")
-        check(doc.get("env", {}).get("backend") in BACKENDS,
-              f"{where} env: unknown backend "
-              f"{doc.get('env', {}).get('backend')!r}")
+                  "threads", "backend"], f"{where} env")
+    check(doc.get("env", {}).get("backend") in BACKENDS,
+          f"{where} env: unknown backend {doc.get('env', {}).get('backend')!r}")
     check(isinstance(doc.get("curves"), list) and doc["curves"],
           f"{where}: 'curves' must be a non-empty list")
     for curve in doc.get("curves", []):

@@ -12,9 +12,11 @@
 // With --snapshot-dir, each sweep point first looks for the volcal_gen
 // snapshot <dir>/<family>-t<target>-s<seed>.vsnap and mmap-loads it instead
 // of regenerating; the wall time lands in a "load" phase (vs "generate"), so
-// schema-v2 artifacts record the load-vs-generate comparison directly.  Cost
-// curves are identical either way — snapshots round-trip bit-identically —
-// which is what lets sweeps extend past RAM-comfortable generator sizes.
+// schema-v2 artifacts record the load-vs-generate comparison directly.  A
+// missing file falls back to generating; a file that is present but not a
+// valid snapshot fails the run (exit 1).  Cost curves are identical either
+// way — snapshots round-trip bit-identically — which is what lets sweeps
+// extend past RAM-comfortable generator sizes.
 //
 // Usage: volcal_bench [--out-dir DIR] [--seed S] [--snapshot-dir DIR]
 //                     [bench::Args flags]
@@ -23,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -54,9 +57,15 @@ perf::BenchArtifact run_family(const RegistryEntry& entry, std::int64_t max_n,
   art.theta = entry.theta;
   art.algorithm = entry.algorithm;
 
-  perf::ArtifactCurve volume{.name = "volume", .claim = entry.theta};
-  perf::ArtifactCurve distance{.name = "distance", .claim = entry.theta};
-  perf::ArtifactCurve queries{.name = "queries", .claim = entry.theta};
+  auto claimed_curve = [&entry](const char* name) {
+    perf::ArtifactCurve c;
+    c.name = name;
+    c.claim = entry.theta;
+    return c;
+  };
+  perf::ArtifactCurve volume = claimed_curve("volume");
+  perf::ArtifactCurve distance = claimed_curve("distance");
+  perf::ArtifactCurve queries = claimed_curve("queries");
 
   const perf::AllocStats alloc_base = perf::alloc_snapshot();
   perf::PhaseTimer phases;
@@ -70,7 +79,7 @@ perf::BenchArtifact run_family(const RegistryEntry& entry, std::int64_t max_n,
         const std::string snap = snapshot_dir + "/" + entry.name + "-t" +
                                  std::to_string(target) + "-s" + std::to_string(seed) +
                                  ".vsnap";
-        if (io::sniff_snapshot(snap)) {
+        if (std::filesystem::exists(snap)) {
           auto scope = phases.scope("load");
           return io::load_instance(snap);
         }
@@ -204,4 +213,11 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace volcal::bench
 
-int main(int argc, char** argv) { return volcal::bench::run(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return volcal::bench::run(argc, argv);
+  } catch (const volcal::io::SnapshotError& e) {
+    std::fprintf(stderr, "volcal_bench: cannot load instance: %s\n", e.what());
+    return 1;
+  }
+}
