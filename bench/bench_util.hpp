@@ -374,15 +374,6 @@ inline void print_header(const std::string& title) {
 
 inline std::string json_escape(const std::string& s) { return perf::json_escape(s); }
 
-// Returns the argument of `--json <path>` (or `--json=<path>`), else nullptr.
-inline const char* json_path_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) return argv[i + 1];
-    if (std::strncmp(argv[i], "--json=", 7) == 0) return argv[i] + 7;
-  }
-  return nullptr;
-}
-
 // The canonical telemetry emitter behind every bench main's --json flag.
 // Collects named curves (with the paper's Θ-claim where the caller has one)
 // and per-section phase timings, and serializes the versioned

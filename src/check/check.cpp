@@ -880,4 +880,13 @@ CheckResult check_mutation_case(const FuzzCase& c) {
   return {};
 }
 
+CheckResult check_all(const FuzzCase& c) {
+  CheckResult r = check_case(c);
+  if (r.ok) r = check_cache_case(c);
+  if (r.ok) r = check_backend_case(c);
+  if (r.ok) r = check_snapshot_case(c);
+  if (r.ok) r = check_mutation_case(c);
+  return r;
+}
+
 }  // namespace volcal::check

@@ -77,7 +77,6 @@ CheckResult check_case(const FuzzCase& c);
 // in outputs, per-start costs and aggregate costs (truncation included) to
 // the sweep that executes every start, with every repeat counted as reused;
 // a traced sweep on a reusing runner must execute and trace every start.
-// Run by the driver when --cache is set.
 CheckResult check_cache_case(const FuzzCase& c);
 
 // Backend differential (plan/probe_plan.hpp + runtime/batched_execution.hpp):
@@ -87,7 +86,7 @@ CheckResult check_cache_case(const FuzzCase& c);
 // sweep stats are tagged with the right plan/backend, that every start is
 // accounted for exactly once by the batch and reuse counters on batchable
 // plans, and that a budgeted/taped sweep (batched-ineligible) falls back to
-// the basic path bit-identically.  Run by the driver when --backend is set.
+// the basic path bit-identically.
 CheckResult check_backend_case(const FuzzCase& c);
 
 // Snapshot round-trip differential (io/snapshot.hpp): the case's instance
@@ -98,7 +97,7 @@ CheckResult check_backend_case(const FuzzCase& c);
 // Two mutated generations of the loaded instance (whose ID table is adopted
 // from the mapping: the first generation copies it, the second shares the
 // copy) must equal the same generations of the in-RAM instance in CSR bytes,
-// IDs, outputs and costs.  Run by volcal_fuzz when --snapshot is set.
+// IDs, outputs and costs.
 CheckResult check_snapshot_case(const FuzzCase& c);
 
 // Dynamic-graph differential (graph/mutation.hpp + AnswerMemo::
@@ -111,9 +110,13 @@ CheckResult check_snapshot_case(const FuzzCase& c);
 // also certifies the answer memo: with every node's answer memoized on the
 // old graph, the batch's region eviction must account for every answer
 // (evicted + retained == warm), evict each changed node's own answer, and
-// keep only answers equal to a cold run on the mutated instance.  Run by the
-// driver when --mutate is set.
+// keep only answers equal to a cold run on the mutated instance.
 CheckResult check_mutation_case(const FuzzCase& c);
+
+// The one predicate every fuzz case, replayed reproducer and corpus pin
+// runs: check_case, then the answer-reuse, backend, snapshot and mutation
+// differentials, stopping at the first failure.
+CheckResult check_all(const FuzzCase& c);
 
 // Model <-> name, shared by the reproducer format and the driver's output.
 const char* model_name(RandomnessModel m);

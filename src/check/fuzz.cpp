@@ -169,18 +169,8 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     report.failures.push_back(std::move(f));
     return report;
   }
-  // With --cache / --backend / --snapshot / --mutate every case additionally
-  // runs the cache-policy / execution-backend / snapshot round-trip /
-  // dynamic-graph differential; shrinking uses the same combined predicate so
-  // minimized cases still fail for the reported reason.
-  const auto predicate = [&opts](const FuzzCase& candidate) -> CheckResult {
-    CheckResult r = check_case(candidate);
-    if (r.ok && opts.cache) r = check_cache_case(candidate);
-    if (r.ok && opts.backend) r = check_backend_case(candidate);
-    if (r.ok && opts.snapshot) r = check_snapshot_case(candidate);
-    if (r.ok && opts.mutate) r = check_mutation_case(candidate);
-    return r;
-  };
+  // Checking and shrinking use the same predicate, so minimized cases still
+  // fail for the reported reason.
   for (int iter = 0; iter < opts.iters; ++iter) {
     const RegistryEntry& entry =
         *families[static_cast<std::size_t>(iter) % families.size()];
@@ -189,7 +179,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     if (opts.log_cases) {
       std::fprintf(stderr, "[fuzz %4d] %s\n", iter, describe(c).c_str());
     }
-    const CheckResult result = predicate(c);
+    const CheckResult result = check_all(c);
     ++report.iters_run;
     if (result.ok) continue;
 
@@ -197,8 +187,8 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
                  result.error.c_str(), describe(c).c_str());
     FuzzFailure failure;
     failure.original = c;
-    failure.minimized = shrink_case(c, predicate);
-    const CheckResult minimized = predicate(failure.minimized);
+    failure.minimized = shrink_case(c, check_all);
+    const CheckResult minimized = check_all(failure.minimized);
     // Shrinking preserves failure by construction; keep the sharper message.
     failure.error = minimized.ok ? result.error : minimized.error;
     std::fprintf(stderr, "            minimized: %s\n", describe(failure.minimized).c_str());

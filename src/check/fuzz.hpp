@@ -10,12 +10,14 @@
 // small otherwise — small budgets are what exercise the truncation paths)
 // and the start-set size (whole graph or a sampled subset).
 //
-// When check_case fails, the driver shrinks the case before reporting:
-// greedy passes that halve n_target, drop the start set to a single node,
-// canonicalize the variant and model, and lift the budget — each kept only
-// if the predicate still fails — looping to a fixpoint.  The result is the
-// smallest case this lattice reaches that still exhibits the bug, written as
-// a reproducer file (check/repro.hpp) for the regression corpus.
+// Every case runs check_all (check/check.hpp): the base invariants and all
+// four differentials.  When it fails, the driver shrinks the case before
+// reporting: greedy passes that halve n_target, drop the start set to a
+// single node, canonicalize the variant and model, and lift the budget —
+// each kept only if the predicate still fails — looping to a fixpoint.  The
+// result is the smallest case this lattice reaches that still exhibits the
+// bug, written as a reproducer file (check/repro.hpp) for the regression
+// corpus.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +36,6 @@ struct FuzzOptions {
   NodeIndex max_n = 600;      // upper bound for generated n_target
   std::string out_dir;        // reproducer directory; empty = none written
   bool log_cases = false;     // print every case before checking it
-  bool cache = false;         // also run check_cache_case on every case
-  bool backend = false;       // also run check_backend_case on every case
-  bool snapshot = false;      // also run check_snapshot_case on every case
-  bool mutate = false;        // also run check_mutation_case on every case
 };
 
 // The deterministic case for iteration `iter` of run `seed`.  `family_index`
@@ -49,7 +47,7 @@ FuzzCase generate_case(std::uint64_t seed, std::uint64_t iter, const std::string
 // Greedy minimization: returns the smallest case (under the shrink lattice
 // above) for which `failing_predicate` still returns a failure.  The
 // predicate is injected so tests can shrink against synthetic bugs; the
-// driver passes check_case.
+// driver passes check_all.
 FuzzCase shrink_case(FuzzCase c,
                      const std::function<CheckResult(const FuzzCase&)>& failing_predicate);
 

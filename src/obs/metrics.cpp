@@ -5,34 +5,6 @@
 
 namespace volcal::obs {
 
-void SweepMetrics::merge(const SweepMetrics& other) {
-  sweeps += other.sweeps;
-  stats.starts += other.stats.starts;
-  stats.max_volume = std::max(stats.max_volume, other.stats.max_volume);
-  stats.max_distance = std::max(stats.max_distance, other.stats.max_distance);
-  stats.total_queries += other.stats.total_queries;
-  stats.total_volume += other.stats.total_volume;
-  stats.truncated += other.stats.truncated;
-  stats.wall_seconds += other.stats.wall_seconds;
-  stats.cache += other.stats.cache;
-  stats.batch += other.stats.batch;
-  batched_sweeps += other.batched_sweeps;
-  volume_hist.merge(other.volume_hist);
-  distance_hist.merge(other.distance_hist);
-  queries_hist.merge(other.queries_hist);
-  start_wall_us_hist.merge(other.start_wall_us_hist);
-  for (std::size_t w = 0; w < worker_busy_ns.size(); ++w) {
-    worker_busy_ns[w] += other.worker_busy_ns[w];
-    worker_starts[w] += other.worker_starts[w];
-    worker_batches[w] += other.worker_batches[w];
-    worker_batched_starts[w] += other.worker_batched_starts[w];
-    worker_waves[w] += other.worker_waves[w];
-  }
-  workers_seen = std::max(workers_seen, other.workers_seen);
-  tape_max_bits = std::max(tape_max_bits, other.tape_max_bits);
-  phases.merge(other.phases);
-}
-
 namespace {
 
 void append_histogram(std::string& out, const char* name, const Histogram& h) {

@@ -104,8 +104,6 @@ struct SweepMetrics {
     }
   }
 
-  void merge(const SweepMetrics& other);
-
   // JSON document (single object) — what `--metrics <path>` writes.
   std::string to_json(const std::string& tool) const;
   bool write_file(const std::string& path, const std::string& tool) const;

@@ -168,9 +168,4 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry* instance = new MetricsRegistry();
-  return *instance;
-}
-
 }  // namespace volcal::obs

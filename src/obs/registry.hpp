@@ -25,9 +25,8 @@
 // two snapshots of the same state render byte-identical JSON.  Registration
 // (counter()/gauge()/histogram()) takes the registry mutex and is idempotent
 // by name — callers register once and keep the stable handle; handles live
-// as long as the registry.  The process-wide instance is global(); contexts
-// needing isolated counters (one QueryService per test) own their own
-// MetricsRegistry instead.
+// as long as the registry.  There is no process-wide instance: each owner
+// (one QueryService, one test) holds its own MetricsRegistry.
 #pragma once
 
 #include <array>
@@ -179,9 +178,6 @@ class MetricsRegistry {
   void gauge_fn(const std::string& name, std::function<std::int64_t()> fn);
 
   MetricsSnapshot snapshot() const;
-
-  // The process-wide registry (sweep-engine adoption folds here).
-  static MetricsRegistry& global();
 
  private:
   mutable std::mutex mu_;

@@ -340,55 +340,4 @@ std::optional<BenchArtifact> BenchArtifact::load(const std::string& path,
   return a;
 }
 
-std::string BenchSummary::to_json() const {
-  std::string out = "{\"schema_version\": " + std::to_string(schema_version) +
-                    ", \"kind\": \"bench-summary\", \"tool\": \"" + json_escape(tool) +
-                    "\", ";
-  append_env(out, env);
-  char buf[64];
-  std::snprintf(buf, sizeof buf, ", \"total_wall_seconds\": %.6g", total_wall_seconds);
-  out += buf;
-  out += ", \"families\": [";
-  for (std::size_t i = 0; i < families.size(); ++i) {
-    if (i) out += ", ";
-    out += "{";
-    append_body(out, families[i]);
-    out += "}";
-  }
-  out += "]}\n";
-  return out;
-}
-
-bool BenchSummary::write_file(const std::string& path) const {
-  return write_text(path, to_json());
-}
-
-std::optional<BenchSummary> BenchSummary::load(const std::string& path, std::string* err) {
-  std::string parse_err;
-  JsonValue doc = parse_json_file(path, &parse_err);
-  auto fail = [&](const std::string& why) -> std::optional<BenchSummary> {
-    if (err != nullptr) *err = path + ": " + why;
-    return std::nullopt;
-  };
-  if (doc.is_null()) return fail(parse_err.empty() ? "unreadable" : parse_err);
-  if (doc.string_at("kind") != "bench-summary") return fail("not a bench-summary artifact");
-  BenchSummary s;
-  s.schema_version = static_cast<int>(doc.int_at("schema_version"));
-  if (s.schema_version != kArtifactSchemaVersion) {
-    return fail("unsupported schema_version " + std::to_string(s.schema_version));
-  }
-  s.tool = doc.string_at("tool");
-  if (const JsonValue* env = doc.find("env")) s.env = env_from_json(*env);
-  s.total_wall_seconds = doc.number_at("total_wall_seconds");
-  const JsonValue* families = doc.find("families");
-  if (families == nullptr || !families->is_array()) return fail("missing families array");
-  for (const JsonValue& fv : families->items()) {
-    std::string why;
-    auto a = BenchArtifact::from_json(fv, &why);
-    if (!a.has_value()) return fail("embedded family: " + why);
-    s.families.push_back(std::move(*a));
-  }
-  return s;
-}
-
 }  // namespace volcal::perf

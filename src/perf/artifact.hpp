@@ -1,14 +1,14 @@
 // The canonical benchmark telemetry artifact — ONE versioned JSON schema for
 // every perf number this repo produces, emitted by all bench binaries
-// (--json), by the tools/volcal_bench orchestrator (BENCH_<family>.json +
-// BENCH_SUMMARY.json), and consumed by tools/volcal_bench_diff and the CI
+// (--json), by the tools/volcal_bench orchestrator (one BENCH_<family>.json
+// per registry family), and consumed by tools/volcal_bench_diff and the CI
 // perf gate.
 //
 // Schema v2, one JSON object per artifact:
 //
 //   {
 //     "schema_version": 2,
-//     "kind": "bench-report" | "bench-family" | "bench-summary",
+//     "kind": "bench-report" | "bench-family",
 //     "tool": "...",                      // emitting binary
 //     "family": "...", "title": "...",    // bench-family only: registry
 //     "theta": "...", "algorithm": "...", //   metadata (Θ-claims included)
@@ -33,9 +33,8 @@
 //                "apply_p50_ns"},                     //   churn ablation)
 //     "alloc": {"instrumented", "allocs", "frees", "bytes", "peak_bytes"},
 //     "rss_high_water_kb": N,
-//     "total_wall_seconds": S,
-//     "families": [...]                   // bench-summary only: embedded
-//   }                                     //   bench-family artifacts
+//     "total_wall_seconds": S
+//   }
 //
 // Readers accept exactly schema v2; any layout change bumps the version.
 //
@@ -187,19 +186,6 @@ struct BenchArtifact {
 
   static std::optional<BenchArtifact> from_json(const JsonValue& doc, std::string* err);
   static std::optional<BenchArtifact> load(const std::string& path, std::string* err);
-};
-
-struct BenchSummary {
-  int schema_version = kArtifactSchemaVersion;
-  std::string tool;
-  EnvFingerprint env;
-  std::vector<BenchArtifact> families;
-  double total_wall_seconds = 0.0;
-
-  std::string to_json() const;
-  bool write_file(const std::string& path) const;
-
-  static std::optional<BenchSummary> load(const std::string& path, std::string* err);
 };
 
 // JSON string escaping shared by every perf writer (same contract as

@@ -106,10 +106,6 @@ class PhaseTimer {
     phases_.push_back({name, seconds});
   }
 
-  void merge(const PhaseTimer& other) {
-    for (const Phase& p : other.phases_) add(p.name, p.wall_seconds);
-  }
-
   double total_seconds() const {
     double t = 0.0;
     for (const Phase& p : phases_) t += p.wall_seconds;

@@ -5,7 +5,6 @@
 #include <exception>
 #include <thread>
 
-#include "obs/registry.hpp"
 #include "util/env.hpp"
 
 namespace volcal {
@@ -98,28 +97,6 @@ std::vector<std::int64_t> first_occurrences(NodeIndex node_capacity,
     first[i] = f;
   }
   return first;
-}
-
-void note_sweep(const SweepStats& stats) {
-  // Handles resolved once: the registry lookup (mutex + map) runs on the
-  // first sweep only, later sweeps are a handful of relaxed fetch_adds.
-  auto& reg = obs::MetricsRegistry::global();
-  static obs::Counter* const c_runs = reg.counter("sweep.runs");
-  static obs::Counter* const c_starts = reg.counter("sweep.starts");
-  static obs::Counter* const c_queries = reg.counter("sweep.total_queries");
-  static obs::Counter* const c_volume = reg.counter("sweep.total_volume");
-  static obs::Counter* const c_truncated = reg.counter("sweep.truncated");
-  static obs::Counter* const c_cache_hits = reg.counter("sweep.cache.hits");
-  static obs::Counter* const c_cache_misses = reg.counter("sweep.cache.misses");
-  static obs::ShardedHistogram* const h_max_volume = reg.histogram("sweep.max_volume");
-  c_runs->inc();
-  c_starts->inc(stats.starts);
-  c_queries->inc(stats.total_queries);
-  c_volume->inc(stats.total_volume);
-  c_truncated->inc(stats.truncated);
-  c_cache_hits->inc(stats.cache.hits);
-  c_cache_misses->inc(stats.cache.misses);
-  h_max_volume->add(stats.max_volume);
 }
 
 }  // namespace volcal::detail

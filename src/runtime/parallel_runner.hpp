@@ -168,12 +168,6 @@ inline void reduce_costs(const std::vector<std::int64_t>& volume,
   }
 }
 
-// Folds one finished sweep's totals into obs::MetricsRegistry::global()
-// ("sweep.runs", "sweep.starts", "sweep.total_queries", ...): once per
-// sweep, off the per-start hot path, so long-running processes that embed
-// the engine expose sweep throughput in the same Stats snapshot namespace.
-void note_sweep(const SweepStats& stats);
-
 }  // namespace detail
 
 class ParallelRunner {
@@ -290,7 +284,6 @@ class ParallelRunner {
     detail::reduce_costs(result.volume, result.distance, result.queries, result.stats);
     result.stats.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_begin).count();
-    detail::note_sweep(result.stats);
     return result;
   }
 
@@ -448,7 +441,6 @@ class ParallelRunner {
     }
     result.stats.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_begin).count();
-    detail::note_sweep(result.stats);
     return result;
   }
 

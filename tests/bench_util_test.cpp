@@ -146,17 +146,6 @@ TEST(Args, MissingOperandIsNotConsumed) {
   EXPECT_STREQ(argv[1], "--json");
 }
 
-TEST(JsonReport, ParsesJsonFlag) {
-  const char* argv1[] = {"bench", "--json", "out.json"};
-  EXPECT_STREQ(json_path_from_args(3, const_cast<char**>(argv1)), "out.json");
-  const char* argv2[] = {"bench", "--json=curves.json"};
-  EXPECT_STREQ(json_path_from_args(2, const_cast<char**>(argv2)), "curves.json");
-  const char* argv3[] = {"bench"};
-  EXPECT_EQ(json_path_from_args(1, const_cast<char**>(argv3)), nullptr);
-  const char* argv4[] = {"bench", "--json"};  // missing operand
-  EXPECT_EQ(json_path_from_args(2, const_cast<char**>(argv4)), nullptr);
-}
-
 TEST(JsonReport, RendersCurvesWithFitAndWallTime) {
   Curve c;
   c.add(100, 10, 0.5);

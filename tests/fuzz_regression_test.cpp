@@ -1,7 +1,7 @@
 // Replays the committed reproducer corpus (tests/corpus/*.repro) through the
 // full invariant checker.  Every file in the corpus was once a minimized
 // fuzz failure (or pins a scenario class the fuzzer relies on); each must
-// now pass check_case, and must keep passing at any thread count — the
+// now pass check_all, and must keep passing at any thread count — the
 // corpus is the harness's memory of the bugs it has caught.
 #include <gtest/gtest.h>
 
@@ -43,15 +43,8 @@ TEST(FuzzCorpus, EveryReproducerParsesAndPasses) {
     ASSERT_TRUE(load_repro_file(path.string(), &c, &recorded_error, &why))
         << path << ": " << why;
     ASSERT_FALSE(c.family.empty()) << path;
-    // The full differential stack — base invariants plus the answer-reuse,
-    // execution-backend, snapshot round-trip and mutation (with answer-memo
-    // certification) differentials, exactly what
-    // `volcal_fuzz --cache --backend --snapshot --mutate` runs per case.
-    CheckResult result = check_case(c);
-    if (result.ok) result = check_cache_case(c);
-    if (result.ok) result = check_backend_case(c);
-    if (result.ok) result = check_snapshot_case(c);
-    if (result.ok) result = check_mutation_case(c);
+    // The same predicate volcal_fuzz runs on every case and every replay.
+    const CheckResult result = check_all(c);
     EXPECT_TRUE(result.ok) << path << "\n  case: " << describe(c)
                            << "\n  originally: " << recorded_error
                            << "\n  now: " << result.error;

@@ -1,8 +1,8 @@
 // volcal_bench — the benchmark-telemetry orchestrator behind the CI perf
 // gate.  Runs every registry family through the shared bench::Args pipeline
 // on an n-sweep, verifies each family's outputs once at the smallest size,
-// and writes one canonical BENCH_<family>.json artifact per family plus a
-// merged BENCH_SUMMARY.json (perf/artifact.hpp schema v2).
+// and writes one canonical BENCH_<family>.json artifact per family
+// (perf/artifact.hpp schema v2).
 //
 // The cost curves (volume / distance / queries vs n) are deterministic: the
 // sweep engine is bit-identical at any thread count and every generator is
@@ -181,9 +181,6 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  perf::BenchSummary summary;
-  summary.tool = "volcal_bench";
-  WallTimer total;
   for (const RegistryEntry* entry : entries) {
     std::printf("== %s (%s) ==\n", entry->name.c_str(), entry->title.c_str());
     perf::BenchArtifact art = run_family(*entry, max_n, seed, snapshot_dir);
@@ -197,16 +194,7 @@ int run(int argc, char** argv) {
       return 2;
     }
     std::printf("  [artifact: %s]\n", path.c_str());
-    summary.families.push_back(std::move(art));
   }
-  summary.total_wall_seconds = total.seconds();
-  summary.env = perf::current_env(detail::resolve_thread_count(0));
-  const std::string spath = out_dir + "/BENCH_SUMMARY.json";
-  if (!summary.write_file(spath)) {
-    std::fprintf(stderr, "volcal_bench: cannot write %s\n", spath.c_str());
-    return 2;
-  }
-  std::printf("[summary: %s — %zu families]\n", spath.c_str(), summary.families.size());
   return 0;
 }
 

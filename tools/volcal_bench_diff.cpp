@@ -26,10 +26,9 @@ namespace {
 namespace fs = std::filesystem;
 
 // Loads one artifact set: a single artifact file (bench-family or
-// bench-report), a bench-summary file (its embedded families), or a
-// directory of BENCH_*.json files.  Returns false on any unreadable or
-// schema-invalid input — the diff must never silently compare less than the
-// caller asked for.
+// bench-report) or a directory of BENCH_*.json files.  Returns false on any
+// unreadable or schema-invalid input — the diff must never silently compare
+// less than the caller asked for.
 bool load_set(const std::string& path, std::vector<BenchArtifact>& out) {
   std::error_code ec;
   if (fs::is_directory(path, ec)) {
@@ -38,7 +37,6 @@ bool load_set(const std::string& path, std::vector<BenchArtifact>& out) {
       if (!ent.is_regular_file()) continue;
       const std::string name = ent.path().filename().string();
       if (name.rfind("BENCH_", 0) != 0 || ent.path().extension() != ".json") continue;
-      if (name == "BENCH_SUMMARY.json") continue;  // families are on disk already
       files.push_back(ent.path().string());
     }
     if (ec) {
@@ -65,10 +63,6 @@ bool load_set(const std::string& path, std::vector<BenchArtifact>& out) {
   }
 
   std::string err;
-  if (auto summary = BenchSummary::load(path, &err)) {
-    out = std::move(summary->families);
-    return true;
-  }
   auto art = BenchArtifact::load(path, &err);
   if (!art) {
     std::fprintf(stderr, "volcal_bench_diff: %s: %s\n", path.c_str(), err.c_str());

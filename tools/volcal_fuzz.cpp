@@ -6,6 +6,10 @@
 //   volcal_fuzz --seed 7 --out-dir repros         # write minimized failures
 //   volcal_fuzz --replay tests/corpus/x.repro     # re-run a reproducer
 //
+// Every case, and every replayed reproducer, runs the full predicate
+// (check::check_all): the base invariants plus the answer-reuse, backend,
+// snapshot and mutation differentials.
+//
 // Exit status: 0 when every case (or replayed reproducer) passes, 1 on any
 // failure, 2 on usage errors.  Failures are minimized before reporting; with
 // --out-dir each minimized case is also written as a .repro file that
@@ -31,16 +35,11 @@ void print_help() {
       "  --max-n <n>     upper bound for generated instance sizes [600]\n"
       "  --out-dir <d>   write minimized reproducers (*.repro) into <d>\n"
       "  --replay <f>    replay one reproducer file instead of fuzzing\n"
-      "  --cache         also run the answer-reuse differential per case\n"
-      "  --backend       also run the basic-vs-batched backend differential per case\n"
-      "  --snapshot      also run the snapshot save/mmap-load round-trip differential\n"
-      "  --mutate        also run the dynamic-graph mutation differential per case\n"
       "  --log           print every generated case\n"
       "  --help          this message\n");
 }
 
-int replay_file(const std::string& path, bool cache, bool backend, bool snapshot,
-                bool mutate) {
+int replay_file(const std::string& path) {
   volcal::check::FuzzCase c;
   std::string recorded_error;
   std::string why;
@@ -52,11 +51,7 @@ int replay_file(const std::string& path, bool cache, bool backend, bool snapshot
   if (!recorded_error.empty()) {
     std::printf("  originally failed with: %s\n", recorded_error.c_str());
   }
-  volcal::check::CheckResult result = volcal::check::check_case(c);
-  if (result.ok && cache) result = volcal::check::check_cache_case(c);
-  if (result.ok && backend) result = volcal::check::check_backend_case(c);
-  if (result.ok && snapshot) result = volcal::check::check_snapshot_case(c);
-  if (result.ok && mutate) result = volcal::check::check_mutation_case(c);
+  const volcal::check::CheckResult result = volcal::check::check_all(c);
   if (!result.ok) {
     std::printf("  STILL FAILING: %s\n", result.error.c_str());
     return 1;
@@ -92,14 +87,6 @@ int main(int argc, char** argv) {
       opts.out_dir = v;
     } else if ((v = value("--replay")) != nullptr) {
       replays.push_back(v);
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
-      opts.cache = true;
-    } else if (std::strcmp(argv[i], "--backend") == 0) {
-      opts.backend = true;
-    } else if (std::strcmp(argv[i], "--snapshot") == 0) {
-      opts.snapshot = true;
-    } else if (std::strcmp(argv[i], "--mutate") == 0) {
-      opts.mutate = true;
     } else if (std::strcmp(argv[i], "--log") == 0) {
       opts.log_cases = true;
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -114,8 +101,7 @@ int main(int argc, char** argv) {
   if (!replays.empty()) {
     int status = 0;
     for (const std::string& path : replays) {
-      status = std::max(status, replay_file(path, opts.cache, opts.backend, opts.snapshot,
-                                            opts.mutate));
+      status = std::max(status, replay_file(path));
     }
     return status;
   }

@@ -14,7 +14,10 @@
 //   SIGHUP            hot swap: reload --snapshot and atomically replace the
 //                     served instance; in-flight batches finish against the
 //                     old mapping, and the answer memo starts over (see the
-//                     race rule in runtime/answer_memo.hpp).
+//                     race rule in runtime/answer_memo.hpp).  Put the new
+//                     file in place by rename (mv), never by rewriting the
+//                     served file: the live target maps it for its whole
+//                     life, and truncating it kills the process (SIGBUS).
 //
 // Usage: volcal_serve --snapshot FILE | --family NAME [--n N] [--seed S]
 //                     --socket PATH [--threads N] [--queue N] [--batch N]
@@ -200,7 +203,8 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "volcal_serve — per-node label query service over a loaded instance\n\n"
-          "  --snapshot <f>       serve this .vsnap (SIGHUP reloads it in place)\n"
+          "  --snapshot <f>       serve this .vsnap; SIGHUP reloads <f> (replace the\n"
+          "                       file by mv, never by rewriting it in place)\n"
           "  --family <s>         generate and serve a registry instance instead\n"
           "  --n <n>              generated instance size [4096]\n"
           "  --seed <s>           generator seed [7]\n"
