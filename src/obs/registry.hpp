@@ -9,9 +9,9 @@
 //              bump is one relaxed fetch_add on a shard the incrementing
 //              thread (almost always) owns alone, so worker threads never
 //              contend on a shared cache line.
-//   Gauge      single atomic level (set/add) — queue depths, connection
-//              counts; also registrable as a callback (gauge_fn) evaluated
-//              at snapshot time for values owned elsewhere.
+//   Gauge      single atomic level (set/add), e.g. a connection count;
+//              also registrable as a callback (gauge_fn) evaluated at
+//              snapshot time for values owned elsewhere.
 //   ShardedHistogram  an obs::Histogram (obs/histogram.hpp) sharded like
 //              Counter — 16 atomic copies, ~124 KB in all — and merged on
 //              read into one obs::Histogram.
@@ -171,7 +171,7 @@ class MetricsRegistry {
   Gauge* gauge(const std::string& name);
   ShardedHistogram* histogram(const std::string& name);
 
-  // Callback gauge for a value owned elsewhere (queue depth, connection
+  // Callback gauge for a value owned elsewhere (the transport's connection
   // count); evaluated under the registry mutex at snapshot time, so keep it
   // O(1) and never have it call back into this registry.  Re-registering a
   // name replaces the callback.

@@ -131,7 +131,13 @@ class AnswerMemo {
     std::uint32_t max_distance = 0;  // largest distance stored since reset
     std::int64_t hits = 0, misses = 0, evictions = 0, served_nodes = 0, stores = 0;
   };
-  static constexpr std::size_t kStripes = 64;
+  // reset and evict_region hold every stripe, and their serve-side callers
+  // hold two service mutexes around them (QueryService's update and target
+  // locks), so a thread holds kStripes + 2 locks at once.  ThreadSanitizer's
+  // deadlock detector tracks at most 64 locks per thread and aborts past
+  // that, so keep kStripes + 2 <= 64.
+  static constexpr std::size_t kStripes = 32;
+  static_assert(kStripes + 2 <= 64);
 
   Stripe& stripe_of(NodeIndex v) { return stripes_[static_cast<std::size_t>(v) % kStripes]; }
 

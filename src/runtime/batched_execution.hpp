@@ -70,8 +70,7 @@ class BatchedBallExecutor {
   }
 
   // The slot's answer under the batched-ball plan's contract: the output
-  // label is the ball size, and the meters above.  The one read-back both
-  // the sweep engine and the query service use.
+  // label is the ball size, and the meters above.
   Answer answer(int slot) const {
     return {static_cast<int>(volume(slot)), volume(slot), distance(slot), queries(slot)};
   }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <optional>
 
-#include "runtime/batched_execution.hpp"
 #include "runtime/execution.hpp"
 #include "runtime/parallel_runner.hpp"
 
@@ -25,18 +24,13 @@ QueryResult to_result(const Answer& a) {
 }  // namespace
 
 ServeTarget make_serve_target(std::shared_ptr<const ErasedInstance> instance) {
-  ServeTarget target;
-  const RegistryEntry* entry =
-      instance ? ProblemRegistry::global().find(instance->family()) : nullptr;
-  target.plan = entry != nullptr ? entry->plan : ProbePlan::independent();
-  target.instance = std::move(instance);
-  return target;
+  return ServeTarget{std::move(instance)};
 }
 
 QueryService::QueryService(ServeTarget target, ServeConfig config)
     : config_(config),
       threads_(detail::resolve_thread_count(config.threads)),
-      batch_max_(std::clamp(config.batch_max, 1, BatchedBallExecutor::kMaxBatch)),
+      batch_max_(std::max(1, config.batch_max)),
       start_(std::chrono::steady_clock::now()),
       target_(std::make_shared<const ServeTarget>(std::move(target))),
       memo_(config.cache.policy == CachePolicy::Shared ? target_->instance->node_count() : 0),
@@ -47,28 +41,11 @@ QueryService::QueryService(ServeTarget target, ServeConfig config)
   c_shed_ = metrics_.counter("serve.shed");
   c_invalid_ = metrics_.counter("serve.invalid");
   c_swaps_ = metrics_.counter("serve.swaps");
-  c_batches_ = metrics_.counter("serve.batched_runs");
   c_waves_ = metrics_.counter("serve.waves");
-  c_batched_starts_ = metrics_.counter("serve.batched_starts");
-  c_cache_hit_serves_ = metrics_.counter("serve.cache_hit_serves");
   c_slow_ = metrics_.counter("serve.slow_queries");
   c_mutations_ = metrics_.counter("serve.mutations");
   c_mut_evicted_ = metrics_.counter("serve.mutate.cache_evicted");
   c_mut_retained_ = metrics_.counter("serve.mutate.cache_retained");
-  // Live levels: evaluated at snapshot time.  The callbacks take mu_ (or the
-  // memo's stripe locks) *after* the registry mutex — nothing in the service
-  // takes those locks and then re-enters the registry, so the order is safe.
-  metrics_.gauge_fn("serve.queue_depth",
-                    [this] { return static_cast<std::int64_t>(queue_depth()); });
-  metrics_.gauge_fn("serve.in_flight",
-                    [this] { return static_cast<std::int64_t>(in_flight()); });
-  metrics_.gauge_fn("serve.cache.hits", [this] { return cache_stats().hits; });
-  metrics_.gauge_fn("serve.cache.misses", [this] { return cache_stats().misses; });
-  metrics_.gauge_fn("serve.cache.evictions", [this] { return cache_stats().evictions; });
-  metrics_.gauge_fn("serve.cache.served_nodes",
-                    [this] { return cache_stats().served_nodes; });
-  metrics_.gauge_fn("serve.cache.inserted_bytes",
-                    [this] { return cache_stats().inserted_bytes; });
   workers_.reserve(static_cast<std::size_t>(threads_));
   for (int w = 0; w < threads_; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -150,8 +127,7 @@ MutationOutcome QueryService::apply_mutations(const MutationBatch& batch) {
   std::shared_ptr<const ServeTarget> next;
   try {
     next = std::make_shared<const ServeTarget>(ServeTarget{
-        std::make_shared<const ErasedInstance>(old->instance->mutated(batch, &touched)),
-        old->plan});
+        std::make_shared<const ErasedInstance>(old->instance->mutated(batch, &touched))});
   } catch (const std::invalid_argument& e) {
     out.error = e.what();
     return out;
@@ -260,8 +236,6 @@ std::string QueryService::stats_json() const {
   const obs::WindowedHistogram::Views lat = latency();
   const CacheStats cache = cache_stats();
   const std::int64_t waves = c_waves_->value();
-  const std::int64_t batched_runs = c_batches_->value();
-  const std::int64_t batched_starts = c_batched_starts_->value();
 
   std::string out;
   out.reserve(16384);
@@ -290,15 +264,9 @@ std::string QueryService::stats_json() const {
                 cache.hits, cache.misses, cache.evictions, cache.served_nodes,
                 cache.inserted_bytes);
   out += buf;
-  const double occupancy =
-      batched_runs > 0
-          ? static_cast<double>(batched_starts) / static_cast<double>(batched_runs)
-          : 0.0;
   std::snprintf(buf, sizeof buf,
-                "\"batch\": {\"waves\": %" PRId64 ", \"batched_runs\": %" PRId64
-                ", \"batched_starts\": %" PRId64 ", \"batch_max\": %d"
-                ", \"mean_occupancy\": %.3f}, \"metrics\": ",
-                waves, batched_runs, batched_starts, batch_max_, occupancy);
+                "\"batch\": {\"waves\": %" PRId64 ", \"batch_max\": %d}, \"metrics\": ",
+                waves, batch_max_);
   out += buf;
   metrics_.snapshot().append_json(out);
   out += '}';
@@ -317,7 +285,6 @@ void QueryService::finish(Request& req, QueryResult result,
   const bool invalid = result.status == QueryStatus::InvalidNode;
   c_completed_->inc();
   if (invalid) c_invalid_->inc();
-  if (ctx.cache_hit) c_cache_hit_serves_->inc();
   if (ctx.volume_hist != nullptr && !invalid) {
     ctx.volume_hist->add(result.volume);
   }
@@ -350,6 +317,7 @@ void QueryService::finish(Request& req, QueryResult result,
     span.wave = ctx.wave;
     span.admit_ns = config_.tracer->to_ns(req.enqueued);
     span.dequeue_ns = config_.tracer->to_ns(ctx.dequeued);
+    span.exec_begin_ns = config_.tracer->to_ns(ctx.exec_begin);
     span.exec_end_ns = config_.tracer->to_ns(ctx.exec_end);
     span.done_ns = config_.tracer->now_ns();
     span.volume = result.volume;
@@ -362,10 +330,7 @@ void QueryService::finish(Request& req, QueryResult result,
 
 void QueryService::worker_loop(int worker) {
   ExecutionScratch scratch;
-  BatchedBallExecutor exec;
-  std::vector<Request> batch;
-  NodeIndex centers[BatchedBallExecutor::kMaxBatch];
-  std::size_t slot_of[BatchedBallExecutor::kMaxBatch];
+  std::vector<Request> wave;
   // Per-family volume histogram handle, re-resolved only when the served
   // family changes (i.e. across a hot swap) — lookups take the registry
   // mutex, so keep them off the per-wave path.
@@ -373,7 +338,7 @@ void QueryService::worker_loop(int worker) {
   obs::ShardedHistogram* volume_hist = nullptr;
 
   while (true) {
-    batch.clear();
+    wave.clear();
     {
       std::unique_lock lock(mu_);
       not_empty_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -384,7 +349,7 @@ void QueryService::worker_loop(int worker) {
       const std::size_t take =
           std::min(queue_.size(), static_cast<std::size_t>(batch_max_));
       for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
+        wave.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
       in_flight_ += take;
@@ -398,9 +363,7 @@ void QueryService::worker_loop(int worker) {
     AnswerMemo::Generation generation = 0;
     const std::shared_ptr<const ServeTarget> target = snapshot_target(&generation);
     const ErasedInstance& inst = *target->instance;
-    const GraphView g = inst.graph();
-    const NodeIndex n = g.node_count();
-    const bool batched = target->plan.batchable();
+    const auto n = static_cast<std::int64_t>(inst.node_count());
 
     if (inst.family() != volume_family) {
       volume_family = inst.family();
@@ -413,26 +376,19 @@ void QueryService::worker_loop(int worker) {
     ctx.dequeued = std::chrono::steady_clock::now();
     ctx.volume_hist = volume_hist;
 
-    // Invalid nodes and memo hits are answered at once; the batched path
-    // collects the remaining centers for one fused run, the per-request path
+    // Invalid nodes and memo hits are answered at once; every other request
     // runs the family's own solve() — by definition the offline per-start
     // loop's answer.
-    int b = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Request& req = batch[i];
+    for (Request& req : wave) {
       QueryResult result;
+      ctx.exec_begin = std::chrono::steady_clock::now();
       ctx.cache_hit = false;
-      if (req.node < 0 || req.node >= static_cast<std::int64_t>(n)) {
+      if (req.node < 0 || req.node >= n) {
         result.status = QueryStatus::InvalidNode;
       } else if (const auto hit = memo_on_ ? memo_.lookup(req.node, generation)
                                            : std::optional<Answer>{}) {
         result = to_result(*hit);
         ctx.cache_hit = true;
-      } else if (batched) {
-        centers[b] = static_cast<NodeIndex>(req.node);
-        slot_of[b] = i;
-        ++b;
-        continue;
       } else {
         const Answer a = inst.answer_at(static_cast<NodeIndex>(req.node), scratch);
         if (memo_on_) memo_.store(req.node, generation, a);
@@ -441,23 +397,10 @@ void QueryService::worker_loop(int worker) {
       ctx.exec_end = std::chrono::steady_clock::now();
       finish(req, result, ctx);
     }
-    if (b > 0) {
-      exec.bind(g);  // O(1) unless the graph outgrew the executor
-      exec.run({centers, static_cast<std::size_t>(b)}, target->plan.radius);
-      c_batches_->inc();
-      c_batched_starts_->inc(b);
-      ctx.cache_hit = false;
-      ctx.exec_end = std::chrono::steady_clock::now();
-      for (int s = 0; s < b; ++s) {
-        const Answer a = exec.answer(s);
-        if (memo_on_) memo_.store(centers[s], generation, a);
-        finish(batch[slot_of[s]], to_result(a), ctx);
-      }
-    }
 
     {
       std::lock_guard lock(mu_);
-      in_flight_ -= batch.size();
+      in_flight_ -= wave.size();
       if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
     }
   }

@@ -8,12 +8,11 @@
 //
 //   * Bit-identical answers.  With the answer memo on (ServeConfig::cache
 //     Shared), a wave first serves every request whose node has a memoized
-//     answer (runtime/answer_memo.hpp); the rest run on the batched backend
-//     (batchable plans, read back through BatchedBallExecutor::answer — the
-//     same read-back ParallelRunner::run_batched_balls uses) or the family's
-//     solve() on a plain Execution, and every computed answer is stored
-//     back.  Either way a served label equals the offline run_at_all_nodes
-//     output for that node — volcal_load --verify asserts this end to end.
+//     answer (runtime/answer_memo.hpp); every other request runs the
+//     family's solve() on the worker's ExecutionScratch
+//     (ErasedInstance::answer_at), and every computed answer is stored back.
+//     Either way a served label equals the offline run_at_all_nodes output
+//     for that node — volcal_load --verify asserts this end to end.
 //
 //   * Exact cost meters.  Each result carries the volume / distance /
 //     query-count the paper's Definitions 2.1-2.2 assign to that start; a
@@ -30,12 +29,13 @@
 // Admission control: a bounded FIFO queue.  submit() returns Shed when the
 // queue is full (the caller answers with retry_after_ms) and Stopped once
 // draining — accepted requests are never dropped.  drain_and_stop() stops
-// admission, waits for the queue and all in-flight batches to finish (every
+// admission, waits for the queue and all in-flight waves to finish (every
 // accepted callback has run by return), then joins the workers.
 //
-// Threading: `threads` workers pop up to `batch_max` requests at a time;
-// completion callbacks run on worker threads and must be fast and
-// thread-safe (the socket layer serializes per-connection writes).  Latency
+// Threading: `threads` workers pop a wave of up to `batch_max` requests at a
+// time and answer them one after another; completion callbacks run on
+// worker threads and must be fast and thread-safe (the socket layer
+// serializes per-connection writes).  Latency
 // is measured enqueue -> callback-dispatch per request and recorded once,
 // into an obs::WindowedHistogram (obs/histogram.hpp): since-start and
 // windowed nearest-rank percentiles within 1/32 of the exact ones, in
@@ -46,8 +46,8 @@
 // lock), readable at any moment via metrics() or as one JSON snapshot via
 // stats_json(): uptime, queue depth, in-flight, admission counters, the
 // since-start latency histogram and the one over the last
-// stats_window_seconds (percentiles plus buckets), memo counters, wave/batch
-// occupancy, and the per-family volume histograms ("serve.volume.<family>").
+// stats_window_seconds (percentiles plus buckets), memo counters, the wave
+// count, and the per-family volume histograms ("serve.volume.<family>").
 // A poll reads fixed-size histograms, so its cost does not grow with uptime
 // or traffic.  The transport answers the protocol's Stats frame with exactly
 // this snapshot.  Optional per-request spans (ServeConfig::tracer) and a
@@ -67,25 +67,21 @@
 
 #include "lcl/registry.hpp"
 #include "obs/registry.hpp"
-#include "plan/probe_plan.hpp"
 #include "runtime/answer_memo.hpp"
 #include "serve/protocol.hpp"
 #include "serve/trace.hpp"
 
 namespace volcal::serve {
 
-// What the service answers queries against: a loaded instance plus the
-// family's probe plan (the registry's plan for the instance's family —
-// batchable plans take the fused multi-start path).  The shared_ptr is the
-// hot-swap unit: workers snapshot it per batch, so an old target's mapping
-// stays alive exactly until the last batch against it completes.
+// What the service answers queries against: a loaded instance.  The
+// shared_ptr is the hot-swap unit: workers snapshot it per wave, so an old
+// target's mapping stays alive exactly until the last wave against it
+// completes.
 struct ServeTarget {
   std::shared_ptr<const ErasedInstance> instance;
-  ProbePlan plan = ProbePlan::independent();
 };
 
-// Builds a ServeTarget from an instance by looking the family's plan up in
-// the global registry (IndependentStarts when the family is unknown).
+// Wraps a loaded instance as a ServeTarget.
 ServeTarget make_serve_target(std::shared_ptr<const ErasedInstance> instance);
 
 struct ServeConfig {
@@ -93,8 +89,7 @@ struct ServeConfig {
   int threads = 0;
   // Bounded admission queue; submits beyond this are shed.
   std::size_t queue_capacity = 1024;
-  // Requests a worker pops per wave, clamped to [1, BatchedBallExecutor::
-  // kMaxBatch] (the visited-mask width of the fused backend).
+  // Requests a worker pops per wave; values below 1 count as 1.
   int batch_max = 64;
   // Advisory retry hint attached to shed responses.
   std::uint32_t retry_after_ms = 50;
@@ -237,6 +232,7 @@ class QueryService {
     int worker = -1;
     std::uint64_t wave = 0;
     std::chrono::steady_clock::time_point dequeued;
+    std::chrono::steady_clock::time_point exec_begin;
     std::chrono::steady_clock::time_point exec_end;
     bool cache_hit = false;
     obs::ShardedHistogram* volume_hist = nullptr;
@@ -285,17 +281,14 @@ class QueryService {
   obs::Counter* c_shed_ = nullptr;
   obs::Counter* c_invalid_ = nullptr;
   obs::Counter* c_swaps_ = nullptr;
-  obs::Counter* c_batches_ = nullptr;
   obs::Counter* c_waves_ = nullptr;
-  obs::Counter* c_batched_starts_ = nullptr;
-  obs::Counter* c_cache_hit_serves_ = nullptr;
   obs::Counter* c_slow_ = nullptr;
   obs::Counter* c_mutations_ = nullptr;
   obs::Counter* c_mut_evicted_ = nullptr;
   obs::Counter* c_mut_retained_ = nullptr;
 
   std::atomic<std::uint64_t> seq_{0};   // admission sequence
-  std::atomic<std::uint64_t> wave_{0};  // wave (popped batch) sequence
+  std::atomic<std::uint64_t> wave_{0};  // wave sequence
 
   obs::WindowedHistogram latency_;
 

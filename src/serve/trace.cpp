@@ -46,7 +46,8 @@ bool write_serve_chrome_trace(const std::string& path,
   bool first = true;
   for (const RequestSpan& s : spans) {
     emit_slice(file.f, &first, s, "queue", s.admit_ns, s.dequeue_ns);
-    emit_slice(file.f, &first, s, "execute", s.dequeue_ns, s.exec_end_ns);
+    emit_slice(file.f, &first, s, "wave", s.dequeue_ns, s.exec_begin_ns);
+    emit_slice(file.f, &first, s, "execute", s.exec_begin_ns, s.exec_end_ns);
     emit_slice(file.f, &first, s, "write", s.exec_end_ns, s.done_ns);
   }
   std::fprintf(file.f, "],\"displayTimeUnit\":\"ms\"}\n");

@@ -4,16 +4,17 @@
 // admission and, when a ServeTracer is attached (ServeConfig::tracer —
 // volcal_serve --trace-serve), records one RequestSpan per completed
 // request: the admission → queue → wave → execute → write timeline, the
-// request's ball volume, and its cache outcome.  Spans export to the Chrome
+// request's volume, and its cache outcome.  Spans export to the Chrome
 // trace_event format (chrome://tracing / Perfetto), one lane per worker,
-// three "X" slices per request:
+// four consecutive "X" slices per request:
 //
-//   queue    admit -> dequeue     time spent in the admission queue
-//   execute  dequeue -> exec end  wave execution (fused requests in one
-//                                 wave share the wave's execute window;
-//                                 cache hits collapse to their triage
-//                                 instant)
-//   write    exec end -> done     completion callback (response write)
+//   queue    admit -> dequeue           time spent in the admission queue
+//   wave     dequeue -> exec begin      waiting behind the earlier requests
+//                                       of the same wave
+//   execute  exec begin -> exec end     this request's own triage and
+//                                       execution (a memo hit collapses to
+//                                       its lookup)
+//   write    exec end -> done           completion callback (response write)
 //
 // Args carry {seq, id, node, wave, volume, cache_hit} so a slow span can be
 // attributed to a hot ball or a cold cache directly in the viewer.
@@ -44,6 +45,7 @@ struct RequestSpan {
   std::uint64_t wave = 0;  // service-wide wave (batch) sequence number
   std::int64_t admit_ns = 0;
   std::int64_t dequeue_ns = 0;
+  std::int64_t exec_begin_ns = 0;
   std::int64_t exec_end_ns = 0;
   std::int64_t done_ns = 0;
   std::int64_t volume = 0;
@@ -106,8 +108,8 @@ struct SlowQuery {
   bool invalid = false;
 };
 
-// Chrome trace_event export of collected spans (queue/execute/write slices
-// per request, tid = worker).
+// Chrome trace_event export of collected spans (queue/wave/execute/write
+// slices per request, tid = worker).
 bool write_serve_chrome_trace(const std::string& path,
                               std::span<const RequestSpan> spans);
 

@@ -320,9 +320,9 @@ TEST(AnswerMemoRace, SwapToARecycledAddressServesNothingStale) {
   service.drain_and_stop();
 }
 
-// Waves race live mutations on a batched family and a per-request family:
-// whatever was in flight during an apply, every query submitted after
-// apply_mutations returns is answered for the mutated graph.
+// Waves race live mutations on ball-4 and on leaf-coloring: whatever was in
+// flight during an apply, every query submitted after apply_mutations
+// returns is answered for the mutated graph.
 TEST(AnswerMemoRace, ConcurrentWavesNeverServeAnAnswerPastItsMutation) {
   for (const char* family : {"ball-4", "leaf-coloring"}) {
     SCOPED_TRACE(family);

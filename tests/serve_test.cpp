@@ -3,20 +3,23 @@
 // resets the answer memo, so nothing keys on a recyclable address).
 //
 // The load-bearing contract: a label served by QueryService equals the
-// offline engine's output for that node, bit for bit — through the batched
-// backend, through answer-memo hits, across snapshot swaps and across live
-// mutations (tests/answer_memo_test.cpp pins the memo's race rule and its
-// region eviction at the unit level).
+// offline engine's output for that node, bit for bit — computed by the
+// family's solver, replayed from answer-memo hits, across snapshot swaps and
+// across live mutations (tests/answer_memo_test.cpp pins the memo's race
+// rule and its region eviction at the unit level).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
@@ -295,10 +298,9 @@ ServeTarget target_for(const std::string& family, NodeIndex n, std::uint64_t see
       std::make_shared<const ErasedInstance>(entry->make(n, seed)));
 }
 
-// Served labels == offline sweep labels for every registry family, on both
-// execution paths: ball-4 takes the fused batched path (its plan is
-// batchable), every other family the per-request solve() path.  The second
-// round is served from the answer memo.
+// Served labels == offline sweep labels for every registry family: the first
+// round runs each family's solve() per request, the second is served from
+// the answer memo.
 TEST(QueryService, ServedLabelsMatchTheOfflineSweep) {
   for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
     SCOPED_TRACE(entry.name);
@@ -647,6 +649,28 @@ TEST(QueryService, StatsJsonReconcilesWithTypedCountersAfterDrain) {
   EXPECT_EQ(doc.int_at("in_flight"), 0);
   EXPECT_GT(doc.number_at("uptime_seconds"), 0.0);
 
+  // The keys volbench and volcal_top read.  perf::JsonValue::int_at reads a
+  // missing key as 0, so a renamed field would zero their metrics silently;
+  // pin presence and value here.
+  ASSERT_NE(doc.find("completed"), nullptr);
+  EXPECT_GE(doc.int_at("completed"), 1);
+  const perf::JsonValue* batch = doc.find("batch");
+  ASSERT_NE(batch, nullptr);
+  ASSERT_NE(batch->find("waves"), nullptr);
+  EXPECT_GE(batch->int_at("waves"), 1);
+  ASSERT_NE(batch->find("batch_max"), nullptr);
+  EXPECT_EQ(batch->int_at("batch_max"), config.batch_max);
+  const perf::JsonValue* cache = doc.find("cache");
+  ASSERT_NE(cache, nullptr);
+  const CacheStats memo = service.cache_stats();
+  for (const char* key : {"hits", "misses", "evictions"}) {
+    ASSERT_NE(cache->find(key), nullptr) << key;
+  }
+  EXPECT_EQ(cache->int_at("hits"), memo.hits);
+  EXPECT_EQ(cache->int_at("misses"), memo.misses);
+  EXPECT_EQ(cache->int_at("evictions"), memo.evictions);
+  EXPECT_EQ(memo.hits + memo.misses, n);
+
   const perf::JsonValue* lat = doc.find("latency");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->int_at("count"), n);
@@ -667,6 +691,12 @@ TEST(QueryService, StatsJsonReconcilesWithTypedCountersAfterDrain) {
   ASSERT_NE(counters_obj, nullptr);
   EXPECT_EQ(counters_obj->int_at("serve.accepted"), counters.accepted);
   EXPECT_EQ(counters_obj->int_at("serve.completed"), counters.completed);
+  // Queue depth, in-flight and the memo counters are top-level fields only,
+  // never repeated as gauges: the service registers no gauge of its own (the
+  // transport adds serve.connections, see ConnectionMetricsAppear...).
+  const perf::JsonValue* gauges = metrics->find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_TRUE(gauges->members().empty());
 
   // The window covers the run we just finished (it all happened well inside
   // the default 10 s window).
@@ -736,7 +766,7 @@ TEST(QueryService, SlowQueryLogThresholdEdges) {
 }
 
 // An attached tracer collects one span per completed request with a
-// monotone admit <= dequeue <= exec_end <= done timeline.
+// monotone admit <= dequeue <= exec_begin <= exec_end <= done timeline.
 TEST(QueryService, TracerRecordsOneOrderedSpanPerRequest) {
   ServeTarget target = target_for("ball-4", 200, 7);
   const auto n = static_cast<std::int64_t>(target.instance->node_count());
@@ -766,7 +796,8 @@ TEST(QueryService, TracerRecordsOneOrderedSpanPerRequest) {
     EXPECT_GE(span.seq, 1u);
     seq_seen = std::max(seq_seen, span.seq);
     EXPECT_LE(span.admit_ns, span.dequeue_ns);
-    EXPECT_LE(span.dequeue_ns, span.exec_end_ns);
+    EXPECT_LE(span.dequeue_ns, span.exec_begin_ns);
+    EXPECT_LE(span.exec_begin_ns, span.exec_end_ns);
     EXPECT_LE(span.exec_end_ns, span.done_ns);
     EXPECT_GE(span.worker, 0);
     EXPECT_GE(span.volume, 1);
@@ -786,6 +817,90 @@ TEST(QueryService, TracerRecordsOneOrderedSpanPerRequest) {
   std::error_code ec;
   EXPECT_GT(fs::file_size(trace_path, ec), 0u);
   fs::remove(trace_path, ec);
+}
+
+// A worker answers the requests of a wave one after another, so a request's
+// execute slice must start only once the previous request of its wave is
+// done (response written) — not at the wave's dequeue.  The single worker is
+// parked in the first request's callback, as in ShedsWhenTheQueueIsFull...,
+// while five more requests queue up; they then ride one wave together, each
+// with a slow response write.
+TEST(QueryService, EachExecuteSpanCoversOnlyItsOwnRequest) {
+  ServeTarget target = target_for("ball-4", 200, 7);
+  ServeTracer tracer;
+  ServeConfig config;
+  config.threads = 1;
+  config.batch_max = 8;
+  config.tracer = &tracer;
+  QueryService service(std::move(target), config);
+
+  std::promise<void> worker_entered;
+  std::promise<void> release_worker;
+  std::shared_future<void> release = release_worker.get_future().share();
+  ASSERT_EQ(service.submit(0, 0,
+                           [&](const QueryResult&) {
+                             worker_entered.set_value();
+                             release.wait();
+                           }),
+            Admission::Accepted);
+  worker_entered.get_future().wait();  // the worker is now parked off-queue
+  constexpr int kWave = 5;
+  for (int i = 1; i <= kWave; ++i) {
+    ASSERT_EQ(service.submit(static_cast<std::uint64_t>(i), i,
+                             [](const QueryResult&) {
+                               std::this_thread::sleep_for(std::chrono::microseconds(50));
+                             }),
+              Admission::Accepted);
+  }
+  release_worker.set_value();
+  service.drain_and_stop();
+
+  std::vector<RequestSpan> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kWave + 1));
+  std::sort(spans.begin(), spans.end(),
+            [](const RequestSpan& a, const RequestSpan& b) { return a.seq < b.seq; });
+  for (int i = 1; i <= kWave; ++i) {
+    EXPECT_EQ(spans[i].wave, spans[1].wave) << "request " << i << " left the wave";
+  }
+  EXPECT_NE(spans[1].wave, spans[0].wave);
+  for (int i = 2; i <= kWave; ++i) {
+    EXPECT_GE(spans[i].exec_begin_ns, spans[i - 1].done_ns) << "request " << i;
+  }
+
+  // The exported trace shows the same: per request, queue, wave, execute and
+  // write tile admit -> done, and each execute slice starts at or after the
+  // previous request's write slice ends.
+  const fs::path trace_path =
+      fs::temp_directory_path() /
+      ("volcal-wave-trace-test-" + std::to_string(::getpid()) + ".json");
+  ASSERT_TRUE(write_serve_chrome_trace(trace_path.string(), spans));
+  std::ifstream in(trace_path);
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::error_code ec;
+  fs::remove(trace_path, ec);
+  std::string err;
+  const perf::JsonValue doc = perf::parse_json(text, &err);
+  ASSERT_FALSE(doc.is_null()) << err;
+  const perf::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  // seq -> slice name -> {begin, end} in µs.
+  std::map<std::int64_t, std::map<std::string, std::pair<double, double>>> slices;
+  for (const perf::JsonValue& e : events->items()) {
+    const double ts = e.number_at("ts");
+    slices[e.find("args")->int_at("seq")][e.string_at("name")] = {ts, ts + e.number_at("dur")};
+  }
+  ASSERT_EQ(slices.size(), static_cast<std::size_t>(kWave + 1));
+  constexpr double kUs = 0.002;  // two rounding steps of the %.3f export
+  for (std::int64_t seq = 1; seq <= kWave + 1; ++seq) {
+    auto& s = slices[seq];
+    ASSERT_EQ(s.size(), 4u) << "seq " << seq;
+    EXPECT_NEAR(s["queue"].second, s["wave"].first, kUs);
+    EXPECT_NEAR(s["wave"].second, s["execute"].first, kUs);
+    EXPECT_NEAR(s["execute"].second, s["write"].first, kUs);
+    if (seq >= 3) {
+      EXPECT_GE(s["execute"].first, slices[seq - 1]["write"].second - kUs) << "seq " << seq;
+    }
+  }
 }
 
 // --- Socket transport ------------------------------------------------------
@@ -1048,8 +1163,8 @@ TEST(SocketServer, UpdateFramesApplyMutationsOverTheWire) {
 }
 
 // The transport registers its connection metrics in the service's registry:
-// the connection-count gauge tracks live clients and the total counter every
-// accept since start.
+// the connection-count gauge (the registry's only gauge) tracks live clients
+// and the total counter every accept since start.
 TEST(SocketServer, ConnectionMetricsAppearInTheServiceRegistry) {
   ServeTarget target = target_for("ball-4", 200, 7);
   ServeConfig config;
@@ -1069,6 +1184,9 @@ TEST(SocketServer, ConnectionMetricsAppearInTheServiceRegistry) {
   obs::MetricsSnapshot snap = service.metrics().snapshot();
   EXPECT_EQ(snap.counter("serve.connections_total"), 2);
   EXPECT_EQ(snap.gauge("serve.connections"), 2);
+  // The connection count is the stack's only gauge.
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].first, "serve.connections");
 
   a.close();
   b.close();

@@ -20,6 +20,7 @@
 //
 // Usage: volcal_bench [--out-dir DIR] [--seed S] [--snapshot-dir DIR]
 //                     [bench::Args flags]
+//   --out-dir DIR destination directory (default ".", created if missing)
 //   --max-n N     largest instance target (default 4096)
 //   --filter S    restrict to registry entries whose name contains S
 #include <cstdio>
@@ -165,6 +166,13 @@ int run(int argc, char** argv) {
       std::fprintf(stderr, "volcal_bench: unknown argument '%s'\n", argv[i]);
       return 2;
     }
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "volcal_bench: cannot create --out-dir %s: %s\n", out_dir.c_str(),
+                 ec.message().c_str());
+    return 2;
   }
   if (seed != kSeed) {
     std::fprintf(stderr,

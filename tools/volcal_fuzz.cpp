@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ void print_help() {
       "  --iters <k>     cases to generate, round-robin over the registry [200]\n"
       "  --family <sub>  restrict to registry families whose name contains <sub>\n"
       "  --max-n <n>     upper bound for generated instance sizes [600]\n"
-      "  --out-dir <d>   write minimized reproducers (*.repro) into <d>\n"
+      "  --out-dir <d>   write minimized reproducers (*.repro) into <d>, creating it\n"
       "  --replay <f>    replay one reproducer file instead of fuzzing\n"
       "  --log           print every generated case\n"
       "  --help          this message\n");
@@ -94,6 +95,15 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       std::fprintf(stderr, "volcal_fuzz: unknown argument %s (try --help)\n", argv[i]);
+      return 2;
+    }
+  }
+  if (!opts.out_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(opts.out_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "volcal_fuzz: cannot create --out-dir %s: %s\n",
+                   opts.out_dir.c_str(), ec.message().c_str());
       return 2;
     }
   }

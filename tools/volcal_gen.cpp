@@ -12,7 +12,7 @@
 //
 // Usage: volcal_gen [--out-dir DIR] [--seed S] [--max-n N] [--min-n N]
 //                   [--filter S] [--validate]
-//   --out-dir DIR  destination directory (default ".", must exist)
+//   --out-dir DIR  destination directory (default ".", created if missing)
 //   --seed S       generator seed (default 7, the bench default)
 //   --max-n N      largest sweep target (default 4096)
 //   --min-n N      smallest sweep target (default 256)
@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "volcal/io.hpp"
@@ -103,6 +104,13 @@ int run(int argc, char** argv) {
   if (min_n < 1 || max_n < min_n) {
     std::fprintf(stderr, "volcal_gen: bad sweep range [%lld, %lld]\n",
                  static_cast<long long>(min_n), static_cast<long long>(max_n));
+    return 2;
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "volcal_gen: cannot create --out-dir %s: %s\n", out_dir.c_str(),
+                 ec.message().c_str());
     return 2;
   }
 

@@ -19,8 +19,8 @@
 // --verify FILE loads the same snapshot the server is serving, labels every
 // node offline with the per-start engine (run_at_all_nodes), and fails
 // unless every served label is bit-identical to the offline output for that
-// node — the end-to-end check that the serving path (batched backend +
-// answer memo + admission + hot swap) never changes an answer.
+// node — the end-to-end check that the serving path (solver + answer memo
+// + admission + hot swap) never changes an answer.
 //
 // --update-rate F mixes mutations into the workload: F * --requests
 // MutationBatches (deterministic draws from propose_mutation) are applied
@@ -560,7 +560,7 @@ int run(int argc, char** argv) {
   }
 
   // Offline ground truth: label every node with the per-start engine (the
-  // serving path must match it bit for bit regardless of backend/cache).
+  // serving path must match it bit for bit, memo hit or not).
   // Under churn (--update-rate) the per-response comparison is suspended —
   // an in-flight query may race an update and legitimately see either graph
   // — and the offline labels are computed AFTER the run, from the locally

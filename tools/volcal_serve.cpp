@@ -2,17 +2,16 @@
 //
 // Loads a .vsnap snapshot (or generates a registry instance), then serves
 // per-node label queries over a Unix-domain socket speaking the
-// length-prefixed frame protocol (src/serve/protocol.hpp).  Queries are
-// batched onto the fused multi-start backend where the family's probe plan
-// allows, answered from one per-node answer memo once computed, and are
-// admission-controlled by a bounded queue (overload answers Shed +
-// retry-after instead of building unbounded backlog).
+// length-prefixed frame protocol (src/serve/protocol.hpp).  Each query runs
+// the family's solver once and is answered from one per-node answer memo
+// after that; admission is controlled by a bounded queue (overload answers
+// Shed + retry-after instead of building unbounded backlog).
 //
 // Signals:
 //   SIGTERM / SIGINT  graceful drain: stop admission, answer every accepted
 //                     request, write the perf artifact, exit 0.
 //   SIGHUP            hot swap: reload --snapshot and atomically replace the
-//                     served instance; in-flight batches finish against the
+//                     served instance; in-flight waves finish against the
 //                     old mapping, and the answer memo starts over (see the
 //                     race rule in runtime/answer_memo.hpp).  Put the new
 //                     file in place by rename (mv), never by rewriting the
@@ -20,7 +19,7 @@
 //                     life, and truncating it kills the process (SIGBUS).
 //
 // Usage: volcal_serve --snapshot FILE | --family NAME [--n N] [--seed S]
-//                     --socket PATH [--threads N] [--queue N] [--batch N]
+//                     --socket PATH [--threads N] [--queue N]
 //                     [--cache off|shared]
 //                     [--retry-after-ms N] [--artifact FILE]
 //                     [--stats-interval SEC] [--stats-log FILE]
@@ -169,8 +168,6 @@ int run(int argc, char** argv) {
       config.threads = std::atoi(v);
     } else if (const char* v = value_of("--queue")) {
       config.queue_capacity = static_cast<std::size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--batch")) {
-      config.batch_max = std::atoi(v);
     } else if (const char* v = value_of("--retry-after-ms")) {
       config.retry_after_ms = static_cast<std::uint32_t>(std::atoi(v));
     } else if (const char* v = value_of("--cache")) {
@@ -211,7 +208,6 @@ int run(int argc, char** argv) {
           "  --socket <p>         Unix socket path to listen on (required)\n"
           "  --threads <n>        worker threads [VOLCAL_THREADS, else 1]\n"
           "  --queue <n>          admission queue capacity [1024]\n"
-          "  --batch <n>          max requests fused per wave [64]\n"
           "  --retry-after-ms <n> shed backoff hint [50]\n"
           "  --cache <p>          per-node answer memo: off | shared [shared]\n"
           "  --artifact <f>       write the serve perf artifact on drain\n"

@@ -4,11 +4,12 @@
 // at a fixed interval and renders the snapshot: throughput (QPS derived
 // from the completed-counter delta between polls), queue depth and
 // in-flight, since-start and windowed latency percentiles, shed and
-// slow-query counts, cache hit ratio, batch occupancy, and connection
-// count.  Stats polls are answered on the server's reader thread — they
-// never enter the admission queue, so watching a loaded server does not
-// displace queries.  Derived columns subtract the dashboard's own footprint
-// (its poll connection); --raw prints the server's JSON verbatim.
+// slow-query counts, cache hit ratio, waves with the mean requests per
+// wave, and connection count.  Stats polls are answered on the server's
+// reader thread — they never enter the admission queue, so watching a
+// loaded server does not displace queries.  Derived columns subtract the
+// dashboard's own footprint (its poll connection); --raw prints the
+// server's JSON verbatim.
 //
 // Modes:
 //   default        redraw every --interval seconds until ^C (ANSI clear
@@ -132,10 +133,10 @@ void render(const Snapshot& snap, const Snapshot* prev, bool clear) {
                     (1024.0 * 1024.0));
   }
   if (const perf::JsonValue* batch = d.find("batch")) {
-    std::printf("batching      waves %lld  fused runs %lld  occupancy %.1f / %lld\n",
-                static_cast<long long>(batch->int_at("waves")),
-                static_cast<long long>(batch->int_at("batched_runs")),
-                batch->number_at("mean_occupancy"),
+    const std::int64_t waves = batch->int_at("waves");
+    std::printf("waves         %lld  (%.1f requests per wave, at most %lld)\n",
+                static_cast<long long>(waves),
+                waves > 0 ? static_cast<double>(completed) / static_cast<double>(waves) : 0.0,
                 static_cast<long long>(batch->int_at("batch_max")));
   }
   std::fflush(stdout);
