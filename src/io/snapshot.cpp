@@ -11,6 +11,8 @@
 #include <cstring>
 #include <limits>
 
+#include "util/hash.hpp"
+
 namespace volcal::io {
 
 // The format is little-endian by definition and the writer/loader below
@@ -31,16 +33,6 @@ constexpr std::uint32_t kHeaderBytes = 104;
 constexpr std::uint32_t kSectionEntryBytes = 32;
 constexpr std::size_t kFamilyBytes = 32;
 constexpr std::size_t kTagBytes = 8;
-
-std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
 
 std::uint64_t align8(std::uint64_t x) { return (x + 7) & ~std::uint64_t{7}; }
 
@@ -107,19 +99,20 @@ void write_snapshot_file(const std::string& path, std::string_view family,
   }
   const std::uint64_t payload_bytes = cursor - payload_offset;
 
-  // Checksum pass: FNV-1a over the payload region exactly as it will land on
-  // disk (inter-section zero padding included).
-  std::uint64_t checksum = kFnvBasis;
+  // Checksum pass over the payload region exactly as it will land on disk
+  // (inter-section zero padding included).
+  Xxh64 hasher;
   {
     std::uint64_t pos = payload_offset;
     static constexpr std::uint8_t zeros[8] = {};
     for (std::size_t i = 0; i < sections.size(); ++i) {
-      checksum = fnv1a(checksum, zeros, static_cast<std::size_t>(offsets[i] - pos));
-      checksum = fnv1a(checksum, static_cast<const std::uint8_t*>(sections[i].data),
-                       static_cast<std::size_t>(sections[i].byte_size()));
+      hasher.update({zeros, static_cast<std::size_t>(offsets[i] - pos)});
+      hasher.update({static_cast<const std::uint8_t*>(sections[i].data),
+                     static_cast<std::size_t>(sections[i].byte_size())});
       pos = offsets[i] + sections[i].byte_size();
     }
   }
+  const std::uint64_t checksum = hasher.digest();
 
   std::uint8_t header[kHeaderBytes] = {};
   std::memcpy(header, kSnapshotMagic, sizeof(kSnapshotMagic));
@@ -162,6 +155,12 @@ PendingSection port_section(const char* tag, const std::vector<Port>& v) {
 }
 
 }  // namespace
+
+std::uint64_t snapshot_checksum(std::span<const std::uint8_t> payload) {
+  Xxh64 hasher;
+  hasher.update(payload);
+  return hasher.digest();
+}
 
 // --- MappedFile -------------------------------------------------------------
 
@@ -287,7 +286,7 @@ Snapshot Snapshot::load(const std::string& path) {
     snap.sections_.push_back(std::move(s));
   }
 
-  if (fnv1a(kFnvBasis, base + payload_offset, static_cast<std::size_t>(payload_bytes)) !=
+  if (snapshot_checksum({base + payload_offset, static_cast<std::size_t>(payload_bytes)}) !=
       checksum) {
     fail(path, "checksum mismatch (corrupt payload)");
   }

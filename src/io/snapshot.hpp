@@ -13,7 +13,7 @@
 //
 //   Header (104 bytes at offset 0)
 //     0   char magic[8]        "VOLCSNP1"
-//     8   u32  version         format schema, currently 1
+//     8   u32  version         format schema, currently 2
 //     12  u32  header_bytes    104 (offset of the section table)
 //     16  char family[32]      registry key, NUL-padded ("leaf-coloring"...)
 //     48  i64  node_count      n
@@ -22,7 +22,7 @@
 //     68  u32  section_count
 //     72  u64  payload_offset  first byte after the section table, 8-aligned
 //     80  u64  payload_bytes   checksummed region [payload_offset, +bytes)
-//     88  u64  checksum        FNV-1a 64 over the payload region
+//     88  u64  checksum        XXH64 (seed 0) of the payload region
 //     96  u64  reserved        0
 //
 //   Section table: section_count entries of 32 bytes
@@ -46,8 +46,10 @@
 //   hh                + side                     u8
 //
 // Versioning: readers accept exactly the versions they know; any layout
-// change bumps `version`.  Unknown section tags are ignored on load, so
-// additive extensions may reuse version 1.
+// change bumps `version`.  Version 2 changed the checksum from FNV-1a 64 to
+// XXH64 and nothing else; a version-1 file is refused as such (regenerate it
+// with volcal_gen).  Unknown section tags are ignored on load, so additive
+// extensions may reuse version 2.
 //
 // Ownership / lifetime: Snapshot keeps the mapping alive via a shared
 // handle.  GraphView / span accessors borrow the mapping; whoever adopts
@@ -75,7 +77,11 @@ struct SnapshotError : std::runtime_error {
 };
 
 inline constexpr char kSnapshotMagic[8] = {'V', 'O', 'L', 'C', 'S', 'N', 'P', '1'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
+
+// The header checksum (offset 88) of a payload region: what the writer
+// records and Snapshot::load recomputes over the mapped payload.
+std::uint64_t snapshot_checksum(std::span<const std::uint8_t> payload);
 
 // Read-only mmap of a whole file (RAII).  Kept behind shared_ptr so views
 // into the mapping can outlive the Snapshot that produced them.

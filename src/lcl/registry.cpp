@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "io/snapshot.hpp"
@@ -177,34 +178,32 @@ MutationBatch propose_batch(const Instance<Labels>& inst, std::uint64_t seed,
 
 // --- erasure plumbing -------------------------------------------------------
 
-// Owns the instance and the problem built over it.  The problem is
-// constructed *after* the instance has landed at its final address (several
-// problem constructors snapshot a Hierarchy over the instance's graph).
-// `keep` is an opaque retainer destroyed *after* the instance — snapshot
-// loads park the file mapping here, so adopted CSR views stay valid for the
-// instance's whole lifetime.
-template <typename Labels, typename Problem>
+// Owns the instance.  `keep` is an opaque retainer destroyed *after* the
+// instance — snapshot loads park the file mapping here, so adopted CSR views
+// stay valid for the instance's whole lifetime.
+template <typename Labels>
 struct Held {
   std::shared_ptr<const void> keep;  // declared first => destroyed last
   Instance<Labels> inst;
-  Problem problem;
-
-  template <typename MakeProblem>
-  Held(Instance<Labels>&& i, MakeProblem make_problem,
-       std::shared_ptr<const void> keep_alive = nullptr)
-      : keep(std::move(keep_alive)), inst(std::move(i)), problem(make_problem(inst)) {}
 };
 
-// Builds the Impl from a held instance+problem, a generic solver functor
-// (callable on an InstanceSource over either execution type, returning the
-// problem's per-node output value), and an encode/decode pair.  This is the
-// single wiring point shared by the generator path (registry entries) and
-// the deserialization paths (erase_instance / load_snapshot_instance), so a
+// Builds the Impl over an instance from a verifier factory (`make_problem`,
+// called on the held instance), a generic solver functor (callable on an
+// InstanceSource over either execution type, returning the problem's
+// per-node output value), and an encode/decode pair.  This is the single
+// wiring point shared by the generator path (registry entries) and the
+// deserialization paths (erase_instance / load_snapshot_instance), so a
 // loaded instance gets exactly the closures a generated one gets.
-template <typename Labels, typename Problem, typename Solve, typename Encode,
+//
+// Only verify() builds the Problem, once per call: the THC constructors
+// build an O(n) Hierarchy over the instance that loads, solves and
+// mutations never read.
+template <typename Labels, typename MakeProblem, typename Solve, typename Encode,
           typename Decode>
-ErasedInstance erase(std::string family, std::shared_ptr<Held<Labels, Problem>> held,
+ErasedInstance erase(std::string family, Instance<Labels>&& inst,
+                     std::shared_ptr<const void> keep, MakeProblem make_problem,
                      Solve solve, Encode enc, Decode dec) {
+  auto held = std::make_shared<const Held<Labels>>(std::move(keep), std::move(inst));
   typename ErasedInstance::Impl impl;
   impl.family = family;
   impl.graph = held->inst.graph;
@@ -217,11 +216,13 @@ ErasedInstance erase(std::string family, std::shared_ptr<Held<Labels, Problem>> 
     InstanceSource<Labels, obs::TracedExecution> src(held->inst, exec);
     return enc(solve(src));
   };
-  impl.verify = [held, dec](const std::vector<int>& encoded) {
+  impl.verify = [held, make_problem, dec](const std::vector<int>& encoded) {
+    using Problem = std::invoke_result_t<MakeProblem, const Instance<Labels>&>;
+    const Problem problem = make_problem(held->inst);
     typename Problem::Output out;
     out.reserve(encoded.size());
     for (const int e : encoded) out.push_back(dec(e));
-    return verify_all(held->problem, held->inst, out);
+    return verify_all(problem, held->inst, out);
   };
   impl.save_snapshot = [held, family](const std::string& path) {
     io::write_snapshot(path, family, held->inst);
@@ -297,22 +298,18 @@ NodeIndex backbone_for(int k, NodeIndex n_target) {
 ErasedInstance erase_colored_tree(std::string_view family, LeafColoringInstance&& inst,
                                   std::shared_ptr<const void> keep) {
   if (family == "leaf-coloring") {
-    auto held = std::make_shared<Held<ColoredTreeLabeling, LeafColoringProblem>>(
-        std::move(inst), [](const auto&) { return LeafColoringProblem{}; },
-        std::move(keep));
-    return erase("leaf-coloring", std::move(held),
+    return erase("leaf-coloring", std::move(inst), std::move(keep),
+                 [](const auto&) { return LeafColoringProblem{}; },
                  [](auto& src) { return leafcoloring_nearest_leaf(src); }, encode_color,
                  decode_color);
   }
   if (family == "ball-4") {
-    auto held = std::make_shared<Held<ColoredTreeLabeling, BallCensusProblem>>(
-        std::move(inst), [](const auto&) { return BallCensusProblem(4); },
-        std::move(keep));
     // Output is the ball size itself.  Identity encoding: counts are
     // family-local (enc/dec pairs never cross entries), so the packed bit
     // layout above does not apply.
     return erase(
-        "ball-4", std::move(held),
+        "ball-4", std::move(inst), std::move(keep),
+        [](const auto&) { return BallCensusProblem(4); },
         [](auto& src) {
           return static_cast<int>(explore_ball(src.execution(), 4).size());
         },
@@ -320,12 +317,10 @@ ErasedInstance erase_colored_tree(std::string_view family, LeafColoringInstance&
   }
   if (family == "hthc-2" || family == "hthc-3") {
     const int k = family.back() - '0';
-    auto held = std::make_shared<Held<ColoredTreeLabeling, HierarchicalTHCProblem>>(
-        std::move(inst),
-        [k](const auto& i) { return HierarchicalTHCProblem(i, k); }, std::move(keep));
-    const HthcConfig cfg = HthcConfig::make(k, held->inst.node_count(), false, nullptr);
+    const HthcConfig cfg = HthcConfig::make(k, inst.node_count(), false, nullptr);
     return erase(
-        std::string(family), std::move(held),
+        std::string(family), std::move(inst), std::move(keep),
+        [k](const auto& i) { return HierarchicalTHCProblem(i, k); },
         [cfg](auto& src) {
           HthcSolver<std::decay_t<decltype(src)>> solver(src, cfg);
           return solver.solve();
@@ -345,21 +340,17 @@ ErasedInstance erase_instance(std::string_view family, LeafColoringInstance&& in
 ErasedInstance erase_instance(std::string_view family, BalancedTreeInstance&& inst,
                               std::shared_ptr<const void> keep_alive) {
   if (family != "balanced-tree") unknown_family(family, "balanced-tree");
-  auto held = std::make_shared<Held<BalancedTreeLabeling, BalancedTreeProblem>>(
-      std::move(inst), [](const auto&) { return BalancedTreeProblem{}; },
-      std::move(keep_alive));
-  return erase("balanced-tree", std::move(held),
+  return erase("balanced-tree", std::move(inst), std::move(keep_alive),
+               [](const auto&) { return BalancedTreeProblem{}; },
                [](auto& src) { return balancedtree_solve(src); }, encode_bt, decode_bt);
 }
 
 ErasedInstance erase_instance(std::string_view family, HybridInstance&& inst,
                               std::shared_ptr<const void> keep_alive) {
   if (family != "hybrid-2") unknown_family(family, "hybrid");
-  auto held = std::make_shared<Held<HybridLabeling, HybridTHCProblem>>(
-      std::move(inst), [](const auto& i) { return HybridTHCProblem(i, 2); },
-      std::move(keep_alive));
-  const HybridConfig cfg = HybridConfig::make(2, held->inst.node_count());
-  return erase("hybrid-2", std::move(held),
+  const HybridConfig cfg = HybridConfig::make(2, inst.node_count());
+  return erase("hybrid-2", std::move(inst), std::move(keep_alive),
+               [](const auto& i) { return HybridTHCProblem(i, 2); },
                [cfg](auto& src) { return hybrid_solve_distance(src, cfg); },
                encode_hybrid, decode_hybrid);
 }
@@ -367,11 +358,9 @@ ErasedInstance erase_instance(std::string_view family, HybridInstance&& inst,
 ErasedInstance erase_instance(std::string_view family, HHInstance&& inst,
                               std::shared_ptr<const void> keep_alive) {
   if (family != "hh-2-3") unknown_family(family, "hh");
-  auto held = std::make_shared<Held<HHLabeling, HHTHCProblem>>(
-      std::move(inst), [](const auto& i) { return HHTHCProblem(i, 2, 3); },
-      std::move(keep_alive));
-  const HHConfig cfg = HHConfig::make(2, 3, held->inst.node_count());
-  return erase("hh-2-3", std::move(held),
+  const HHConfig cfg = HHConfig::make(2, 3, inst.node_count());
+  return erase("hh-2-3", std::move(inst), std::move(keep_alive),
+               [](const auto& i) { return HHTHCProblem(i, 2, 3); },
                [cfg](auto& src) { return hh_solve_distance(src, cfg); }, encode_hybrid,
                decode_hybrid);
 }

@@ -41,7 +41,7 @@ class Snapshot;
 class ErasedInstance {
  public:
   struct Impl {
-    std::shared_ptr<const void> held;  // keeps the instance (+ problem) alive
+    std::shared_ptr<const void> held;  // keeps the instance alive
     std::string family;                // registry key the instance belongs to
     GraphView graph{};
     const IdAssignment* ids = nullptr;

@@ -5,8 +5,9 @@
 // bit-identical outputs and model costs for every registry family, on both
 // execution backends, at any thread count.  Plus the format pins that make
 // snapshots durable artifacts: corruption is rejected with a pinpointed
-// error, the header layout is little-endian at fixed offsets, and sections
-// stay 8-byte aligned so the mmap'd arrays are directly addressable.
+// error, the header layout is little-endian at fixed offsets, sections
+// stay 8-byte aligned so the mmap'd arrays are directly addressable, and the
+// payload checksum is XXH64 as published.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,12 +15,15 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "labels/generators.hpp"
+#include "util/hash.hpp"
 #include "volcal/io.hpp"
 #include "volcal/problems.hpp"
 #include "volcal/runtime.hpp"
@@ -90,15 +94,12 @@ std::size_t section_offset(const std::vector<std::uint8_t>& b, const std::string
   return 0;
 }
 
-// Rewrites the header checksum (u64 at 88): FNV-1a over the payload region.
+// Rewrites the header checksum (u64 at 88) over the payload region.
 void recompute_checksum(std::vector<std::uint8_t>& b) {
   const std::uint64_t payload_offset = u64_at(b, 72);
   const std::uint64_t payload_bytes = u64_at(b, 80);
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::uint64_t i = payload_offset; i < payload_offset + payload_bytes; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ull;
-  }
+  const std::uint64_t h = io::snapshot_checksum(
+      std::span<const std::uint8_t>(b).subspan(payload_offset, payload_bytes));
   std::memcpy(b.data() + 88, &h, 8);
 }
 
@@ -185,16 +186,28 @@ TEST_F(SnapshotTest, RejectsCorruptHeadersAndPayloads) {
     write_file(file, bad);
     expect_load_error(file, "unsupported version");
   }
+  {  // a version-1 header (the older checksum) is refused by its version
+    std::vector<std::uint8_t> bad = good;
+    bad[8] = 1;
+    write_file(file, bad);
+    expect_load_error(file, "unsupported version 1 (reader knows 2)");
+  }
   {  // truncated payload
     std::vector<std::uint8_t> bad(good.begin(), good.begin() + good.size() / 2);
     write_file(file, bad);
     expect_load_error(file, "out of bounds");
   }
-  {  // single flipped payload byte
-    std::vector<std::uint8_t> bad = good;
-    bad[bad.size() - 1] ^= 1;
-    write_file(file, bad);
-    expect_load_error(file, "checksum mismatch");
+  {  // one flipped bit (bit i mod 8) in each payload byte i, one file per byte
+    const std::uint64_t begin = u64_at(good, 72);
+    const std::uint64_t end = begin + u64_at(good, 80);
+    ASSERT_EQ(end, good.size());
+    for (std::uint64_t i = begin; i < end && !HasFailure(); ++i) {
+      SCOPED_TRACE("payload byte " + std::to_string(i));
+      std::vector<std::uint8_t> bad = good;
+      bad[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+      write_file(file, bad);
+      expect_load_error(file, "checksum mismatch");
+    }
   }
   // A re-checksummed payload with a broken CSR passes the checksum; the
   // structural pass must reject it before the engine indexes through it.
@@ -311,8 +324,8 @@ TEST_F(SnapshotTest, HeaderLayoutIsLittleEndianAtFixedOffsets) {
   ASSERT_GE(b.size(), 104u);
 
   EXPECT_EQ(std::memcmp(b.data(), "VOLCSNP1", 8), 0);
-  // version u32 little-endian at offset 8: 01 00 00 00.
-  EXPECT_EQ(b[8], 1u);
+  // version u32 little-endian at offset 8: 02 00 00 00.
+  EXPECT_EQ(b[8], 2u);
   EXPECT_EQ(b[9], 0u);
   EXPECT_EQ(b[10], 0u);
   EXPECT_EQ(b[11], 0u);
@@ -362,6 +375,43 @@ TEST_F(SnapshotTest, HeaderLayoutIsLittleEndianAtFixedOffsets) {
   EXPECT_TRUE(saw_offsets);
   EXPECT_TRUE(saw_adj);
   EXPECT_TRUE(saw_ids);
+}
+
+// --- the payload checksum ----------------------------------------------------
+
+std::span<const std::uint8_t> bytes_of(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+// The checksum is XXH64 at seed 0, pinned to the algorithm's published test
+// vectors, so files stay readable by any correct XXH64.
+TEST(SnapshotChecksum, MatchesPublishedXxh64Vectors) {
+  EXPECT_EQ(io::snapshot_checksum(bytes_of("")), 0xef46db3751d8e999ull);
+  EXPECT_EQ(io::snapshot_checksum(bytes_of("a")), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(io::snapshot_checksum(bytes_of("abc")), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(io::snapshot_checksum(bytes_of("Nobody inspects the spammish repetition")),
+            0xfbcea83c8a378bf1ull);
+}
+
+// The writer feeds the hasher section by section and the loader hashes the
+// mapped payload in one call, so any split must give the one-shot digest.
+// Every two-piece split of every length 0..128 crosses the 32-byte stripe
+// buffer and the 8-, 4- and 1-byte tails.
+TEST(SnapshotChecksum, StreamingInTwoPiecesEqualsOneShot) {
+  std::vector<std::uint8_t> data(128);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(splitmix64(i));
+  }
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const std::span<const std::uint8_t> all(data.data(), len);
+    const std::uint64_t one_shot = io::snapshot_checksum(all);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Xxh64 h;
+      h.update(all.first(split));
+      h.update(all.subspan(split));
+      ASSERT_EQ(h.digest(), one_shot) << "length " << len << ", split at " << split;
+    }
+  }
 }
 
 // --- Graph::adopt / GraphView semantics --------------------------------------
