@@ -3,23 +3,29 @@
 // parallel (runtime/parallel_runner.hpp).
 //
 // All engines compute identical results — asserted below per workload — so
-// the only thing that varies is wall time.  Two workloads on complete binary
-// trees:
-//   * ball     — explore_ball(r) from every node: the pure engine loop
-//                (query + stamp + layer), no solver logic on top;
-//   * nearleaf — Prop. 3.9 nearest-leaf from every node: a real Table-1
-//                solver with label reads through InstanceSource.
+// the only thing that varies is wall time.  Workloads:
+//   * ball     — explore_ball(r) from every node of a complete binary tree:
+//                the pure engine loop (query + stamp + layer), no solver
+//                logic on top;
+//   * nearleaf — Prop. 3.9 nearest-leaf from every node of a complete binary
+//                tree: a real Table-1 solver with label reads through
+//                InstanceSource;
+//   * balanced — Prop. 4.8 BalancedTree from every node of an unbalanced
+//                instance (depths 12 and 14 only, so the map engine's row
+//                stays short): the other child-walk solver.
 //
 // Usage: bench_runner [bench::Args flags; see --help].  Thread counts for the parallel rows
 // are fixed at 2/4/8 (on a single-core host they measure scheduling overhead,
 // not speedup; the flat-vs-map row is the hardware-independent headline).
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "labels/generators.hpp"
+#include "lcl/algorithms/balanced_tree_algos.hpp"
 #include "lcl/algorithms/leaf_coloring_algos.hpp"
 #include "lcl/algorithms/local_view.hpp"
 #include "runtime/reference_execution.hpp"
@@ -28,15 +34,22 @@
 namespace volcal::bench {
 namespace {
 
+std::vector<NodeIndex> every_node(NodeIndex n) {
+  std::vector<NodeIndex> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), NodeIndex{0});
+  return all;
+}
+
 struct SweepCost {
   std::int64_t max_volume = 0;
   std::int64_t max_distance = 0;
-  std::int64_t total_volume = 0;  // visited nodes summed over starts
+  std::int64_t total_volume = 0;   // visited nodes summed over starts
+  std::int64_t total_queries = 0;  // query() calls summed over starts
   double seconds = 0.0;
 
   bool same_costs(const SweepCost& other) const {
     return max_volume == other.max_volume && max_distance == other.max_distance &&
-           total_volume == other.total_volume;
+           total_volume == other.total_volume && total_queries == other.total_queries;
   }
 };
 
@@ -53,6 +66,7 @@ SweepCost sweep_map(const Graph& g, const IdAssignment& ids,
     cost.max_volume = std::max(cost.max_volume, exec.volume());
     cost.max_distance = std::max(cost.max_distance, exec.distance());
     cost.total_volume += exec.volume();
+    cost.total_queries += exec.query_count();
   }
   cost.seconds = timer.seconds();
   return cost;
@@ -71,6 +85,7 @@ SweepCost sweep_flat(const Graph& g, const IdAssignment& ids,
   cost.max_volume = run.stats.max_volume;
   cost.max_distance = run.stats.max_distance;
   cost.total_volume = run.stats.total_volume;
+  cost.total_queries = run.stats.total_queries;
   cost.seconds = timer.seconds();
   return cost;
 }
@@ -102,6 +117,7 @@ SweepCost sweep_policy(const Graph& g, const IdAssignment& ids,
   cost.max_volume = run.stats.max_volume;
   cost.max_distance = run.stats.max_distance;
   cost.total_volume = run.stats.total_volume;
+  cost.total_queries = run.stats.total_queries;
   cost.seconds = timer.seconds();
   if (stats_out != nullptr) *stats_out = run.stats;
   if (output_out != nullptr) *output_out = std::move(run.output);
@@ -144,6 +160,7 @@ std::vector<AblationRow> run_ablation_rows(
                                                backend, plan, nullptr, nullptr, nullptr);
           row.cost.seconds += again.seconds;
           row.cost.total_volume += again.total_volume;
+          row.cost.total_queries += again.total_queries;
         }
         rows.push_back(std::move(row));
       }
@@ -255,8 +272,7 @@ void run_backend_ablation(const Args& args, stats::Table& table, JsonReport& rep
   auto ph = report.phase("backend-ablation");
   constexpr int kRadius = 6;
   constexpr int kRepeats = 2;
-  std::vector<NodeIndex> all(static_cast<std::size_t>(inst.node_count()));
-  for (NodeIndex v = 0; v < inst.node_count(); ++v) all[static_cast<std::size_t>(v)] = v;
+  const std::vector<NodeIndex> all = every_node(inst.node_count());
   auto solve = [](Execution& exec) { return static_cast<int>(explore_ball(exec, kRadius).size()); };
 
   const std::vector<AblationRow> rows = run_ablation_rows(
@@ -299,6 +315,7 @@ void run_workload(const std::string& workload, const Graph& g, const IdAssignmen
       const SweepCost again = sweep();
       cost.seconds += again.seconds;
       cost.total_volume += again.total_volume;
+      cost.total_queries += again.total_queries;
     }
     return cost;
   };
@@ -337,8 +354,7 @@ void run(const Args& args) {
     auto inst = make_complete_binary_tree(depth, Color::Red, Color::Blue);
     if (!args.keep_n(inst.node_count())) continue;
     // All-nodes ball sweep: the pure engine loop.
-    std::vector<NodeIndex> all(static_cast<std::size_t>(inst.node_count()));
-    for (NodeIndex v = 0; v < inst.node_count(); ++v) all[static_cast<std::size_t>(v)] = v;
+    const std::vector<NodeIndex> all = every_node(inst.node_count());
     run_workload(
         "ball(r=6)", inst.graph, inst.ids, all, /*repeats=*/1,
         [](Execution& exec) { explore_ball(exec, 6); },
@@ -372,17 +388,35 @@ void run(const Args& args) {
         },
         table, report);
   }
+  // Whole-graph BalancedTree sweep (Prop. 4.8): the other child-walk solver.
+  for (const int depth : {12, 14}) {
+    const auto inst = make_unbalanced_instance(depth, depth - 2, 1);
+    if (!args.keep_n(inst.node_count())) continue;
+    const std::vector<NodeIndex> all = every_node(inst.node_count());
+    run_workload(
+        "balanced/all", inst.graph, inst.ids, all, /*repeats=*/1,
+        [&](Execution& exec) {
+          InstanceSource<BalancedTreeLabeling> src(inst, exec);
+          balancedtree_solve(src);
+        },
+        [&](ReferenceMapExecution& exec) {
+          InstanceSource<BalancedTreeLabeling, ReferenceMapExecution> src(inst, exec);
+          balancedtree_solve(src);
+        },
+        table, report);
+  }
   run_cache_ablation(args, table, report);
   run_backend_ablation(args, table, report);
   table.print();
   std::printf(
-      "\nAll engines produced identical sup-costs and total visited nodes\n"
-      "(verified per row).  'speedup' is wall-time vs the serial map engine\n"
-      "on the same workload; thread rows only help on multi-core hosts.\n"
-      "The flat scratch shines on sweeps of many small executions (ball,\n"
-      "nearleaf/all — the run_at_all_nodes regime); on single Θ(n)-volume\n"
-      "executions (nearleaf/t1 root start) both engines are memory-bound and\n"
-      "the gap narrows to the per-lookup hash-vs-array difference.\n");
+      "\nAll engines produced identical sup-costs, total visited nodes and\n"
+      "total queries (verified per row).  'speedup' is wall-time vs the serial\n"
+      "map engine on the same workload; thread rows only help on multi-core\n"
+      "hosts.  The flat scratch shines on sweeps of many small executions\n"
+      "(ball, nearleaf/all, balanced/all — the run_at_all_nodes regime); on\n"
+      "single Θ(n)-volume executions (nearleaf/t1 root start) both engines are\n"
+      "memory-bound and the gap narrows to the per-lookup hash-vs-array\n"
+      "difference.\n");
   report.write_file(args.json);
 }
 

@@ -10,8 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
+#include <vector>
 
 #include "lcl/algorithms/local_view.hpp"
 #include "lcl/problems/balanced_tree.hpp"
@@ -92,14 +91,16 @@ BtOutput balancedtree_solve(Source& src, std::int64_t depth_limit = 0,
     std::int64_t depth;
     Port first_hop;  // port at `start` beginning the path to this node
   };
-  std::deque<Entry> frontier;
-  std::unordered_set<NodeIndex> seen{start};
+  // BFS queue reused across calls, as in leafcoloring_nearest_leaf: a vector
+  // with a head index, allocation-free in steady state.  Not reentrant;
+  // nothing this solver calls runs it again.
+  thread_local std::vector<Entry> frontier;
+  frontier.clear();
   std::int64_t leaf_depth = -1;
   frontier.push_back({start, 0, kNoPort});
   Port defect_hop = kNoPort;
-  while (!frontier.empty()) {
-    const Entry e = frontier.front();
-    frontier.pop_front();
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const Entry e = frontier[head];
     if (leaf_depth >= 0 && e.depth >= leaf_depth) break;     // scanned depth <= d
     if (depth_limit > 0 && e.depth >= depth_limit) break;    // defensive cutoff
     const NodeIndex lc = view.left(e.node);
@@ -110,7 +111,8 @@ BtOutput balancedtree_solve(Source& src, std::int64_t depth_limit = 0,
                                                        : src.right_port(start))
                                     : e.first_hop;
       ++child_slot;
-      if (child == kNoNode || !seen.insert(child).second) continue;
+      // No visited set: G_T in-degree <= 1 (Obs. 3.7), so only start recurs.
+      if (child == kNoNode || child == start) continue;
       if (!query_bt_compatible(src, child) && defect_hop == kNoPort) {
         defect_hop = hop;  // nearest (BFS) leftmost (LC-first) incompatible
       }

@@ -12,12 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "lcl/algorithms/local_view.hpp"
 #include "runtime/randomness.hpp"
-#include "util/stamped_set.hpp"
 
 namespace volcal {
 
@@ -29,23 +27,20 @@ Color leafcoloring_nearest_leaf(Source& src) {
   TreeView<Source> view(src);
   const NodeIndex start = src.start();
   if (!view.internal(start)) return src.color(start);
-  // BFS scratch reused across calls (whole-graph sweeps call this from every
-  // start node, so per-call containers would dominate the wall time): a
-  // vector-with-head-index queue and an epoch-stamped seen set, both
-  // allocation-free in steady state.  Not reentrant; nothing calls this
-  // solver from within itself.
+  // BFS queue reused across calls (whole-graph sweeps call this from every
+  // start node, so a per-call container would dominate the wall time): a
+  // vector with a head index, allocation-free in steady state.  Not
+  // reentrant; nothing calls this solver from within itself.
   thread_local std::vector<NodeIndex> frontier;
-  thread_local StampedNodeSet seen;
   frontier.clear();
-  seen.clear();
   frontier.push_back(start);
-  seen.insert(start);
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const NodeIndex v = frontier[head];
     // Children of an internal node are always in G_T (a non-internal child
     // of an internal parent is a leaf), so expansion is two-way.
     for (const NodeIndex child : {view.left(v), view.right(v)}) {
-      if (child == kNoNode || !seen.insert(child)) continue;
+      // No visited set: G_T in-degree <= 1 (Obs. 3.7), so only start recurs.
+      if (child == kNoNode || child == start) continue;
       if (!view.internal(child)) return src.color(child);  // nearest leftmost leaf
       frontier.push_back(child);
     }
@@ -58,14 +53,15 @@ Color leafcoloring_nearest_leaf(Source& src) {
 template <typename Source>
 Color leafcoloring_leftmost_descent(Source& src) {
   TreeView<Source> view(src);
-  NodeIndex cur = src.start();
-  if (!view.internal(cur)) return src.color(cur);
-  std::unordered_set<NodeIndex> seen{cur};
+  const NodeIndex start = src.start();
+  if (!view.internal(start)) return src.color(start);
+  NodeIndex cur = start;
   while (true) {
     const NodeIndex next = view.left(cur);
     if (next == kNoNode) return src.color(cur);  // defensive
     if (!view.internal(next)) return src.color(next);
-    if (!seen.insert(next).second) return Color::Red;  // LC-cycle
+    // No visited set: G_T in-degree <= 1 (Obs. 3.7), so only start recurs.
+    if (next == start) return Color::Red;  // LC-cycle
     cur = next;
   }
 }

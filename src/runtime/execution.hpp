@@ -18,10 +18,10 @@
 //     documented in DESIGN.md and pinned by the layer-tightening tests in
 //     tests/runtime_test.cpp.
 //
-// Storage: visited/layer state lives in an ExecutionScratch — a pair of flat
-// arrays sized to n plus an epoch stamp.  Starting a new execution is O(1)
-// (bump the epoch); whole-graph sweeps reuse one scratch per worker thread
-// and therefore perform zero allocations per start node.  The historical
+// Storage: visited/layer state lives in an ExecutionScratch — one flat array
+// of 8-byte slots (epoch stamp + layer) sized to n.  Starting a new execution
+// is O(1) (bump the epoch); whole-graph sweeps reuse one scratch per worker
+// thread and therefore perform zero allocations per start node.  The historical
 // std::unordered_map implementation is preserved verbatim as the test-only
 // differential reference in runtime/reference_execution.hpp.
 //
@@ -38,6 +38,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -54,51 +55,65 @@ struct QueryBudgetExceeded : std::runtime_error {
 // the epoch, invalidating the previous execution's stamps in O(1)); it must
 // not be shared by two live executions at once, nor by two threads.  The
 // parallel sweep engine keeps one scratch per worker.
+//
+// Each node owns one 8-byte Slot, so a probe touches one cache line per node.
+// A layer is < n and is stored as int32, which caps n at kMaxNodes.
 class ExecutionScratch {
  public:
+  using Epoch = std::uint32_t;
+  static constexpr NodeIndex kMaxNodes = std::numeric_limits<std::int32_t>::max();
+
   ExecutionScratch() = default;
   explicit ExecutionScratch(NodeIndex capacity) { reserve(capacity); }
 
-  // Ensures capacity for graphs of up to n nodes (grow-only).
+  // Ensures capacity for graphs of up to n nodes (grow-only).  Throws
+  // std::length_error, before allocating, if n > kMaxNodes.
   void reserve(NodeIndex n) {
-    if (static_cast<NodeIndex>(stamp_.size()) < n) {
-      stamp_.resize(static_cast<std::size_t>(n), 0);
-      layer_.resize(static_cast<std::size_t>(n), 0);
+    if (n > kMaxNodes) {
+      throw std::length_error("ExecutionScratch: " + std::to_string(n) +
+                              " nodes exceed the int32 layer range");
     }
+    if (static_cast<NodeIndex>(slots_.size()) < n) slots_.resize(static_cast<std::size_t>(n));
   }
 
-  NodeIndex capacity() const { return static_cast<NodeIndex>(stamp_.size()); }
+  NodeIndex capacity() const { return static_cast<NodeIndex>(slots_.size()); }
 
   // Test hook for the wrap-around guard below: places the epoch counter at
   // an arbitrary point so the regression test can drive it over the edge
-  // without 2^64 executions.
-  void set_epoch_for_testing(std::uint64_t epoch) { epoch_ = epoch; }
-  std::uint64_t epoch_for_testing() const { return epoch_; }
+  // without 2^32 executions.
+  void set_epoch_for_testing(Epoch epoch) { epoch_ = epoch; }
+  Epoch epoch_for_testing() const { return epoch_; }
 
  private:
+  struct Slot {
+    Epoch epoch = 0;         // execution that last visited the node
+    std::int32_t layer = 0;  // BFS layer within that execution's explored subgraph
+  };
+
   // Start a fresh execution on a graph of n nodes: O(1) apart from first-use
   // (or growth) allocation and the O(previous volume) order_.clear(), which
   // releases no memory.
   void begin(NodeIndex n) {
     reserve(n);
     order_.clear();
-    if (epoch_ == std::numeric_limits<std::uint64_t>::max()) {
-      // Wrap-around guard: incrementing past 2^64-1 would land the epoch
-      // back on values old stamps still hold, resurrecting nodes visited by
-      // long-dead executions.  Unreachable by counting alone, but cheap to
-      // rule out: re-zero the stamps and restart the epoch stream.
-      std::fill(stamp_.begin(), stamp_.end(), 0);
+    if (epoch_ == std::numeric_limits<Epoch>::max()) {
+      // Wrap-around guard: incrementing past the last epoch would land back
+      // on values old stamps still hold, resurrecting nodes visited by
+      // long-dead executions.  Once every 2^32 executions, re-zero the
+      // stamps and restart the epoch stream.
+      for (Slot& s : slots_) s.epoch = 0;
       epoch_ = 0;
     }
     ++epoch_;
   }
 
-  bool stamped(NodeIndex v) const { return stamp_[static_cast<std::size_t>(v)] == epoch_; }
+  Slot& slot(NodeIndex v) { return slots_[static_cast<std::size_t>(v)]; }
+  const Slot& slot(NodeIndex v) const { return slots_[static_cast<std::size_t>(v)]; }
+  bool stamped(NodeIndex v) const { return slot(v).epoch == epoch_; }
 
-  std::vector<std::uint64_t> stamp_;  // epoch at which the slot was last visited
-  std::vector<std::int64_t> layer_;   // BFS layer within the explored subgraph
-  std::vector<NodeIndex> order_;      // visited nodes in discovery order
-  std::uint64_t epoch_ = 0;           // 0 = no execution has used a slot yet
+  std::vector<Slot> slots_;
+  std::vector<NodeIndex> order_;  // visited nodes in discovery order
+  Epoch epoch_ = 0;               // 0 = no execution has used a slot yet
 
   template <typename Sink>
   friend class BasicExecution;
@@ -173,23 +188,22 @@ class BasicExecution {
     require_visited(w);
     ++query_count_;
     const NodeIndex u = g_.neighbor_prevalidated(w, j);
-    const std::int64_t candidate = scratch_->layer_[static_cast<std::size_t>(w)] + 1;
-    const bool fresh = !scratch_->stamped(u);
+    const std::int32_t candidate = scratch_->slot(w).layer + 1;
+    ExecutionScratch::Slot& su = scratch_->slot(u);
+    const bool fresh = su.epoch != scratch_->epoch_;
     if (fresh) {
       if (budget_ > 0 && volume() + 1 > budget_) {
         if constexpr (Sink::enabled) sink_.on_truncated(w, j);
         throw QueryBudgetExceeded("query budget exceeded at node " + std::to_string(w));
       }
-      scratch_->stamp_[static_cast<std::size_t>(u)] = scratch_->epoch_;
-      scratch_->layer_[static_cast<std::size_t>(u)] = candidate;
+      su = {scratch_->epoch_, candidate};
       scratch_->order_.push_back(u);
-      max_layer_ = std::max(max_layer_, candidate);
-    } else if (candidate < scratch_->layer_[static_cast<std::size_t>(u)]) {
-      scratch_->layer_[static_cast<std::size_t>(u)] = candidate;  // tighter layer seen later; no propagation
+      max_layer_ = std::max<std::int64_t>(max_layer_, candidate);
+    } else if (candidate < su.layer) {
+      su.layer = candidate;  // tighter layer seen later; no propagation
     }
     if constexpr (Sink::enabled) {
-      sink_.on_query(g_, *ids_, w, j, u, fresh,
-                     scratch_->layer_[static_cast<std::size_t>(u)], volume());
+      sink_.on_query(g_, *ids_, w, j, u, fresh, su.layer, volume());
     }
     return u;
   }
@@ -210,7 +224,7 @@ class BasicExecution {
   // distance() takes the max of).  Used by the trace replay oracle.
   std::int64_t layer_of(NodeIndex v) const {
     require_visited(v);
-    return scratch_->layer_[static_cast<std::size_t>(v)];
+    return scratch_->slot(v).layer;
   }
 
   // Visited nodes in discovery order (the start node first).
@@ -231,8 +245,7 @@ class BasicExecution {
       scratch_ = owned_.get();
     }
     scratch_->begin(g.node_count());
-    scratch_->stamp_[static_cast<std::size_t>(start)] = scratch_->epoch_;
-    scratch_->layer_[static_cast<std::size_t>(start)] = 0;
+    scratch_->slot(start) = {scratch_->epoch_, 0};
     scratch_->order_.push_back(start);
     if constexpr (Sink::enabled) sink_.on_begin(g, ids, start);
   }

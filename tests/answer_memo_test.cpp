@@ -13,7 +13,8 @@
 //     bit-identical to executing every start, for every registry family at
 //     1 and 8 threads; recording sweeps never reuse.
 //   * Moved here with the behaviour they pin: the ExecutionScratch epoch
-//     wrap-around regression and the graph storage copy semantics.
+//     wrap-around regression, its node-count limit and the graph storage
+//     copy semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -470,17 +472,18 @@ TEST(AnswerReuse, TracedSweepsNeverReuse) {
 // --- moved with the behaviour they pin --------------------------------------
 
 TEST(ExecutionScratch, EpochWrapAroundDoesNotResurrectStamps) {
+  using Epoch = ExecutionScratch::Epoch;
   auto inst = make_complete_binary_tree(4, Color::Red, Color::Blue);
   ExecutionScratch scratch(inst.node_count());
-  // Place the counter so the next execution runs at epoch 2^64-1 and stamps
-  // nodes with it...
-  scratch.set_epoch_for_testing(std::numeric_limits<std::uint64_t>::max() - 1);
+  // Place the counter so the next execution runs at the last epoch and
+  // stamps nodes with it...
+  scratch.set_epoch_for_testing(std::numeric_limits<Epoch>::max() - 1);
   {
     Execution exec(inst.graph, inst.ids, 0, 0, scratch);
     explore_ball(exec, 2);
     EXPECT_GT(exec.volume(), 1);
   }
-  EXPECT_EQ(scratch.epoch_for_testing(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(scratch.epoch_for_testing(), std::numeric_limits<Epoch>::max());
   // ...so this begin() must take the wrap guard.  Without it the epoch would
   // wrap to 0 — the "never visited" stamp value — and every untouched slot
   // in the scratch would read as visited by the new execution.
@@ -492,6 +495,17 @@ TEST(ExecutionScratch, EpochWrapAroundDoesNotResurrectStamps) {
   }
   const auto ball4 = explore_ball(exec, 4);
   EXPECT_EQ(static_cast<std::int64_t>(ball4.size()), exec.volume());
+}
+
+// A layer is stored as int32 and is < n, so reserve() refuses n > 2^31 - 1
+// before it allocates: the scratch keeps the capacity it had.
+TEST(ExecutionScratch, ReserveRefusesGraphsPastTheLayerRange) {
+  ExecutionScratch scratch;
+  EXPECT_THROW(scratch.reserve(NodeIndex{1} << 31), std::length_error);
+  EXPECT_EQ(scratch.capacity(), 0);
+  scratch.reserve(100);
+  EXPECT_THROW(scratch.reserve(ExecutionScratch::kMaxNodes + 1), std::length_error);
+  EXPECT_EQ(scratch.capacity(), 100);
 }
 
 // Owned-storage copies get new arrays; an adopted Graph and its copies alias
