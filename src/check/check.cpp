@@ -9,7 +9,6 @@
 #include <vector>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <unistd.h>
 
@@ -308,13 +307,11 @@ std::string csr_difference(GraphView a, GraphView b) {
   if (a.max_degree() != b.max_degree() || a.edge_count() != b.edge_count()) {
     return "graph shape (max degree / edge count)";
   }
-  if (std::memcmp(a.offsets_data(), b.offsets_data(),
-                  sizeof(std::size_t) * static_cast<std::size_t>(a.node_count() + 1)) != 0) {
+  if (!std::equal(a.offsets_data(), a.offsets_data() + a.node_count() + 1, b.offsets_data())) {
     return "CSR offsets";
   }
-  if (a.edge_count() > 0 &&
-      std::memcmp(a.adjacency_data(), b.adjacency_data(),
-                  sizeof(NodeIndex) * static_cast<std::size_t>(2 * a.edge_count())) != 0) {
+  if (!std::equal(a.adjacency_data(), a.adjacency_data() + 2 * a.edge_count(),
+                  b.adjacency_data())) {
     return "CSR adjacency";
   }
   return "";
@@ -744,11 +741,9 @@ CheckResult check_mutation_case(const FuzzCase& c) {
 
   // Pre-mutation CSR copies — the copy-on-write contract says the old
   // instance's storage is untouched by everything below.
-  const std::vector<std::size_t> offsets_before(
-      g0.offsets_data(), g0.offsets_data() + static_cast<std::size_t>(n + 1));
-  const std::vector<NodeIndex> adjacency_before(
-      g0.adjacency_data(),
-      g0.adjacency_data() + static_cast<std::size_t>(2 * g0.edge_count()));
+  const std::vector<CsrIndex> offsets_before(g0.offsets_data(), g0.offsets_data() + n + 1);
+  const std::vector<CsrIndex> adjacency_before(g0.adjacency_data(),
+                                               g0.adjacency_data() + 2 * g0.edge_count());
 
   const MutationBatch batch =
       inst.propose_mutation(c.mutation_seed, c.mutation_rewires, c.mutation_labels);
@@ -870,11 +865,8 @@ CheckResult check_mutation_case(const FuzzCase& c) {
   }
 
   // --- copy-on-write: the pre-mutation instance is byte-identical ----------
-  if (std::memcmp(g0.offsets_data(), offsets_before.data(),
-                  sizeof(std::size_t) * offsets_before.size()) != 0 ||
-      (!adjacency_before.empty() &&
-       std::memcmp(g0.adjacency_data(), adjacency_before.data(),
-                   sizeof(NodeIndex) * adjacency_before.size()) != 0)) {
+  if (!std::equal(offsets_before.begin(), offsets_before.end(), g0.offsets_data()) ||
+      !std::equal(adjacency_before.begin(), adjacency_before.end(), g0.adjacency_data())) {
     return fail("mutation: the pre-mutation instance's CSR storage was modified");
   }
   return {};

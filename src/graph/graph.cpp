@@ -36,11 +36,14 @@ void Graph::Builder::add_edge_with_ports(NodeIndex v, NodeIndex w, Port pv, Port
 }
 
 Graph Graph::Builder::build() && {
+  std::uint64_t total = 0;
+  for (const auto& edges : ports_) total += edges.size();
+  detail::check_csr_size("Graph::Builder", node_count(), total);
   Graph g;
   g.offsets_.clear();
   g.offsets_.reserve(ports_.size() + 1);
   g.offsets_.push_back(0);
-  std::size_t total = 0;
+  CsrIndex end = 0;
   for (auto& edges : ports_) {
     std::sort(edges.begin(), edges.end(),
               [](const PortedEdge& a, const PortedEdge& b) { return a.port < b.port; });
@@ -52,12 +55,12 @@ Graph Graph::Builder::build() && {
             "Graph::Builder: ports at a node must form exactly 1..deg(v)");
       }
     }
-    total += edges.size();
-    g.offsets_.push_back(total);
+    end += static_cast<CsrIndex>(edges.size());
+    g.offsets_.push_back(end);
   }
-  g.adjacency_.reserve(total);
+  g.adjacency_.reserve(end);
   for (const auto& edges : ports_) {
-    for (const auto& e : edges) g.adjacency_.push_back(e.to);
+    for (const auto& e : edges) g.adjacency_.push_back(static_cast<CsrIndex>(e.to));
   }
   g.max_degree_ = 0;
   for (NodeIndex v = 0; v < g.node_count(); ++v) {

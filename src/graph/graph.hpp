@@ -37,8 +37,10 @@ class Graph {
   // invariant is the caller's responsibility (Builder::build validates it; the
   // mutation fast path in graph/mutation.cpp maintains it edit-by-edit and is
   // cross-checked against the Builder path by check_mutation_case).
-  static Graph from_csr(std::vector<std::size_t> offsets, std::vector<NodeIndex> adjacency,
+  static Graph from_csr(std::vector<CsrIndex> offsets, std::vector<CsrIndex> adjacency,
                         int max_degree) {
+    detail::check_csr_size("Graph::from_csr", static_cast<NodeIndex>(offsets.size()) - 1,
+                           adjacency.size());
     if (offsets.empty() || offsets.front() != 0 || offsets.back() != adjacency.size()) {
       throw std::invalid_argument("Graph::from_csr: malformed offsets array");
     }
@@ -95,7 +97,7 @@ class Graph {
   }
 
   // All neighbors of v in port order.
-  std::span<const NodeIndex> neighbors(NodeIndex v) const { return view().neighbors(v); }
+  std::span<const CsrIndex> neighbors(NodeIndex v) const { return view().neighbors(v); }
 
   // The port number p with neighbor(v, p) == w, or kNoPort if w is not
   // adjacent to v.  Linear in deg(v), which is O(Δ) = O(1).
@@ -109,8 +111,8 @@ class Graph {
   // CSR layout: neighbors of v are adjacency_[offsets_[v] .. offsets_[v+1]),
   // stored in port order (port p at offset p-1).  Empty (offsets_ cleared)
   // when the storage is adopted from elsewhere.
-  std::vector<std::size_t> offsets_{0};
-  std::vector<NodeIndex> adjacency_;
+  std::vector<CsrIndex> offsets_{0};
+  std::vector<CsrIndex> adjacency_;
   int max_degree_ = 0;
   GraphView adopted_{};
 
@@ -122,11 +124,13 @@ class Graph {
 // the final port assignment is a bijection onto 1..deg(v) at every node.
 class Graph::Builder {
  public:
-  explicit Builder(NodeIndex node_count) : ports_(node_count) {}
+  // Throws std::length_error, before allocating, if node_count > kMaxNodes.
+  explicit Builder(NodeIndex node_count) : ports_(checked_count(node_count)) {}
 
   NodeIndex node_count() const { return static_cast<NodeIndex>(ports_.size()); }
 
   NodeIndex add_node() {
+    detail::check_csr_size("Graph::Builder", node_count() + 1, 0);
     ports_.emplace_back();
     return static_cast<NodeIndex>(ports_.size()) - 1;
   }
@@ -138,7 +142,8 @@ class Graph::Builder {
   // Add edge {v, w} with explicit port numbers pv (at v) and pw (at w).
   void add_edge_with_ports(NodeIndex v, NodeIndex w, Port pv, Port pw);
 
-  // Validates port bijectivity and freezes the structure.
+  // Validates port bijectivity and the adjacency cap, and freezes the
+  // structure.
   Graph build() &&;
 
  private:
@@ -147,6 +152,10 @@ class Graph::Builder {
     NodeIndex to;
   };
   void check_node(NodeIndex v) const;
+  static std::size_t checked_count(NodeIndex n) {
+    detail::check_csr_size("Graph::Builder", n, 0);
+    return static_cast<std::size_t>(n);
+  }
 
   std::vector<std::vector<PortedEdge>> ports_;
 };

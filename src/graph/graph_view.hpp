@@ -2,10 +2,13 @@
 //
 // GraphView is the type every engine entry point consumes: it is four words
 // (offsets pointer, adjacency pointer, node count, max degree) and carries no
-// ownership.  An owning Graph converts to it implicitly, and the mmap-backed
-// snapshot loader (io/snapshot.hpp) produces one directly over the file
-// mapping — so in-RAM and on-disk instances are indistinguishable to the
-// backends.
+// ownership.  Both CSR arrays hold 32-bit entries (CsrIndex): a graph has at
+// most kMaxNodes nodes and kMaxAdjacency adjacency entries, and every way a
+// graph is made (Graph::Builder, Graph::from_csr, io::Snapshot::load) refuses
+// larger ones.  An owning Graph converts to it implicitly, and the
+// mmap-backed snapshot loader (io/snapshot.hpp) produces one directly over
+// the file mapping — so in-RAM and on-disk instances are indistinguishable
+// to the backends.
 //
 // Lifetime contract: a GraphView borrows storage.  Whoever hands one out
 // (Graph, io::Snapshot) must keep the underlying arrays alive and unmodified
@@ -15,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -27,6 +31,15 @@ using Port = int;  // 1-based; 0 is reserved for "no port" (the label ⊥)
 
 inline constexpr NodeIndex kNoNode = -1;
 inline constexpr Port kNoPort = 0;
+
+// The element type of both CSR arrays: offsets into the adjacency array and
+// the node indices stored in it.
+using CsrIndex = std::uint32_t;
+
+// The one node-count cap: node indices fit an int32 (the executor stores BFS
+// layers as int32), and the adjacency array's length fits a CsrIndex.
+inline constexpr NodeIndex kMaxNodes = std::numeric_limits<std::int32_t>::max();
+inline constexpr std::uint64_t kMaxAdjacency = std::numeric_limits<CsrIndex>::max();
 
 namespace detail {
 
@@ -43,15 +56,29 @@ namespace detail {
                           " with degree " + std::to_string(deg));
 }
 
+// Refuses a CSR shape past the caps above, naming `who` — called by every
+// constructor of CSR storage before it allocates.
+inline void check_csr_size(const char* who, NodeIndex n, std::uint64_t adjacency_count) {
+  if (n > kMaxNodes) {
+    throw std::length_error(std::string(who) + ": " + std::to_string(n) +
+                            " nodes exceed the cap of " + std::to_string(kMaxNodes));
+  }
+  if (adjacency_count > kMaxAdjacency) {
+    throw std::length_error(std::string(who) + ": " + std::to_string(adjacency_count) +
+                            " adjacency entries exceed the cap of " +
+                            std::to_string(kMaxAdjacency));
+  }
+}
+
 // Port-checked CSR lookup: v's neighbor on port p (1-based).  Assumes v is a
 // valid node; throws on an out-of-range port — in the query model a malformed
 // query is a programming error of the algorithm.
-inline NodeIndex csr_neighbor(const std::size_t* offsets, const NodeIndex* adjacency,
-                              NodeIndex v, Port p) {
-  const std::size_t off = offsets[v];
+inline NodeIndex csr_neighbor(const CsrIndex* offsets, const CsrIndex* adjacency, NodeIndex v,
+                              Port p) {
+  const CsrIndex off = offsets[v];
   const auto deg = static_cast<std::int64_t>(offsets[v + 1] - off);
   if (p < 1 || static_cast<std::int64_t>(p) > deg) throw_port_out_of_range(v, p, deg);
-  return adjacency[off + static_cast<std::size_t>(p) - 1];
+  return adjacency[off + static_cast<CsrIndex>(p) - 1];
 }
 
 }  // namespace detail
@@ -59,7 +86,7 @@ inline NodeIndex csr_neighbor(const std::size_t* offsets, const NodeIndex* adjac
 class GraphView {
  public:
   constexpr GraphView() = default;
-  constexpr GraphView(const std::size_t* offsets, const NodeIndex* adjacency,
+  constexpr GraphView(const CsrIndex* offsets, const CsrIndex* adjacency,
                       NodeIndex node_count, int max_degree)
       : offsets_(offsets), adjacency_(adjacency), n_(node_count), max_degree_(max_degree) {}
 
@@ -91,7 +118,7 @@ class GraphView {
   }
 
   // All neighbors of v in port order.
-  std::span<const NodeIndex> neighbors(NodeIndex v) const {
+  std::span<const CsrIndex> neighbors(NodeIndex v) const {
     check_node(v);
     return {adjacency_ + offsets_[v], adjacency_ + offsets_[v + 1]};
   }
@@ -110,8 +137,8 @@ class GraphView {
 
   bool valid_node(NodeIndex v) const { return v >= 0 && v < n_; }
 
-  const std::size_t* offsets_data() const { return offsets_; }
-  const NodeIndex* adjacency_data() const { return adjacency_; }
+  const CsrIndex* offsets_data() const { return offsets_; }
+  const CsrIndex* adjacency_data() const { return adjacency_; }
 
  private:
   void check_node(NodeIndex v) const {
@@ -120,8 +147,8 @@ class GraphView {
 
   // CSR layout: neighbors of v are adjacency_[offsets_[v] .. offsets_[v+1]),
   // stored in port order (port p at offset p-1).
-  const std::size_t* offsets_ = nullptr;
-  const NodeIndex* adjacency_ = nullptr;
+  const CsrIndex* offsets_ = nullptr;
+  const CsrIndex* adjacency_ = nullptr;
   NodeIndex n_ = 0;
   int max_degree_ = 0;
 };

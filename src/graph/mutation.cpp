@@ -43,8 +43,8 @@ AppliedMutation apply_mutation(GraphView g, const MutationBatch& batch) {
   // numbers instead, so the two implementations share no representation.
   // std::map keeps references stable across inserts and iterates in node
   // order, which the splice below walks.
-  std::map<NodeIndex, std::vector<NodeIndex>> rows;
-  const auto row = [&](NodeIndex v) -> std::vector<NodeIndex>& {
+  std::map<NodeIndex, std::vector<CsrIndex>> rows;
+  const auto row = [&](NodeIndex v) -> std::vector<CsrIndex>& {
     const auto [it, fresh] = rows.try_emplace(v);
     if (fresh) {
       const auto span = g.neighbors(v);
@@ -61,16 +61,16 @@ AppliedMutation apply_mutation(GraphView g, const MutationBatch& batch) {
     const NodeIndex old_parent = ln.front();
     auto& pn = row(old_parent);
     pn.erase(std::find(pn.begin(), pn.end(), r.leaf));
-    row(r.new_parent).push_back(r.leaf);
-    ln.front() = r.new_parent;
+    row(r.new_parent).push_back(static_cast<CsrIndex>(r.leaf));
+    ln.front() = static_cast<CsrIndex>(r.new_parent);
   }
 
   // Splice: every offset shifts by the running change in degree of the
   // touched rows before it, and the adjacency between touched rows is copied
   // as contiguous ranges.
-  const std::size_t* off = g.offsets_data();
-  const NodeIndex* adj = g.adjacency_data();
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1);
+  const CsrIndex* off = g.offsets_data();
+  const CsrIndex* adj = g.adjacency_data();
+  std::vector<CsrIndex> offsets(static_cast<std::size_t>(n) + 1);
   std::ptrdiff_t shift = 0;
   int max_degree = 0;
   auto next = rows.begin();
@@ -81,14 +81,14 @@ AppliedMutation apply_mutation(GraphView g, const MutationBatch& batch) {
                static_cast<std::ptrdiff_t>(off[i + 1] - off[i]);
       ++next;
     }
-    offsets[i + 1] = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(off[i + 1]) + shift);
+    offsets[i + 1] = static_cast<CsrIndex>(static_cast<std::ptrdiff_t>(off[i + 1]) + shift);
     max_degree = std::max(max_degree, static_cast<int>(offsets[i + 1] - offsets[i]));
   }
-  std::vector<NodeIndex> adjacency;
+  std::vector<CsrIndex> adjacency;
   adjacency.reserve(offsets.back());
   std::vector<NodeIndex> touched;
   touched.reserve(rows.size());
-  std::size_t copied = 0;  // old adjacency slots [0, copied) are handled
+  CsrIndex copied = 0;  // old adjacency slots [0, copied) are handled
   for (const auto& [v, r] : rows) {
     const auto i = static_cast<std::size_t>(v);
     adjacency.insert(adjacency.end(), adj + copied, adj + off[i]);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "util/hash.hpp"
 
@@ -21,11 +22,11 @@ namespace volcal::io {
 static_assert(std::endian::native == std::endian::little,
               "volcal snapshots are little-endian; add byte-swapping before "
               "building this translation unit on a big-endian target");
-static_assert(sizeof(std::size_t) == 8, "CSR offsets are serialized as u64");
-static_assert(sizeof(Port) == 4, "port sections are serialized as i32");
-static_assert(sizeof(NodeIndex) == 8, "adjacency is serialized as i64");
+static_assert(sizeof(CsrIndex) == 4, "CSR offsets and adjacency are serialized as u32");
+static_assert(sizeof(PortClaim) == 2, "port-claim sections are serialized as u16");
 static_assert(sizeof(NodeId) == 8, "ids are serialized as u64");
 static_assert(sizeof(Color) == 1, "color sections are serialized as u8");
+static_assert(sizeof(int) == 4, "levelin is serialized as i32");
 
 namespace {
 
@@ -82,8 +83,8 @@ void write_snapshot_file(const std::string& path, std::string_view family,
   const std::uint64_t adj_count = g.offsets_data()[n];
 
   std::vector<PendingSection> sections;
-  sections.push_back({"offsets", 8, n + 1, g.offsets_data()});
-  sections.push_back({"adj", 8, adj_count, g.adjacency_data()});
+  sections.push_back({"offsets", 4, n + 1, g.offsets_data()});
+  sections.push_back({"adj", 4, adj_count, g.adjacency_data()});
   sections.push_back({"ids", 8, n, ids.data()});
   for (const PendingSection& s : labels) sections.push_back(s);
 
@@ -150,8 +151,8 @@ void write_snapshot_file(const std::string& path, std::string_view family,
   if (std::fclose(f) != 0) fail(path, "close failed: " + std::string(std::strerror(errno)));
 }
 
-PendingSection port_section(const char* tag, const std::vector<Port>& v) {
-  return {tag, 4, v.size(), v.data()};
+PendingSection port_section(const char* tag, const std::vector<PortClaim>& v) {
+  return {tag, 2, v.size(), v.data()};
 }
 
 }  // namespace
@@ -222,6 +223,46 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
+// Fails the load at the first element of a label column outside [0, max],
+// read as unsigned.  Every domain's max is 2^k - 1, so the column is in range
+// exactly when the OR of its elements is at most max: one branch-free pass
+// the compiler vectorizes, and a second pass only to name the culprit.
+template <typename T>
+void check_label_column(const std::string& path, std::string_view tag, std::span<const T> col,
+                        std::make_unsigned_t<T> max, const char* domain) {
+  using U = std::make_unsigned_t<T>;
+  U bits = 0;
+  for (const T x : col) bits |= static_cast<U>(x);
+  if (bits <= max) return;
+  for (std::size_t v = 0;; ++v) {
+    if (static_cast<U>(col[v]) > max) {
+      fail(path, "section " + std::string(tag) + " holds " + std::to_string(col[v]) +
+                     " at node " + std::to_string(v) + ", outside " + domain);
+    }
+  }
+}
+
+// Label domains, the ones apply_label_update holds updates to.  A u16 can
+// hold claims above kMaxPortClaim and a byte can hold colors outside the
+// alphabet, which solvers would otherwise answer with.  Sections a family
+// does not carry are absent and skipped; load_snapshot_instance requires the
+// ones it reads.
+void check_label_domains(const std::string& path, const Snapshot& snap) {
+  for (const char* tag : {"parent", "left", "right", "leftnbr", "rightnbr"}) {
+    if (!snap.has_section(tag)) continue;
+    check_label_column<PortClaim>(path, tag, snap.column<PortClaim>(tag), kMaxPortClaim,
+                                  "[0, 32767]");
+  }
+  for (const char* tag : {"color", "side"}) {
+    if (!snap.has_section(tag)) continue;
+    check_label_column<std::uint8_t>(path, tag, snap.column<std::uint8_t>(tag), 1, "{0, 1}");
+  }
+  if (snap.has_section("levelin")) {
+    check_label_column<std::int32_t>(path, "levelin", snap.column<std::int32_t>("levelin"),
+                                     std::numeric_limits<std::int32_t>::max(), "[0, 2^31)");
+  }
+}
+
 }  // namespace
 
 Snapshot Snapshot::load(const std::string& path) {
@@ -251,6 +292,14 @@ Snapshot Snapshot::load(const std::string& path) {
   if (node_count < 0) fail(path, "negative node count");
   snap.node_count_ = node_count;
   snap.adjacency_count_ = get_u64(base + 56);
+  if (node_count > kMaxNodes) {
+    fail(path, "node count " + std::to_string(node_count) + " exceeds the cap of " +
+                   std::to_string(kMaxNodes));
+  }
+  if (snap.adjacency_count_ > kMaxAdjacency) {
+    fail(path, "adjacency count " + std::to_string(snap.adjacency_count_) +
+                   " exceeds the cap of " + std::to_string(kMaxAdjacency));
+  }
   snap.max_degree_ = static_cast<int>(get_u32(base + 64));
   if (snap.max_degree_ < 0) fail(path, "negative max_degree");
 
@@ -294,13 +343,12 @@ Snapshot Snapshot::load(const std::string& path) {
   // Structural invariants of the CSR sections, O(n + m).  The checksum only
   // detects accidental corruption; a file written with a bad CSR passes it,
   // and the engine indexes `adj` by these offsets and node arrays by these
-  // entries without further checks.  Port symmetry and label domains are not
-  // checked here.
+  // entries without further checks.  Port symmetry is not checked here.
   const auto n = static_cast<std::uint64_t>(snap.node_count_);
-  const Section& offsets = snap.require("offsets", 8, n + 1);
-  const Section& adjacency = snap.require("adj", 8, snap.adjacency_count_);
+  const Section& offsets = snap.require("offsets", 4, n + 1);
+  const Section& adjacency = snap.require("adj", 4, snap.adjacency_count_);
   snap.require("ids", 8, n);
-  const auto* off = reinterpret_cast<const std::size_t*>(base + offsets.offset);
+  const auto* off = reinterpret_cast<const CsrIndex*>(base + offsets.offset);
   if (off[0] != 0 || off[n] != snap.adjacency_count_) {
     fail(path, "inconsistent CSR offsets");
   }
@@ -315,13 +363,15 @@ Snapshot Snapshot::load(const std::string& path) {
                      std::to_string(max_degree));
     }
   }
-  const auto* adj = reinterpret_cast<const NodeIndex*>(base + adjacency.offset);
+  const auto* adj = reinterpret_cast<const CsrIndex*>(base + adjacency.offset);
   for (std::uint64_t i = 0; i < snap.adjacency_count_; ++i) {
-    if (static_cast<std::uint64_t>(adj[i]) >= n) {
+    if (adj[i] >= n) {
       fail(path, "adjacency entry " + std::to_string(i) + " (" + std::to_string(adj[i]) +
                      ") outside [0, " + std::to_string(n) + ")");
     }
   }
+
+  check_label_domains(path, snap);
   return snap;
 }
 
@@ -344,10 +394,10 @@ const Snapshot::Section& Snapshot::require(std::string_view tag, std::uint32_t e
 
 GraphView Snapshot::graph() const {
   const auto n = static_cast<std::uint64_t>(node_count_);
-  const Section& off = require("offsets", 8, n + 1);
-  const Section& adj = require("adj", 8, adjacency_count_);
-  return GraphView(reinterpret_cast<const std::size_t*>(map_->data() + off.offset),
-                   reinterpret_cast<const NodeIndex*>(map_->data() + adj.offset),
+  const Section& off = require("offsets", 4, n + 1);
+  const Section& adj = require("adj", 4, adjacency_count_);
+  return GraphView(reinterpret_cast<const CsrIndex*>(map_->data() + off.offset),
+                   reinterpret_cast<const CsrIndex*>(map_->data() + adj.offset),
                    node_count_, max_degree_);
 }
 
@@ -356,17 +406,6 @@ std::span<const NodeId> Snapshot::ids() const {
   const Section& s = require("ids", 8, n);
   return {reinterpret_cast<const NodeId*>(map_->data() + s.offset),
           static_cast<std::size_t>(n)};
-}
-
-std::span<const Port> Snapshot::ports(std::string_view tag) const {
-  const Section& s = require(tag, 4, static_cast<std::uint64_t>(node_count_));
-  return {reinterpret_cast<const Port*>(map_->data() + s.offset),
-          static_cast<std::size_t>(s.count)};
-}
-
-std::span<const std::uint8_t> Snapshot::bytes(std::string_view tag) const {
-  const Section& s = require(tag, 1, static_cast<std::uint64_t>(node_count_));
-  return {map_->data() + s.offset, static_cast<std::size_t>(s.count)};
 }
 
 // --- typed writers ----------------------------------------------------------

@@ -13,7 +13,7 @@
 //
 //   Header (104 bytes at offset 0)
 //     0   char magic[8]        "VOLCSNP1"
-//     8   u32  version         format schema, currently 2
+//     8   u32  version         format schema, currently 3
 //     12  u32  header_bytes    104 (offset of the section table)
 //     16  char family[32]      registry key, NUL-padded ("leaf-coloring"...)
 //     48  i64  node_count      n
@@ -36,20 +36,27 @@
 //   (padding is part of the checksummed region, so any flipped byte in the
 //   payload fails verification).
 //
-// Sections by family (n-sized unless noted):
-//   always            offsets u64 x (n+1) | adj i64 x adjacency_count |
+// Sections by family (n-sized unless noted), each at the width its values
+// are held to in memory:
+//   always            offsets u32 x (n+1) | adj u32 x adjacency_count |
 //                     ids u64
-//   tree labelings    parent, left, right        i32
+//   tree labelings    parent, left, right        u16 (port claims)
 //   colored (+hthc)   color                      u8
-//   balanced-tree     leftnbr, rightnbr          i32
-//   hybrid            + color, levelin           i32/u8
+//   balanced-tree     leftnbr, rightnbr          u16 (port claims)
+//   hybrid            + color, levelin           u8 / i32
 //   hh                + side                     u8
 //
-// Versioning: readers accept exactly the versions they know; any layout
+// Bounds: n <= kMaxNodes (2^31 - 1) and adjacency_count <= kMaxAdjacency
+// (2^32 - 1), checked from the header before any section is read; a port
+// claim is at most kMaxPortClaim (0x7fff), a color or side byte is 0 or 1,
+// and a level claim is non-negative — the domains label updates are held to.
+//
+// Versioning: readers accept exactly the version they know; any layout
 // change bumps `version`.  Version 2 changed the checksum from FNV-1a 64 to
-// XXH64 and nothing else; a version-1 file is refused as such (regenerate it
-// with volcal_gen).  Unknown section tags are ignored on load, so additive
-// extensions may reuse version 2.
+// XXH64.  Version 3 narrowed the CSR sections from 64 to 32 bits and the
+// port-claim sections from 32 to 16 bits.  Older files are refused by their
+// version (regenerate them with volcal_gen).  Unknown section tags are
+// ignored on load, so additive extensions may reuse version 3.
 //
 // Ownership / lifetime: Snapshot keeps the mapping alive via a shared
 // handle.  GraphView / span accessors borrow the mapping; whoever adopts
@@ -77,7 +84,7 @@ struct SnapshotError : std::runtime_error {
 };
 
 inline constexpr char kSnapshotMagic[8] = {'V', 'O', 'L', 'C', 'S', 'N', 'P', '1'};
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 // The header checksum (offset 88) of a payload region: what the writer
 // records and Snapshot::load recomputes over the mapped payload.
@@ -106,10 +113,11 @@ class MappedFile {
 // views into the mapping (see the lifetime contract above).
 class Snapshot {
  public:
-  // Maps `path` and validates it: header, section table, payload checksum,
-  // and the CSR's structure (monotone offsets, degrees within max_degree,
-  // adjacency entries in [0, n)).  Throws SnapshotError naming the first
-  // violation, so the CSR of a loaded snapshot never indexes outside itself.
+  // Maps `path` and validates it: header (including the size caps), section
+  // table, payload checksum, the CSR's structure (monotone offsets, degrees
+  // within max_degree, adjacency entries in [0, n)) and the label domains.
+  // Throws SnapshotError naming the first violation, so the CSR of a loaded
+  // snapshot never indexes outside itself and no label leaves its domain.
   static Snapshot load(const std::string& path);
 
   const std::string& path() const { return path_; }
@@ -126,10 +134,15 @@ class Snapshot {
 
   bool has_section(std::string_view tag) const { return find(tag) != nullptr; }
 
-  // Typed accessors for label sections; throw SnapshotError when the tag is
-  // absent or has a different element width.
-  std::span<const Port> ports(std::string_view tag) const;          // i32 sections
-  std::span<const std::uint8_t> bytes(std::string_view tag) const;  // u8 sections
+  // A label section as n elements of T (PortClaim, Color, std::uint8_t or
+  // std::int32_t); throws SnapshotError when the tag is absent or its element
+  // width is not sizeof(T).
+  template <typename T>
+  std::span<const T> column(std::string_view tag) const {
+    const Section& s = require(tag, sizeof(T), static_cast<std::uint64_t>(node_count_));
+    return {reinterpret_cast<const T*>(map_->data() + s.offset),
+            static_cast<std::size_t>(s.count)};
+  }
 
   // Keep-alive handle for adopted views (Graph::adopt / IdAssignment::adopt).
   std::shared_ptr<const void> mapping() const { return map_; }

@@ -1,5 +1,6 @@
 #include "labels/ids.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_set>
@@ -9,12 +10,28 @@
 namespace volcal {
 
 IdAssignment::IdAssignment(std::vector<NodeId> ids) {
-  std::unordered_set<NodeId> seen;
-  seen.reserve(ids.size());
-  for (NodeId id : ids) {
-    if (!seen.insert(id).second) {
-      throw std::invalid_argument("IdAssignment: duplicate node ID");
+  if (!ids.empty()) {
+    const NodeId max_id = *std::max_element(ids.begin(), ids.end());
+    bool duplicate = false;
+    if (max_id <= 64 * static_cast<NodeId>(ids.size())) {
+      // Dense range: one bit per value of [0, max_id], at most 8 bytes per
+      // node, no more than the IDs themselves.
+      std::vector<std::uint64_t> seen(static_cast<std::size_t>(max_id / 64) + 1, 0);
+      for (const NodeId id : ids) {
+        std::uint64_t& word = seen[static_cast<std::size_t>(id / 64)];
+        const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+        if ((word & bit) != 0) {
+          duplicate = true;
+          break;
+        }
+        word |= bit;
+      }
+    } else {
+      std::vector<NodeId> sorted = ids;
+      std::sort(sorted.begin(), sorted.end());
+      duplicate = std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
     }
+    if (duplicate) throw std::invalid_argument("IdAssignment: duplicate node ID");
   }
   owned_ = std::make_shared<const std::vector<NodeId>>(std::move(ids));
   data_ = owned_->data();

@@ -20,6 +20,8 @@ class IdAssignment {
   IdAssignment() = default;
 
   // Takes ownership of `ids`; throws std::invalid_argument on a duplicate.
+  // Duplicates are found with a bitmap over [0, max id] when max id <= 64 n,
+  // else by sorting a copy.
   explicit IdAssignment(std::vector<NodeId> ids);
 
   // Borrow an externally owned ID array (e.g. an mmap-ed snapshot section).

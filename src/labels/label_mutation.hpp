@@ -4,11 +4,12 @@
 // a channel a labeling does not carry is rejected.
 //
 // Values stay inside the labelings' claim domains: port claims are claims
-// (Def. 3.1 — nothing forces them to describe a real tree), so any
-// non-negative port value is admissible and dangling claims resolve to ⊥
+// (Def. 3.1 — nothing forces them to describe a real tree), so any port
+// value in [0, kMaxPortClaim] is admissible and dangling claims resolve to ⊥
 // exactly as generated inconsistencies do.  Color / side are bits; level is
 // clamped to non-negative (the solvers classify out-of-band level claims as
-// inconsistencies, same as shape-variant defects).
+// inconsistencies, same as shape-variant defects).  io::Snapshot::load holds
+// stored labels to the same domains.
 #pragma once
 
 #include <stdexcept>
@@ -36,7 +37,7 @@ inline void check_bit(LabelChannel c, int value) {
 }
 
 inline void check_port_claim(LabelChannel c, int value) {
-  if (value < 0 || value > 0x7fff) {
+  if (value < 0 || value > kMaxPortClaim) {
     throw std::invalid_argument(std::string("apply_label_update: port claim '") +
                                 label_channel_name(c) + "' out of range: " +
                                 std::to_string(value));
@@ -49,15 +50,15 @@ inline bool apply_tree_channel(TreeLabeling& t, NodeIndex v, LabelChannel c, int
   switch (c) {
     case LabelChannel::Parent:
       check_port_claim(c, value);
-      t.parent[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      t.parent[static_cast<std::size_t>(v)] = static_cast<PortClaim>(value);
       return true;
     case LabelChannel::Left:
       check_port_claim(c, value);
-      t.left[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      t.left[static_cast<std::size_t>(v)] = static_cast<PortClaim>(value);
       return true;
     case LabelChannel::Right:
       check_port_claim(c, value);
-      t.right[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      t.right[static_cast<std::size_t>(v)] = static_cast<PortClaim>(value);
       return true;
     default:
       return false;
@@ -70,11 +71,11 @@ inline bool apply_balanced_channel(BalancedTreeLabeling& b, NodeIndex v, LabelCh
   switch (c) {
     case LabelChannel::LeftNbr:
       check_port_claim(c, value);
-      b.left_nbr[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      b.left_nbr[static_cast<std::size_t>(v)] = static_cast<PortClaim>(value);
       return true;
     case LabelChannel::RightNbr:
       check_port_claim(c, value);
-      b.right_nbr[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      b.right_nbr[static_cast<std::size_t>(v)] = static_cast<PortClaim>(value);
       return true;
     default:
       return false;

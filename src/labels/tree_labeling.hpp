@@ -22,11 +22,17 @@ enum class Color : std::uint8_t { Red, Blue };
 
 inline char color_char(Color c) { return c == Color::Red ? 'R' : 'B'; }
 
+// A stored port claim.  Claims range over [0, kMaxPortClaim]: the update path
+// (label_mutation.hpp) and the snapshot loader refuse larger values, so 16
+// bits hold every claim and the column reads back as a Port.
+using PortClaim = std::uint16_t;
+inline constexpr int kMaxPortClaim = 0x7fff;
+
 struct TreeLabeling {
   // Port labels, kNoPort (=0) encodes ⊥.  parent[v] is P(v), etc.
-  std::vector<Port> parent;
-  std::vector<Port> left;
-  std::vector<Port> right;
+  std::vector<PortClaim> parent;
+  std::vector<PortClaim> left;
+  std::vector<PortClaim> right;
 
   explicit TreeLabeling(NodeIndex n = 0)
       : parent(n, kNoPort), left(n, kNoPort), right(n, kNoPort) {}
@@ -45,8 +51,8 @@ struct ColoredTreeLabeling {
 // Balanced tree labeling (Def. 4.1): tree labeling + lateral neighbor claims.
 struct BalancedTreeLabeling {
   TreeLabeling tree;
-  std::vector<Port> left_nbr;   // LN
-  std::vector<Port> right_nbr;  // RN
+  std::vector<PortClaim> left_nbr;   // LN
+  std::vector<PortClaim> right_nbr;  // RN
 
   explicit BalancedTreeLabeling(NodeIndex n = 0)
       : tree(n), left_nbr(n, kNoPort), right_nbr(n, kNoPort) {}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -270,7 +269,7 @@ ErasedInstance erase(std::string family, Instance<Labels>&& inst,
 
 int tree_depth_for(NodeIndex n_target) {
   // Complete binary tree of depth d has 2^{d+1} - 1 nodes.  The cap bounds
-  // single-instance RAM/disk (depth 26 = 2^27-1 nodes ~ a 6.4 GB snapshot),
+  // single-instance RAM/disk (depth 27 = 2^28-1 nodes ~ a 7.2 GB snapshot),
   // comfortably past the extended out-of-core sweeps.
   int depth = 1;
   while (depth < 27 && ((NodeIndex{1} << (depth + 2)) - 1) <= n_target) ++depth;
@@ -371,21 +370,16 @@ ErasedInstance load_snapshot_instance(io::Snapshot&& snap) {
   std::shared_ptr<const void> keep = snap.mapping();
 
   // Graph + IDs stay zero-copy views into the mapping (kept alive through
-  // the erased instance's retainer); label tables are small O(n) arrays and
-  // are decoded into the typed labeling vectors.
-  auto assign_ports = [&snap](std::vector<Port>& dst, const char* tag) {
-    const auto s = snap.ports(tag);
+  // the erased instance's retainer); each label column is copied once into
+  // its typed labeling vector, which has the section's element width.
+  auto assign = [&snap]<typename T>(std::vector<T>& dst, const char* tag) {
+    const auto s = snap.column<T>(tag);
     dst.assign(s.begin(), s.end());
   };
   auto assign_tree = [&](TreeLabeling& t) {
-    assign_ports(t.parent, "parent");
-    assign_ports(t.left, "left");
-    assign_ports(t.right, "right");
-  };
-  auto assign_colors = [&snap](std::vector<Color>& dst) {
-    const auto s = snap.bytes("color");
-    dst.resize(s.size());
-    std::memcpy(dst.data(), s.data(), s.size());
+    assign(t.parent, "parent");
+    assign(t.left, "left");
+    assign(t.right, "right");
   };
   auto base = [&](auto& inst) {
     inst.graph = Graph::adopt(snap.graph());
@@ -398,36 +392,35 @@ ErasedInstance load_snapshot_instance(io::Snapshot&& snap) {
     HHInstance inst;
     base(inst);
     assign_tree(inst.labels.hybrid.bal.tree);
-    assign_ports(inst.labels.hybrid.bal.left_nbr, "leftnbr");
-    assign_ports(inst.labels.hybrid.bal.right_nbr, "rightnbr");
-    assign_colors(inst.labels.hybrid.color);
-    assign_ports(inst.labels.hybrid.level_in, "levelin");
-    const auto side = snap.bytes("side");
-    inst.labels.side.assign(side.begin(), side.end());
+    assign(inst.labels.hybrid.bal.left_nbr, "leftnbr");
+    assign(inst.labels.hybrid.bal.right_nbr, "rightnbr");
+    assign(inst.labels.hybrid.color, "color");
+    assign(inst.labels.hybrid.level_in, "levelin");
+    assign(inst.labels.side, "side");
     return erase_instance(family, std::move(inst), std::move(keep));
   }
   if (snap.has_section("levelin")) {
     HybridInstance inst;
     base(inst);
     assign_tree(inst.labels.bal.tree);
-    assign_ports(inst.labels.bal.left_nbr, "leftnbr");
-    assign_ports(inst.labels.bal.right_nbr, "rightnbr");
-    assign_colors(inst.labels.color);
-    assign_ports(inst.labels.level_in, "levelin");
+    assign(inst.labels.bal.left_nbr, "leftnbr");
+    assign(inst.labels.bal.right_nbr, "rightnbr");
+    assign(inst.labels.color, "color");
+    assign(inst.labels.level_in, "levelin");
     return erase_instance(family, std::move(inst), std::move(keep));
   }
   if (snap.has_section("leftnbr")) {
     BalancedTreeInstance inst;
     base(inst);
     assign_tree(inst.labels.tree);
-    assign_ports(inst.labels.left_nbr, "leftnbr");
-    assign_ports(inst.labels.right_nbr, "rightnbr");
+    assign(inst.labels.left_nbr, "leftnbr");
+    assign(inst.labels.right_nbr, "rightnbr");
     return erase_instance(family, std::move(inst), std::move(keep));
   }
   LeafColoringInstance inst;
   base(inst);
   assign_tree(inst.labels.tree);
-  assign_colors(inst.labels.color);
+  assign(inst.labels.color, "color");
   return erase_instance(family, std::move(inst), std::move(keep));
 }
 

@@ -57,11 +57,11 @@ struct QueryBudgetExceeded : std::runtime_error {
 // parallel sweep engine keeps one scratch per worker.
 //
 // Each node owns one 8-byte Slot, so a probe touches one cache line per node.
-// A layer is < n and is stored as int32, which caps n at kMaxNodes.
+// A layer is < n and is stored as int32, which the graph layer's kMaxNodes
+// (graph/graph_view.hpp) guarantees.
 class ExecutionScratch {
  public:
   using Epoch = std::uint32_t;
-  static constexpr NodeIndex kMaxNodes = std::numeric_limits<std::int32_t>::max();
 
   ExecutionScratch() = default;
   explicit ExecutionScratch(NodeIndex capacity) { reserve(capacity); }

@@ -261,9 +261,9 @@ TEST(AnswerMemoRace, SwapToARecycledAddressServesNothingStale) {
   const Graph a = build_path({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
   const Graph b = build_path({0, 5, 6, 7, 8, 9, 10, 1, 2, 3, 4, 11});
   ASSERT_EQ(a.edge_count(), b.edge_count());
-  std::vector<std::size_t> off(a.view().offsets_data(), a.view().offsets_data() + kNodes + 1);
-  std::vector<NodeIndex> adj(a.view().adjacency_data(),
-                             a.view().adjacency_data() + 2 * a.edge_count());
+  std::vector<CsrIndex> off(a.view().offsets_data(), a.view().offsets_data() + kNodes + 1);
+  std::vector<CsrIndex> adj(a.view().adjacency_data(),
+                            a.view().adjacency_data() + 2 * a.edge_count());
   ASSERT_TRUE(std::equal(off.begin(), off.end(), b.view().offsets_data()));
 
   auto serve_target = [&](int max_degree) {
@@ -504,7 +504,7 @@ TEST(ExecutionScratch, ReserveRefusesGraphsPastTheLayerRange) {
   EXPECT_THROW(scratch.reserve(NodeIndex{1} << 31), std::length_error);
   EXPECT_EQ(scratch.capacity(), 0);
   scratch.reserve(100);
-  EXPECT_THROW(scratch.reserve(ExecutionScratch::kMaxNodes + 1), std::length_error);
+  EXPECT_THROW(scratch.reserve(kMaxNodes + 1), std::length_error);
   EXPECT_EQ(scratch.capacity(), 100);
 }
 

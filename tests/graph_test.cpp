@@ -99,9 +99,9 @@ TEST(Graph, NeighborsSpanInPortOrder) {
   Graph g = std::move(b).build();
   auto nbrs = g.neighbors(0);
   ASSERT_EQ(nbrs.size(), 3u);
-  EXPECT_EQ(nbrs[0], 2);
-  EXPECT_EQ(nbrs[1], 3);
-  EXPECT_EQ(nbrs[2], 1);
+  EXPECT_EQ(nbrs[0], 2u);
+  EXPECT_EQ(nbrs[1], 3u);
+  EXPECT_EQ(nbrs[2], 1u);
 }
 
 TEST(Graph, AddNodeGrows) {
@@ -171,11 +171,30 @@ TEST(Bfs, ConnectedComponents) {
   EXPECT_NE(comps.component_of[0], comps.component_of[3]);
 }
 
+// The one node-count cap: every constructor of CSR storage refuses a shape
+// past kMaxNodes nodes or kMaxAdjacency adjacency entries through this check,
+// before it allocates.  (io::Snapshot::load has its own header test in
+// snapshot_test.cpp; nothing here builds a graph that large.)
+TEST(Graph, CsrSizeCapsAreTheInt32AndUint32Ranges) {
+  EXPECT_EQ(kMaxNodes, (NodeIndex{1} << 31) - 1);
+  EXPECT_EQ(kMaxAdjacency, (std::uint64_t{1} << 32) - 1);
+  EXPECT_NO_THROW(detail::check_csr_size("test", kMaxNodes, kMaxAdjacency));
+  EXPECT_THROW(detail::check_csr_size("test", kMaxNodes + 1, 0), std::length_error);
+  EXPECT_THROW(detail::check_csr_size("test", 1, kMaxAdjacency + 1), std::length_error);
+  // The Builder checks its node count before it sizes its per-node table.
+  try {
+    const Graph::Builder b(kMaxNodes + 1);
+    ADD_FAILURE() << "Graph::Builder accepted " << b.node_count() << " nodes";
+  } catch (const std::length_error& e) {
+    EXPECT_STREQ(e.what(), "Graph::Builder: 2147483648 nodes exceed the cap of 2147483647");
+  }
+}
+
 // --- apply_mutation: the CSR splice against the Builder replay -------------
 
 struct Csr {
-  std::vector<std::size_t> offsets;
-  std::vector<NodeIndex> adjacency;
+  std::vector<CsrIndex> offsets;
+  std::vector<CsrIndex> adjacency;
   int max_degree = 0;
 
   explicit Csr(GraphView g)

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "labels/generators.hpp"
 #include "labels/hierarchy.hpp"
 #include "labels/ids.hpp"
+#include "labels/label_mutation.hpp"
 #include "labels/tree_labeling.hpp"
 
 namespace volcal {
@@ -38,11 +42,71 @@ TEST(Ids, DuplicateRejected) {
   EXPECT_THROW(IdAssignment({1, 2, 1}), std::invalid_argument);
 }
 
+// The duplicate check marks a bitmap over [0, max id] when max id <= 64 n and
+// sorts a copy otherwise; both paths give the same verdict and message.
+TEST(Ids, DuplicateCheckAgreesOnTheBitmapAndSortedPaths) {
+  const auto verdict = [](std::vector<NodeId> ids) -> std::string {
+    try {
+      const IdAssignment a(std::move(ids));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::string dup = "IdAssignment: duplicate node ID";
+  constexpr NodeId kTop = std::numeric_limits<NodeId>::max();
+  // Bitmap path.
+  EXPECT_EQ(verdict({5, 0, 3, 5}), dup);
+  EXPECT_EQ(verdict({1, 2, 3, 4, 1}), dup);  // in the last position
+  EXPECT_EQ(verdict({63, 64, 63}), dup);     // the top bit of a word
+  EXPECT_EQ(verdict({128, 128}), dup);       // max id == 64 n
+  EXPECT_EQ(verdict({128, 0}), "accepted");
+  EXPECT_EQ(verdict({0}), "accepted");
+  EXPECT_EQ(verdict({}), "accepted");
+  // Sorted path (max id > 64 n), IDs near UINT64_MAX.
+  EXPECT_EQ(verdict({129, 129}), dup);  // max id == 64 n + 1
+  EXPECT_EQ(verdict({kTop - 1, kTop, 7, kTop - 1}), dup);  // in the last position
+  EXPECT_EQ(verdict({kTop, kTop}), dup);
+  EXPECT_EQ(verdict({0, kTop}), "accepted");
+  EXPECT_EQ(verdict({kTop, 0, kTop - 1}), "accepted");
+}
+
 TEST(Ids, AlphaGrowsIdSpace) {
   auto ids = IdAssignment::shuffled(100, 3, 2.0);
   bool above_n = false;
   for (NodeIndex v = 0; v < 100; ++v) above_n |= ids.id_of(v) > 100;
   EXPECT_TRUE(above_n);  // with space n^2, whp some ID exceeds n
+}
+
+// ---------------------------------------------------------------------------
+// Label updates
+// ---------------------------------------------------------------------------
+
+// Port claims are stored as u16, and an update's value is any int (a serve
+// update frame carries an int32), so check_port_claim is what keeps a value
+// from wrapping into a real port: 65537 would otherwise be stored as 1.
+TEST(LabelUpdate, PortClaimsOutsideTheDomainAreRefusedOnEveryPortChannel) {
+  const LabelChannel channels[] = {LabelChannel::Parent, LabelChannel::Left,
+                                   LabelChannel::Right, LabelChannel::LeftNbr,
+                                   LabelChannel::RightNbr};
+  const auto columns = [](const BalancedTreeLabeling& l) {
+    return std::vector<std::vector<PortClaim>>{l.tree.parent, l.tree.left, l.tree.right,
+                                               l.left_nbr, l.right_nbr};
+  };
+  BalancedTreeLabeling l(3);
+  for (int c = 0; c < 5; ++c) apply_label_update(l, LabelUpdate{1, channels[c], c + 1});
+  for (int c = 0; c < 5; ++c) {
+    SCOPED_TRACE(label_channel_name(channels[c]));
+    const auto before = columns(l);
+    for (const int bad : {kMaxPortClaim + 1, 0xffff, 65537, -1}) {
+      EXPECT_THROW(apply_label_update(l, LabelUpdate{1, channels[c], bad}),
+                   std::invalid_argument)
+          << bad;
+      EXPECT_EQ(columns(l), before) << bad;
+    }
+    apply_label_update(l, LabelUpdate{1, channels[c], kMaxPortClaim});
+    EXPECT_EQ(columns(l)[static_cast<std::size_t>(c)][1], kMaxPortClaim);
+  }
 }
 
 // ---------------------------------------------------------------------------

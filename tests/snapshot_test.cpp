@@ -10,6 +10,7 @@
 // payload checksum is XXH64 as published.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -81,6 +82,12 @@ std::uint64_t u64_at(const std::vector<std::uint8_t>& b, std::size_t off) {
   return v;  // the test target is pinned little-endian by snapshot.cpp
 }
 
+std::uint32_t u32_at(const std::vector<std::uint8_t>& b, std::size_t off) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, b.data() + off, 4);
+  return v;
+}
+
 // File offset of the section tagged `tag` (section table: 32-byte entries
 // after the 104-byte header; section count u32 at 68, entry offset u64 at +24).
 std::size_t section_offset(const std::vector<std::uint8_t>& b, const std::string& tag) {
@@ -124,14 +131,9 @@ TEST_F(SnapshotTest, EveryFamilyRoundTripsBitIdenticallyOnBothBackends) {
     EXPECT_NE(a.offsets_data(), b.offsets_data());
     ASSERT_EQ(a.edge_count(), b.edge_count());
     ASSERT_EQ(a.max_degree(), b.max_degree());
-    EXPECT_EQ(std::memcmp(a.offsets_data(), b.offsets_data(),
-                          sizeof(std::size_t) * static_cast<std::size_t>(n + 1)),
-              0);
-    if (a.edge_count() > 0) {
-      EXPECT_EQ(std::memcmp(a.adjacency_data(), b.adjacency_data(),
-                            sizeof(NodeIndex) * static_cast<std::size_t>(2 * a.edge_count())),
-                0);
-    }
+    EXPECT_TRUE(std::equal(a.offsets_data(), a.offsets_data() + n + 1, b.offsets_data()));
+    EXPECT_TRUE(std::equal(a.adjacency_data(), a.adjacency_data() + 2 * a.edge_count(),
+                           b.adjacency_data()));
 
     // Whole-graph sweeps: Basic and the family's planned backend, serial and
     // 8-thread, all bit-identical between the in-RAM and mmap instances.
@@ -186,11 +188,28 @@ TEST_F(SnapshotTest, RejectsCorruptHeadersAndPayloads) {
     write_file(file, bad);
     expect_load_error(file, "unsupported version");
   }
-  {  // a version-1 header (the older checksum) is refused by its version
+  {  // a version-2 header (64-bit CSR, 32-bit port claims) is refused by its version
     std::vector<std::uint8_t> bad = good;
-    bad[8] = 1;
+    bad[8] = 2;
     write_file(file, bad);
-    expect_load_error(file, "unsupported version 1 (reader knows 2)");
+    expect_load_error(file, "unsupported version 2 (reader knows 3)");
+  }
+  // The size caps are read from the header, before any section is touched,
+  // so a header-only edit is enough to test them (nothing that large is
+  // ever allocated).
+  {  // node_count past kMaxNodes
+    std::vector<std::uint8_t> bad = good;
+    const std::uint64_t n = std::uint64_t{1} << 31;
+    std::memcpy(bad.data() + 48, &n, 8);
+    write_file(file, bad);
+    expect_load_error(file, "node count 2147483648 exceeds the cap of 2147483647");
+  }
+  {  // adjacency_count past kMaxAdjacency
+    std::vector<std::uint8_t> bad = good;
+    const std::uint64_t m = std::uint64_t{1} << 32;
+    std::memcpy(bad.data() + 56, &m, 8);
+    write_file(file, bad);
+    expect_load_error(file, "adjacency count 4294967296 exceeds the cap of 4294967295");
   }
   {  // truncated payload
     std::vector<std::uint8_t> bad(good.begin(), good.begin() + good.size() / 2);
@@ -211,22 +230,39 @@ TEST_F(SnapshotTest, RejectsCorruptHeadersAndPayloads) {
   }
   // A re-checksummed payload with a broken CSR passes the checksum; the
   // structural pass must reject it before the engine indexes through it.
-  {  // adjacency entry far outside [0, n)
+  {  // adjacency entry outside [0, n): the largest a u32 entry can hold
     std::vector<std::uint8_t> bad = good;
-    const std::uint64_t far = std::uint64_t{1} << 40;
-    std::memcpy(bad.data() + section_offset(bad, "adj"), &far, 8);
+    const std::uint32_t far = 0xffffffffu;
+    std::memcpy(bad.data() + section_offset(bad, "adj"), &far, 4);
     recompute_checksum(bad);
     write_file(file, bad);
-    expect_load_error(file, "adjacency entry 0 (1099511627776) outside [0, ");
+    expect_load_error(file, "adjacency entry 0 (4294967295) outside [0, 63)");
   }
   {  // offsets[2] < offsets[1]
     std::vector<std::uint8_t> bad = good;
     const std::size_t off = section_offset(bad, "offsets");
-    const std::uint64_t lowered = u64_at(bad, off + 8) - 1;
-    std::memcpy(bad.data() + off + 16, &lowered, 8);
+    const std::uint32_t lowered = u32_at(bad, off + 4) - 1;
+    std::memcpy(bad.data() + off + 8, &lowered, 4);
     recompute_checksum(bad);
     write_file(file, bad);
     expect_load_error(file, "CSR offsets decrease at node 1");
+  }
+  // Label domains: values a u16 or a byte can hold but no label takes.
+  // Without these checks each file loads, and a solver answers with them.
+  {  // a port claim above 0x7fff
+    std::vector<std::uint8_t> bad = good;
+    const std::uint16_t claim = 0x8000;
+    std::memcpy(bad.data() + section_offset(bad, "left") + 2 * 5, &claim, 2);
+    recompute_checksum(bad);
+    write_file(file, bad);
+    expect_load_error(file, "section left holds 32768 at node 5, outside [0, 32767]");
+  }
+  {  // a color byte outside {0, 1}, at a leaf (node 62)
+    std::vector<std::uint8_t> bad = good;
+    bad[section_offset(bad, "color") + 62] = 2;
+    recompute_checksum(bad);
+    write_file(file, bad);
+    expect_load_error(file, "section color holds 2 at node 62, outside {0, 1}");
   }
   {  // header max_degree below the largest degree
     std::vector<std::uint8_t> bad = good;
@@ -243,6 +279,30 @@ TEST_F(SnapshotTest, RejectsCorruptHeadersAndPayloads) {
   {  // intact bytes still load (the victim file was not the problem)
     write_file(file, good);
     EXPECT_NO_THROW((void)io::Snapshot::load(file));
+  }
+
+  // hh-2-3 carries the side and levelin sections.
+  const std::string hh_file = path("hh.vsnap");
+  ProblemRegistry::global().find("hh-2-3")->make(64, 3).save_snapshot(hh_file);
+  const std::vector<std::uint8_t> hh = read_file(hh_file);
+  {  // a side byte outside {0, 1}
+    std::vector<std::uint8_t> bad = hh;
+    bad[section_offset(bad, "side") + 7] = 0xff;
+    recompute_checksum(bad);
+    write_file(hh_file, bad);
+    expect_load_error(hh_file, "section side holds 255 at node 7, outside {0, 1}");
+  }
+  {  // a negative level claim
+    std::vector<std::uint8_t> bad = hh;
+    const std::int32_t level = -1;
+    std::memcpy(bad.data() + section_offset(bad, "levelin") + 4 * 9, &level, 4);
+    recompute_checksum(bad);
+    write_file(hh_file, bad);
+    expect_load_error(hh_file, "section levelin holds -1 at node 9, outside [0, 2^31)");
+  }
+  {
+    write_file(hh_file, hh);
+    EXPECT_NO_THROW((void)io::Snapshot::load(hh_file));
   }
 }
 
@@ -324,8 +384,8 @@ TEST_F(SnapshotTest, HeaderLayoutIsLittleEndianAtFixedOffsets) {
   ASSERT_GE(b.size(), 104u);
 
   EXPECT_EQ(std::memcmp(b.data(), "VOLCSNP1", 8), 0);
-  // version u32 little-endian at offset 8: 02 00 00 00.
-  EXPECT_EQ(b[8], 2u);
+  // version u32 little-endian at offset 8: 03 00 00 00.
+  EXPECT_EQ(b[8], 3u);
   EXPECT_EQ(b[9], 0u);
   EXPECT_EQ(b[10], 0u);
   EXPECT_EQ(b[11], 0u);
@@ -340,11 +400,12 @@ TEST_F(SnapshotTest, HeaderLayoutIsLittleEndianAtFixedOffsets) {
   EXPECT_EQ(payload_offset % 8, 0u);
   EXPECT_EQ(payload_offset + payload_bytes, b.size());
 
-  // Section table: every section 8-aligned inside the payload, and the CSR
-  // sections carry the pinned element widths.
+  // Section table: every section 8-aligned inside the payload, and every
+  // section carries its pinned element width.
   const std::uint32_t section_count = b[68] | (std::uint32_t{b[69]} << 8);
-  ASSERT_GE(section_count, 3u);
+  ASSERT_EQ(section_count, 7u);
   bool saw_offsets = false, saw_adj = false, saw_ids = false;
+  int port_claims = 0, colors = 0;
   for (std::uint32_t i = 0; i < section_count; ++i) {
     const std::size_t e = 104 + 32 * static_cast<std::size_t>(i);
     const std::string tag(reinterpret_cast<const char*>(b.data() + e));
@@ -357,24 +418,35 @@ TEST_F(SnapshotTest, HeaderLayoutIsLittleEndianAtFixedOffsets) {
     EXPECT_LE(offset + elem_bytes * count, b.size()) << tag;
     if (tag == "offsets") {
       saw_offsets = true;
-      EXPECT_EQ(elem_bytes, 8u);
+      EXPECT_EQ(elem_bytes, 4u);
       EXPECT_EQ(count, 8u);  // n + 1
       // offsets[0] == 0 in payload bytes, little-endian.
-      EXPECT_EQ(u64_at(b, offset), 0u);
-      EXPECT_EQ(u64_at(b, offset + 7 * 8), 12u);  // offsets[n] == adjacency_count
+      EXPECT_EQ(u32_at(b, offset), 0u);
+      EXPECT_EQ(u32_at(b, offset + 7 * 4), 12u);  // offsets[n] == adjacency_count
     } else if (tag == "adj") {
       saw_adj = true;
-      EXPECT_EQ(elem_bytes, 8u);
+      EXPECT_EQ(elem_bytes, 4u);
       EXPECT_EQ(count, 12u);
+      EXPECT_EQ(u32_at(b, offset), 1u);  // the root's port-1 neighbor
     } else if (tag == "ids") {
       saw_ids = true;
       EXPECT_EQ(elem_bytes, 8u);
+      EXPECT_EQ(count, 7u);
+    } else if (tag == "parent" || tag == "left" || tag == "right") {
+      ++port_claims;
+      EXPECT_EQ(elem_bytes, 2u) << tag;
+      EXPECT_EQ(count, 7u) << tag;
+    } else if (tag == "color") {
+      ++colors;
+      EXPECT_EQ(elem_bytes, 1u);
       EXPECT_EQ(count, 7u);
     }
   }
   EXPECT_TRUE(saw_offsets);
   EXPECT_TRUE(saw_adj);
   EXPECT_TRUE(saw_ids);
+  EXPECT_EQ(port_claims, 3);
+  EXPECT_EQ(colors, 1);
 }
 
 // --- the payload checksum ----------------------------------------------------

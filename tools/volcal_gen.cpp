@@ -17,8 +17,9 @@
 //   --max-n N      largest sweep target (default 4096)
 //   --min-n N      smallest sweep target (default 256)
 //   --filter S     only families whose name contains S
-//   --validate     mmap-load each written snapshot back and fail unless the
-//                  CSR/ID arrays are bit-identical to the in-RAM instance
+//   --validate     mmap-load each written snapshot back, save the loaded
+//                  instance again and fail unless the two files are
+//                  byte-identical (every section, labels included)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,31 +32,34 @@
 namespace volcal {
 namespace {
 
+// Loads `path` back and saves the loaded instance beside it; the two files
+// must be byte-identical.  The writer serializes every section straight from
+// memory, so this holds only if the loader reproduced the CSR, the IDs and
+// every label column exactly.
 bool validate_roundtrip(const ErasedInstance& inst, const std::string& path) {
-  ErasedInstance loaded = io::load_instance(path);
-  if (loaded.family() != inst.family() || loaded.node_count() != inst.node_count()) {
-    std::fprintf(stderr, "volcal_gen: %s: family/size did not round-trip\n", path.c_str());
-    return false;
-  }
-  const GraphView a = inst.graph();
-  const GraphView b = loaded.graph();
-  const auto n = static_cast<std::size_t>(a.node_count());
-  if (a.max_degree() != b.max_degree() || a.edge_count() != b.edge_count() ||
-      std::memcmp(a.offsets_data(), b.offsets_data(), sizeof(std::size_t) * (n + 1)) != 0 ||
-      (a.edge_count() > 0 &&
-       std::memcmp(a.adjacency_data(), b.adjacency_data(),
-                   sizeof(NodeIndex) * static_cast<std::size_t>(2 * a.edge_count())) != 0)) {
-    std::fprintf(stderr, "volcal_gen: %s: CSR arrays are not bit-identical\n", path.c_str());
-    return false;
-  }
-  for (NodeIndex v = 0; v < a.node_count(); ++v) {
-    if (inst.ids().id_of(v) != loaded.ids().id_of(v)) {
-      std::fprintf(stderr, "volcal_gen: %s: ID table diverged at node %lld\n", path.c_str(),
-                   static_cast<long long>(v));
-      return false;
+  const std::string resaved = path + ".resave";
+  std::string problem;
+  try {
+    const ErasedInstance loaded = io::load_instance(path);
+    if (loaded.family() != inst.family() || loaded.node_count() != inst.node_count()) {
+      problem = "family/size did not round-trip";
+    } else {
+      loaded.save_snapshot(resaved);
+      const auto a = io::MappedFile::map(path);
+      const auto b = io::MappedFile::map(resaved);
+      if (a->size() != b->size() || std::memcmp(a->data(), b->data(), a->size()) != 0) {
+        problem = "re-saving the loaded instance changed its bytes";
+      }
     }
+  } catch (const std::exception& e) {
+    problem = std::string("validation failed: ") + e.what();
   }
-  return true;
+  std::error_code ignored;
+  std::filesystem::remove(resaved, ignored);  // also after a partial write
+  if (!problem.empty()) {
+    std::fprintf(stderr, "volcal_gen: %s: %s\n", path.c_str(), problem.c_str());
+  }
+  return problem.empty();
 }
 
 int run(int argc, char** argv) {
@@ -94,7 +98,7 @@ int run(int argc, char** argv) {
           "  --max-n <n>    largest sweep target [4096]\n"
           "  --min-n <n>    smallest sweep target [256]\n"
           "  --filter <s>   only families whose name contains <s>\n"
-          "  --validate     mmap-load each snapshot back and compare\n");
+          "  --validate     mmap-load each snapshot back, re-save it, compare bytes\n");
       return 0;
     } else {
       std::fprintf(stderr, "volcal_gen: unknown argument '%s' (try --help)\n", argv[i]);
