@@ -176,7 +176,8 @@ void adversary_table(JsonReport& report) {
     const char* name;
     HthcCandidate fn;
   };
-  RandomTape tape(IdAssignment::sequential(200000), 11);
+  const IdAssignment tape_ids = IdAssignment::sequential(200000);
+  RandomTape tape(tape_ids, 11);
   const Candidate candidates[] = {
       {"always D", [](HthcAdversarySource&) { return ThcColor::D; }},
       {"always X", [](HthcAdversarySource&) { return ThcColor::X; }},

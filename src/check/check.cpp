@@ -288,16 +288,10 @@ std::vector<NodeIndex> case_starts(const FuzzCase& c, NodeIndex n) {
 }
 
 // The case's starts followed by the same starts in reverse: every start
-// repeats once, so answer reuse (CachePolicy::Shared) has work to do.
+// repeats once, so batched sweeps see duplicate centers.
 std::vector<NodeIndex> with_repeats(std::vector<NodeIndex> starts) {
   starts.insert(starts.end(), starts.rbegin(), starts.rend());
   return starts;
-}
-
-CacheConfig policy_config(CachePolicy p) {
-  CacheConfig cfg;
-  cfg.policy = p;
-  return cfg;
 }
 
 // Which part of two graphs' CSR differs — "" when shape, offsets and
@@ -451,64 +445,6 @@ CheckResult check_case(const FuzzCase& c) {
   return {};
 }
 
-CheckResult check_cache_case(const FuzzCase& c) {
-  const RegistryEntry* entry = ProblemRegistry::global().find(c.family);
-  if (entry == nullptr) return fail("unknown registry family: " + c.family);
-  if (c.variant < 0 || c.variant >= entry->variants) {
-    return fail("variant " + std::to_string(c.variant) + " out of range for " + c.family);
-  }
-  const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
-  const NodeIndex n = inst.node_count();
-  if (n <= 0) return fail("generator produced an empty instance");
-  const std::vector<NodeIndex> starts = with_repeats(case_starts(c, n));
-  const std::span<const NodeIndex> span(starts);
-  const auto distinct = static_cast<std::int64_t>(starts.size() / 2);
-
-  RandomTape tape(inst.ids(), c.tape_seed, c.model);
-  auto solve = [&](auto& exec) { return inst.solve(exec); };
-  const auto baseline = ParallelRunner(1, policy_config(CachePolicy::Off))
-                            .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
-  for (const int threads : {1, 8}) {
-    const auto run = ParallelRunner(threads, policy_config(CachePolicy::Shared))
-                         .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
-    const std::string where = "shared at " + std::to_string(threads) + " thread(s)";
-    if (baseline.output != run.output) return fail("cache: outputs diverge under " + where);
-    if (baseline.volume != run.volume || baseline.distance != run.distance ||
-        baseline.queries != run.queries) {
-      return fail("cache: per-start costs diverge under " + where);
-    }
-    if (!same_costs(baseline.stats, run.stats)) {
-      return fail("cache: aggregate costs (truncation included) diverge under " + where);
-    }
-    if (run.stats.cache.policy != CachePolicy::Shared || run.stats.cache.hits != distinct ||
-        run.stats.cache.misses != distinct) {
-      return fail("cache: every repeated start must be reused exactly once under " + where);
-    }
-  }
-
-  // Recording executions never reuse: identical results, every start traced
-  // in full, and no reuse counted.
-  obs::TraceRecorder recorder;
-  const auto traced =
-      obs::run_at_traced(ParallelRunner(2, policy_config(CachePolicy::Shared)), inst.graph(),
-                         inst.ids(), span, solve, recorder, c.budget, &tape);
-  if (baseline.output != traced.output || baseline.volume != traced.volume ||
-      baseline.distance != traced.distance || baseline.queries != traced.queries ||
-      !same_costs(baseline.stats, traced.stats)) {
-    return fail("cache: traced sweep diverges from the plain sweep");
-  }
-  if (traced.stats.cache.hits != 0 || traced.stats.cache.misses != 0) {
-    return fail("cache: traced sweep counted reuse (recording must execute every start)");
-  }
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    const obs::ExecutionTrace& t = recorder.traces()[i];
-    if (t.start != starts[i] || t.query_count != baseline.queries[i]) {
-      return fail(at_start("cache: traced sweep skipped a repeated start", i, starts[i]));
-    }
-  }
-  return {};
-}
-
 CheckResult check_backend_case(const FuzzCase& c) {
   const RegistryEntry* entry = ProblemRegistry::global().find(c.family);
   if (entry == nullptr) return fail("unknown registry family: " + c.family);
@@ -524,9 +460,9 @@ CheckResult check_backend_case(const FuzzCase& c) {
 
   auto solve = [&](auto& exec) { return inst.solve(exec); };
 
-  // Reference row: Basic backend, cache off, serial, no budget / no tape (the
+  // Reference row: Basic backend, serial, no budget / no tape (the
   // configuration in which a batchable plan is batched-eligible).
-  ParallelRunner base_runner(1, policy_config(CachePolicy::Off));
+  ParallelRunner base_runner(1);
   base_runner.set_backend(ExecBackend::Basic);
   const auto baseline = base_runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
   if (baseline.stats.backend != ExecBackend::Basic) {
@@ -536,43 +472,38 @@ CheckResult check_backend_case(const FuzzCase& c) {
     return fail("backend: basic sweep lost its plan tag");
   }
 
-  for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
-    for (const int threads : {1, 8}) {
-      ParallelRunner runner(threads, policy_config(policy));
-      runner.set_backend(ExecBackend::Batched);
-      const auto run = runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
-      const std::string where = std::string(plan.name()) + " under " +
-                                cache_policy_name(policy) + " at " +
-                                std::to_string(threads) + " thread(s)";
-      if (baseline.output != run.output) {
-        return fail("backend: outputs diverge for " + where);
+  for (const int threads : {1, 8}) {
+    ParallelRunner runner(threads);
+    runner.set_backend(ExecBackend::Batched);
+    const auto run = runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
+    const std::string where =
+        std::string(plan.name()) + " at " + std::to_string(threads) + " thread(s)";
+    if (baseline.output != run.output) {
+      return fail("backend: outputs diverge for " + where);
+    }
+    if (baseline.volume != run.volume || baseline.distance != run.distance ||
+        baseline.queries != run.queries) {
+      return fail("backend: per-start costs diverge for " + where);
+    }
+    if (!same_costs(baseline.stats, run.stats)) {
+      return fail("backend: aggregate costs diverge for " + where);
+    }
+    if (run.stats.plan != plan.kind) {
+      return fail("backend: sweep tagged with the wrong plan for " + where);
+    }
+    if (plan.batchable()) {
+      if (run.stats.backend != ExecBackend::Batched) {
+        return fail("backend: batchable sweep did not take the batched path for " + where);
       }
-      if (baseline.volume != run.volume || baseline.distance != run.distance ||
-          baseline.queries != run.queries) {
-        return fail("backend: per-start costs diverge for " + where);
+      // Every start, repeats included, runs in exactly one batch.
+      if (run.stats.batch.batched_starts != static_cast<std::int64_t>(starts.size())) {
+        return fail("backend: batch start accounting wrong for " + where);
       }
-      if (!same_costs(baseline.stats, run.stats)) {
-        return fail("backend: aggregate costs diverge for " + where);
+      if (!starts.empty() && run.stats.batch.batches < 1) {
+        return fail("backend: batched sweep recorded zero batches for " + where);
       }
-      if (run.stats.plan != plan.kind) {
-        return fail("backend: sweep tagged with the wrong plan for " + where);
-      }
-      if (plan.batchable()) {
-        if (run.stats.backend != ExecBackend::Batched) {
-          return fail("backend: batchable sweep did not take the batched path for " + where);
-        }
-        // Every start is either executed in a batch or copied from its
-        // first occurrence — exactly once.
-        if (run.stats.batch.batched_starts + run.stats.cache.hits !=
-            static_cast<std::int64_t>(starts.size())) {
-          return fail("backend: batch start accounting wrong for " + where);
-        }
-        if (!starts.empty() && run.stats.batch.batches < 1) {
-          return fail("backend: batched sweep recorded zero batches for " + where);
-        }
-      } else if (run.stats.backend != ExecBackend::Basic) {
-        return fail("backend: non-batchable plan tagged batched for " + where);
-      }
+    } else if (run.stats.backend != ExecBackend::Basic) {
+      return fail("backend: non-batchable plan tagged batched for " + where);
     }
   }
 
@@ -580,12 +511,12 @@ CheckResult check_backend_case(const FuzzCase& c) {
   // runner must fall back to the per-start basic path and stay bit-identical
   // to a Basic-backend runner under the same configuration.
   RandomTape base_tape(inst.ids(), c.tape_seed, c.model);
-  ParallelRunner fb_base(1, policy_config(CachePolicy::Off));
+  ParallelRunner fb_base(1);
   fb_base.set_backend(ExecBackend::Basic);
   const auto fb_baseline = fb_base.run_planned(inst.graph(), inst.ids(), span, plan, solve,
                                                c.budget, &base_tape);
   RandomTape tape(inst.ids(), c.tape_seed, c.model);
-  ParallelRunner fb_runner(8, policy_config(CachePolicy::Off));
+  ParallelRunner fb_runner(8);
   fb_runner.set_backend(ExecBackend::Batched);
   const auto fallback = fb_runner.run_planned(inst.graph(), inst.ids(), span, plan, solve,
                                               c.budget, &tape);
@@ -793,16 +724,15 @@ CheckResult check_mutation_case(const FuzzCase& c) {
   }
   if (!same_ids(mut.ids(), inst.ids())) return fail("mutation: ID table changed");
 
-  // --- sweep differential: mutated vs naive-rebuilt, both backends, every
-  // cache policy, 1 and 8 threads --------------------------------------------
+  // --- sweep differential: mutated vs naive-rebuilt, both backends, 1 and 8
+  // threads -------------------------------------------------------------------
   const std::vector<NodeIndex> starts = case_starts(c, n);
   const std::span<const NodeIndex> span(starts);
   auto solve_mut = [&](auto& exec) { return mut.solve(exec); };
   auto solve_naive = [&](auto& exec) { return naive.solve(exec); };
-  const auto base_mut = ParallelRunner(1, policy_config(CachePolicy::Off))
-                            .run_at(gm, mut.ids(), span, solve_mut, c.budget);
-  const auto base_naive = ParallelRunner(1, policy_config(CachePolicy::Off))
-                              .run_at(gn, naive.ids(), span, solve_naive, c.budget);
+  const auto base_mut = ParallelRunner(1).run_at(gm, mut.ids(), span, solve_mut, c.budget);
+  const auto base_naive =
+      ParallelRunner(1).run_at(gn, naive.ids(), span, solve_naive, c.budget);
   if (base_mut.output != base_naive.output) {
     return fail("mutation: mutate-then-query diverges from rebuild-then-query");
   }
@@ -811,21 +741,17 @@ CheckResult check_mutation_case(const FuzzCase& c) {
       !same_costs(base_mut.stats, base_naive.stats)) {
     return fail("mutation: mutate-then-query costs diverge from rebuild-then-query");
   }
-  for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
-    for (const int threads : {1, 8}) {
-      ParallelRunner runner(threads, policy_config(policy));
-      runner.set_backend(ExecBackend::Batched);
-      const auto run =
-          runner.run_planned(gm, mut.ids(), span, entry->plan, solve_mut, c.budget);
-      const std::string where = std::string(cache_policy_name(policy)) + " at " +
-                                std::to_string(threads) + " thread(s)";
-      if (base_mut.output != run.output) {
-        return fail("mutation: planned-backend outputs diverge under " + where);
-      }
-      if (base_mut.volume != run.volume || base_mut.distance != run.distance ||
-          base_mut.queries != run.queries || !same_costs(base_mut.stats, run.stats)) {
-        return fail("mutation: planned-backend costs diverge under " + where);
-      }
+  for (const int threads : {1, 8}) {
+    ParallelRunner runner(threads);
+    runner.set_backend(ExecBackend::Batched);
+    const auto run = runner.run_planned(gm, mut.ids(), span, entry->plan, solve_mut, c.budget);
+    const std::string where = std::to_string(threads) + " thread(s)";
+    if (base_mut.output != run.output) {
+      return fail("mutation: planned-backend outputs diverge at " + where);
+    }
+    if (base_mut.volume != run.volume || base_mut.distance != run.distance ||
+        base_mut.queries != run.queries || !same_costs(base_mut.stats, run.stats)) {
+      return fail("mutation: planned-backend costs diverge at " + where);
     }
   }
 
@@ -874,7 +800,6 @@ CheckResult check_mutation_case(const FuzzCase& c) {
 
 CheckResult check_all(const FuzzCase& c) {
   CheckResult r = check_case(c);
-  if (r.ok) r = check_cache_case(c);
   if (r.ok) r = check_backend_case(c);
   if (r.ok) r = check_snapshot_case(c);
   if (r.ok) r = check_mutation_case(c);

@@ -72,21 +72,14 @@ struct CheckResult {
 // (unknown family, out-of-range variant) come back as failures.
 CheckResult check_case(const FuzzCase& c);
 
-// Answer-reuse differential (CachePolicy::Shared): the case's starts, each
-// repeated once, swept with reuse at 1 and 8 threads must be bit-identical
-// in outputs, per-start costs and aggregate costs (truncation included) to
-// the sweep that executes every start, with every repeat counted as reused;
-// a traced sweep on a reusing runner must execute and trace every start.
-CheckResult check_cache_case(const FuzzCase& c);
-
 // Backend differential (plan/probe_plan.hpp + runtime/batched_execution.hpp):
-// the family's registered probe plan executed on the Batched backend, with
-// and without answer reuse at 1 and 8 threads, must be bit-identical to the
-// Basic backend in outputs and per-start/aggregate costs.  Also asserts the
-// sweep stats are tagged with the right plan/backend, that every start is
-// accounted for exactly once by the batch and reuse counters on batchable
-// plans, and that a budgeted/taped sweep (batched-ineligible) falls back to
-// the basic path bit-identically.
+// the family's registered probe plan executed on the Batched backend over the
+// case's starts, each repeated once, at 1 and 8 threads, must be
+// bit-identical to the Basic backend in outputs and per-start/aggregate
+// costs.  Also asserts the sweep stats are tagged with the right
+// plan/backend, that on batchable plans every start (repeats included) runs
+// in exactly one batch, and that a budgeted/taped sweep (batched-ineligible)
+// falls back to the basic path bit-identically.
 CheckResult check_backend_case(const FuzzCase& c);
 
 // Snapshot round-trip differential (io/snapshot.hpp): the case's instance
@@ -105,8 +98,8 @@ CheckResult check_snapshot_case(const FuzzCase& c);
 // and asserts mutate-then-query equals rebuild-from-scratch-then-query — the
 // CSR fast path and the Builder-based naive path produce byte-identical
 // graphs, the mutated instance sweeps bit-identically to the naive rebuild on
-// the Basic and Batched backends with and without answer reuse at 1 and 8
-// threads, and the pre-mutation instance is untouched (copy-on-write).  It
+// the Basic and Batched backends at 1 and 8 threads, and the pre-mutation
+// instance is untouched (copy-on-write).  It
 // also certifies the answer memo: with every node's answer memoized on the
 // old graph, the batch's region eviction must account for every answer
 // (evicted + retained == warm), evict each changed node's own answer, and
@@ -114,8 +107,8 @@ CheckResult check_snapshot_case(const FuzzCase& c);
 CheckResult check_mutation_case(const FuzzCase& c);
 
 // The one predicate every fuzz case, replayed reproducer and corpus pin
-// runs: check_case, then the answer-reuse, backend, snapshot and mutation
-// differentials, stopping at the first failure.
+// runs: check_case, then the backend, snapshot and mutation differentials,
+// stopping at the first failure.
 CheckResult check_all(const FuzzCase& c);
 
 // Model <-> name, shared by the reproducer format and the driver's output.

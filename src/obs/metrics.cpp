@@ -62,14 +62,7 @@ std::string SweepMetrics::to_json(const std::string& tool) const {
     out += buf;
   }
   std::snprintf(buf, sizeof buf,
-                "], \"cache\": {\"policy\": \"%s\", \"hits\": %" PRId64
-                ", \"misses\": %" PRId64 ", \"evictions\": %" PRId64
-                ", \"served_nodes\": %" PRId64 ", \"inserted_bytes\": %" PRId64 "}",
-                cache_policy_name(stats.cache.policy), stats.cache.hits, stats.cache.misses,
-                stats.cache.evictions, stats.cache.served_nodes, stats.cache.inserted_bytes);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                ", \"batch\": {\"batched_sweeps\": %" PRId64 ", \"batches\": %" PRId64
+                "], \"batch\": {\"batched_sweeps\": %" PRId64 ", \"batches\": %" PRId64
                 ", \"batched_starts\": %" PRId64 ", \"waves\": %" PRId64
                 ", \"expanded_nodes\": %" PRId64 "}",
                 batched_sweeps, stats.batch.batches, stats.batch.batched_starts,

@@ -6,7 +6,7 @@
 // matching SweepStats, tape-bit high-water mark, and (when a SweepProfile was
 // attached) wall time per start and per-worker busy time.
 //
-// Determinism: every field except the wall-time and reuse-counter ones is
+// Determinism: every field except the wall-time and batch-counter ones is
 // derived from the SweepResult's per-start slot vectors, which the engine guarantees are
 // bit-identical at any thread count — so metrics aggregated over a parallel
 // sweep equal the serial ones by construction (the same argument as the
@@ -67,7 +67,6 @@ struct SweepMetrics {
     stats.total_volume += result.stats.total_volume;
     stats.truncated += result.stats.truncated;
     stats.wall_seconds += result.stats.wall_seconds;
-    stats.cache += result.stats.cache;
     stats.batch += result.stats.batch;
     if (result.stats.backend == ExecBackend::Batched) ++batched_sweeps;
     for (std::size_t i = 0; i < result.volume.size(); ++i) {

@@ -17,7 +17,7 @@
 //     "curves": [{"name", "claim", "fitted", "exponent", "r_squared",
 //                 "points": [{"n", "cost", "wall_seconds"}, ...]}, ...],
 //     "phases": [{"name", "wall_seconds"}, ...],
-//     "cache": {"policy", "hits", "misses", "evictions",   // answer-reuse
+//     "cache": {"policy", "hits", "misses", "evictions",   // answer-memo
 //               "served_nodes", "inserted_bytes"},         //   counters
 //     "serve": {"accepted", "completed", "shed", "invalid", "swaps",
 //               "latency_samples", "p50_ns", "p95_ns", "p99_ns", "mean_ns",
@@ -161,9 +161,8 @@ struct BenchArtifact {
   EnvFingerprint env;
   std::vector<ArtifactCurve> curves;
   std::vector<PhaseTimer::Phase> phases;
-  // Answer-reuse counters accumulated over the tool's measured sweeps, or the
-  // answer memo's for serve runs (zeros with policy Off for runs without
-  // reuse).
+  // The answer memo's counters for serve runs; sweeps have no answer reuse
+  // and keep the Off/zero default.
   CacheStats cache;
   // Query-service block — present only for serve/load runs.
   std::optional<ServeStatsBlock> serve;

@@ -1,6 +1,7 @@
 #include "runtime/answer_memo.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 namespace volcal {
@@ -123,6 +124,19 @@ AnswerMemo::Eviction AnswerMemo::evict_region(GraphView old_graph,
   }
   for (const Stripe& s : stripes_) out.retained += s.live;
   return out;
+}
+
+bool CacheConfig::policy_from_name(const char* name, CachePolicy* out) {
+  if (name == nullptr || out == nullptr) return false;
+  if (std::strcmp(name, "off") == 0 || name[0] == '\0' || std::strcmp(name, "0") == 0) {
+    *out = CachePolicy::Off;
+    return true;
+  }
+  if (std::strcmp(name, "shared") == 0) {
+    *out = CachePolicy::Shared;
+    return true;
+  }
+  return false;
 }
 
 CacheStats AnswerMemo::stats() const {

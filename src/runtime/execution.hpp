@@ -138,10 +138,6 @@ struct NullQuerySink {
 template <typename Sink = NullQuerySink>
 class BasicExecution {
  public:
-  // Whether this execution records its queries (a trace must contain every
-  // query, so recording sweeps never reuse answers across starts).
-  static constexpr bool recording = Sink::enabled;
-
   // budget: hard cap on volume; exceeding it throws QueryBudgetExceeded
   // (used to truncate randomized algorithms per Remark 3.11 and to run
   // adversaries against budget-limited algorithms).  budget <= 0 = unlimited.
@@ -157,6 +153,12 @@ class BasicExecution {
   BasicExecution(GraphView g, const IdAssignment& ids, NodeIndex start,
                  std::int64_t budget, ExecutionScratch& scratch, Sink sink = Sink{})
       : BasicExecution(g, ids, start, budget, &scratch, std::move(sink)) {}
+
+  // The execution keeps &ids: a temporary ID table would dangle.
+  BasicExecution(GraphView, const IdAssignment&&, NodeIndex, std::int64_t = 0,
+                 Sink = Sink{}) = delete;
+  BasicExecution(GraphView, const IdAssignment&&, NodeIndex, std::int64_t,
+                 ExecutionScratch&, Sink = Sink{}) = delete;
 
   ~BasicExecution() {
     if constexpr (Sink::enabled) {

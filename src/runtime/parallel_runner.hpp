@@ -42,13 +42,9 @@
 // outputs and per-start costs, bit for bit, amortized graph traversal.  Every
 // other combination falls back to the per-start loop below.
 //
-// Answer reuse: under CachePolicy::Shared a sweep executes each distinct
-// start once and copies its per-start slots — output, meters and truncation
-// — to the start's repeats.  That is exact by the purity argument above (an
-// execution is a pure function of instance, start, budget and tape), and the
-// tape ledger is unchanged because a repeat would read exactly the bits its
-// first occurrence read (ledgers merge by max).  Recording sweeps never
-// reuse: a trace must hold every start's queries.
+// Answer reuse: a sweep executes every start, repeats included.  Reusing
+// answers is the query service's job (runtime/answer_memo.hpp), where the
+// traffic actually repeats; whole-graph and sampled sweeps never do.
 //
 // Thread count: explicit constructor argument, else the VOLCAL_THREADS
 // environment variable, else 1 (determinism-by-default; parallelism is an
@@ -65,6 +61,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -124,37 +121,6 @@ std::int64_t sweep_chunk(std::int64_t items, int workers);
 // and rethrows the first captured exception (lowest worker index).
 void run_on_workers(int workers, const std::function<void(int)>& body);
 
-// Answer reuse (CachePolicy::Shared): first[i] = the slot of the first
-// occurrence of starts[i].  Callers run slot i iff first[i] == i (or when
-// `first` is empty: no reuse).
-std::vector<std::int64_t> first_occurrences(NodeIndex node_capacity,
-                                            std::span<const NodeIndex> starts);
-
-// Copies each repeated slot's output and meters from its first occurrence
-// and records the reuse in stats.cache (hits = repeats, misses = distinct
-// starts, served_nodes = volume copied).  `truncated[i]` flags slots whose
-// execution blew the budget; it may be empty when nothing can truncate.
-template <typename Label>
-void copy_repeats(const std::vector<std::int64_t>& first,
-                  const std::vector<std::uint8_t>& truncated, std::vector<Label>& output,
-                  std::vector<std::int64_t>& volume, std::vector<std::int64_t>& distance,
-                  std::vector<std::int64_t>& queries, SweepStats& stats) {
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    const auto f = static_cast<std::size_t>(first[i]);
-    if (f == i) {
-      ++stats.cache.misses;
-      continue;
-    }
-    output[i] = output[f];
-    volume[i] = volume[f];
-    distance[i] = distance[f];
-    queries[i] = queries[f];
-    if (!truncated.empty()) stats.truncated += truncated[f];
-    ++stats.cache.hits;
-    stats.cache.served_nodes += volume[f];
-  }
-}
-
 // The serial scan of the per-start slots into the sweep's sup-costs and
 // totals (Defs. 2.1-2.2 over the swept starts).
 inline void reduce_costs(const std::vector<std::int64_t>& volume,
@@ -172,18 +138,20 @@ inline void reduce_costs(const std::vector<std::int64_t>& volume,
 
 class ParallelRunner {
  public:
-  // threads == 0: use VOLCAL_THREADS if set, else 1.  The answer-reuse
-  // policy defaults to the environment (VOLCAL_CACHE — off unless set), so
-  // `--cache shared` reaches every runner a bench builds; pass a CacheConfig
-  // to pin it programmatically.
+  // threads == 0: use VOLCAL_THREADS if set, else 1.
   explicit ParallelRunner(int threads = 0)
-      : ParallelRunner(threads, CacheConfig::from_env()) {}
+      : threads_(detail::resolve_thread_count(threads)) {}
 
-  ParallelRunner(int threads, CacheConfig cache)
-      : threads_(detail::resolve_thread_count(threads)), cache_config_(cache) {}
+  // Source compatibility for volbench, which builds its prepare-sweep runner
+  // as ParallelRunner(1, CacheConfig{}).  Sweeps have no answer reuse, so any
+  // policy but Off is refused.  Drop this with the next benchmark change.
+  ParallelRunner(int threads, CacheConfig cache) : ParallelRunner(threads) {
+    if (cache.policy != CachePolicy::Off) {
+      throw std::invalid_argument("ParallelRunner: sweeps take no answer-reuse policy");
+    }
+  }
 
   int threads() const { return threads_; }
-  const CacheConfig& cache_config() const { return cache_config_; }
 
   // Execution backend for plan-dispatched sweeps (run_planned).  Defaults to
   // the environment (VOLCAL_BACKEND, Batched unless overridden — the batched
@@ -221,17 +189,8 @@ class ParallelRunner {
         static_cast<int>(std::min<std::int64_t>(threads_, std::max<std::int64_t>(count, 1)));
     const std::int64_t chunk = detail::sweep_chunk(count, workers);
     std::atomic<std::int64_t> next{0};
-    // Per-slot truncation flags: summed into the stats, and copied to a
-    // start's repeats along with its meters.
+    // Per-slot truncation flags (disjoint writes), summed into the stats.
     std::vector<std::uint8_t> truncated(static_cast<std::size_t>(count), 0);
-    constexpr bool kRecording = [] {
-      if constexpr (requires { Exec::recording; }) return Exec::recording;
-      return false;
-    }();
-    const std::vector<std::int64_t> first =
-        cache_config_.policy == CachePolicy::Shared && !kRecording
-            ? detail::first_occurrences(node_capacity, starts)
-            : std::vector<std::int64_t>{};
 
     detail::run_on_workers(workers, [&](const int worker) {
       ExecutionScratch scratch(node_capacity);
@@ -242,7 +201,6 @@ class ParallelRunner {
         const std::int64_t end = std::min(count, begin + chunk);
         for (std::int64_t i = begin; i < end; ++i) {
           const auto slot = static_cast<std::size_t>(i);
-          if (!first.empty() && first[slot] != i) continue;  // a repeat: copied below
           const auto exec_begin = profile ? std::chrono::steady_clock::now() : sweep_begin;
           {
             Exec exec = make_exec(i, scratch);
@@ -272,10 +230,7 @@ class ParallelRunner {
     });
 
     result.stats.starts = count;
-    result.stats.cache.policy = cache_config_.policy;
     for (const std::uint8_t t : truncated) result.stats.truncated += t;
-    detail::copy_repeats(first, truncated, output, result.volume, result.distance,
-                         result.queries, result.stats);
     if constexpr (std::is_same_v<Label, bool>) {
       result.output.assign(output.begin(), output.end());
     } else {
@@ -318,8 +273,7 @@ class ParallelRunner {
   // so budgeted runs stay per-start), no random tape (a batchable plan's
   // solver is deterministic by promise), and an integral output (the plan's
   // contract is output == ball size).  Everything else takes the per-start
-  // loop with the plan recorded in the stats.  Answer reuse under
-  // CachePolicy::Shared applies on both paths.
+  // loop with the plan recorded in the stats.
   template <typename Solver>
   auto run_planned(GraphView g, const IdAssignment& ids,
                    std::span<const NodeIndex> starts, const ProbePlan& plan,
@@ -340,9 +294,9 @@ class ParallelRunner {
 
  private:
   // The batched engine loop: workers pull 64-start batches of *consecutive*
-  // starts (neighboring balls overlap most) off the atomic counter, fuse the
-  // batch's starts (first occurrences only, under answer reuse) into one
-  // BatchedBallExecutor run, and write per-start meters to disjoint slots.
+  // starts (neighboring balls overlap most) off the atomic counter, fuse each
+  // batch into one BatchedBallExecutor run, and write per-start meters to
+  // disjoint slots.
   // Structure mirrors run_at_observed; the reduction is the same serial scan.
   template <typename Label>
   SweepResult<Label> run_batched_balls(GraphView g, std::span<const NodeIndex> starts,
@@ -361,44 +315,31 @@ class ParallelRunner {
         static_cast<int>(std::min<std::int64_t>(threads_, std::max<std::int64_t>(count, 1)));
     constexpr std::int64_t kBatch = BatchedBallExecutor::kMaxBatch;
     std::atomic<std::int64_t> next{0};
-    const std::vector<std::int64_t> first =
-        cache_config_.policy == CachePolicy::Shared
-            ? detail::first_occurrences(g.node_count(), starts)
-            : std::vector<std::int64_t>{};
     std::vector<BatchStats> worker_batch(static_cast<std::size_t>(workers));
 
     detail::run_on_workers(workers, [&](const int worker) {
       BatchedBallExecutor exec;
       exec.bind(g);
-      NodeIndex centers[BatchedBallExecutor::kMaxBatch];
-      std::int64_t slot_of[BatchedBallExecutor::kMaxBatch];
       BatchStats local;
       for (std::int64_t begin = next.fetch_add(kBatch, std::memory_order_relaxed);
            begin < count; begin = next.fetch_add(kBatch, std::memory_order_relaxed)) {
         const std::int64_t end = std::min(count, begin + kBatch);
         const auto batch_begin = profile ? std::chrono::steady_clock::now() : sweep_begin;
-        int b = 0;
+        exec.run(starts.subspan(static_cast<std::size_t>(begin),
+                                static_cast<std::size_t>(end - begin)),
+                 plan.radius);
         for (std::int64_t i = begin; i < end; ++i) {
-          if (!first.empty() && first[static_cast<std::size_t>(i)] != i) continue;
-          centers[b] = starts[static_cast<std::size_t>(i)];
-          slot_of[b] = i;
-          ++b;
+          const auto slot = static_cast<std::size_t>(i);
+          const Answer a = exec.answer(static_cast<int>(i - begin));
+          result.output[slot] = static_cast<Label>(a.label);
+          result.volume[slot] = a.volume;
+          result.distance[slot] = a.distance;
+          result.queries[slot] = a.queries;
         }
-        if (b > 0) {
-          exec.run({centers, static_cast<std::size_t>(b)}, plan.radius);
-          for (int s = 0; s < b; ++s) {
-            const auto i = static_cast<std::size_t>(slot_of[s]);
-            const Answer a = exec.answer(s);
-            result.output[i] = static_cast<Label>(a.label);
-            result.volume[i] = a.volume;
-            result.distance[i] = a.distance;
-            result.queries[i] = a.queries;
-          }
-          ++local.batches;
-          local.batched_starts += b;
-          local.waves += exec.waves();
-          local.expanded_nodes += exec.expanded_nodes();
-        }
+        ++local.batches;
+        local.batched_starts += end - begin;
+        local.waves += exec.waves();
+        local.expanded_nodes += exec.expanded_nodes();
         if (profile != nullptr) {
           const auto batch_end = std::chrono::steady_clock::now();
           const std::int64_t begin_ns =
@@ -419,9 +360,6 @@ class ParallelRunner {
     });
 
     result.stats.starts = count;
-    result.stats.cache.policy = cache_config_.policy;
-    detail::copy_repeats(first, {}, result.output, result.volume, result.distance,
-                         result.queries, result.stats);
     detail::reduce_costs(result.volume, result.distance, result.queries, result.stats);
     result.stats.plan = plan.kind;
     result.stats.backend = ExecBackend::Batched;
@@ -445,7 +383,6 @@ class ParallelRunner {
   }
 
   int threads_;
-  CacheConfig cache_config_;
   ExecBackend backend_ = backend_from_env();
 };
 

@@ -98,6 +98,9 @@ class RandomTape {
   RandomTape(const IdAssignment& ids, std::uint64_t seed,
              RandomnessModel model = RandomnessModel::Private)
       : ids_(&ids), seed_(seed), model_(model) {}
+  // The tape keeps &ids: a temporary ID table would dangle.
+  RandomTape(const IdAssignment&&, std::uint64_t,
+             RandomnessModel = RandomnessModel::Private) = delete;
 
   RandomnessModel model() const { return model_; }
   std::uint64_t seed() const { return seed_; }

@@ -20,37 +20,33 @@
 
 namespace volcal {
 
-// Answer-reuse policy.
-//   Off    — every start executes (default);
-//   Shared — a sweep executes each distinct start once and copies its
-//            per-start slots to the start's repeats (exact: an execution is
-//            a pure function of instance, start, budget and tape); the query
-//            service serves repeated nodes from its AnswerMemo
-//            (runtime/answer_memo.hpp).
-// The policy never changes any deterministic output: outputs and the cost
-// meters (volume / distance / query count, Defs. 2.1-2.2) are identical.
+// Answer-reuse policy of the query service (serve::ServeConfig::cache,
+// `volcal_serve --cache`).
+//   Off    — every request executes;
+//   Shared — repeated nodes are served from the service's AnswerMemo
+//            (runtime/answer_memo.hpp; exact: an answer is a pure function
+//            of instance, start and tape).
+// The policy never changes any answer: outputs and the cost meters
+// (volume / distance / query count, Defs. 2.1-2.2) are identical.  Sweeps
+// have no policy; they execute every start.
 enum class CachePolicy { Off, Shared };
 
 constexpr const char* cache_policy_name(CachePolicy p) {
   return p == CachePolicy::Shared ? "shared" : "off";
 }
 
-// The policy knob of a runner or service.  The environment form is what the
-// bench flag `--cache <off|shared>` exports: VOLCAL_CACHE = off | shared
-// (default off).
+// The service's policy knob; `volcal_serve --cache` parses it with
+// policy_from_name.
 struct CacheConfig {
   CachePolicy policy = CachePolicy::Off;
 
-  static CacheConfig from_env();
   static bool policy_from_name(const char* name, CachePolicy* out);
 };
 
-// Answer-reuse counters.  All of these describe how the work was performed,
-// not what it computed, and are excluded from same_costs below.
-//   sweeps: hits = repeated starts copied, misses = distinct starts run,
-//           served_nodes = volume copied;
-//   memo:   hits / misses of lookups, evictions by region eviction,
-//           served_nodes = volume replayed, inserted_bytes = bytes stored.
+// Answer-memo counters: hits / misses of lookups, evictions by region
+// eviction, served_nodes = volume replayed, inserted_bytes = bytes stored.
+// They describe how the work was performed, not what it computed.  A sweep
+// artifact carries them at the Off/zero default.
 struct CacheStats {
   CachePolicy policy = CachePolicy::Off;
   std::int64_t hits = 0;
@@ -58,22 +54,12 @@ struct CacheStats {
   std::int64_t evictions = 0;
   std::int64_t served_nodes = 0;
   std::int64_t inserted_bytes = 0;
-
-  CacheStats& operator+=(const CacheStats& o) {
-    if (o.policy != CachePolicy::Off) policy = o.policy;
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    served_nodes += o.served_nodes;
-    inserted_bytes += o.inserted_bytes;
-    return *this;
-  }
 };
 
 // Batched-backend counters for one sweep (runtime/batched_execution.hpp).
-// Like CacheStats these describe how the work was performed, not what it
-// computed: batch composition follows the engine's chunking, which depends on
-// the thread count, so every field here is excluded from same_costs.
+// These describe how the work was performed, not what it computed: batch
+// composition follows the engine's chunking, which depends on the thread
+// count, so every field here is excluded from same_costs.
 struct BatchStats {
   std::int64_t batches = 0;         // multi-start BFS batches executed
   std::int64_t batched_starts = 0;  // starts that ran inside a batch
@@ -101,10 +87,6 @@ struct SweepStats {
   // default Label, per Remark 3.11).
   std::int64_t truncated = 0;
   double wall_seconds = 0.0;
-  // Answer-reuse counters for the sweep (zeros under CachePolicy::Off).
-  // Like wall_seconds these describe how the work was performed, not what
-  // it computed, and are excluded from same_costs.
-  CacheStats cache;
   // How the sweep was executed (filled by ParallelRunner::run_planned; plain
   // run_at sweeps keep the defaults).  Tags and counters, not costs — all
   // excluded from same_costs: the whole point of the plan layer is that the
@@ -114,8 +96,8 @@ struct SweepStats {
   BatchStats batch;
 
   // Deterministic fields only — the comparison the engine-equivalence tests
-  // and benches use (wall_seconds and the cache counters are intentionally
-  // excluded).
+  // and benches use (wall_seconds and the backend tags and counters are
+  // intentionally excluded).
   friend bool same_costs(const SweepStats& a, const SweepStats& b) {
     return a.starts == b.starts && a.max_volume == b.max_volume &&
            a.max_distance == b.max_distance && a.total_queries == b.total_queries &&

@@ -1,7 +1,7 @@
 // Strict environment-variable parsing with loud (but one-time) fallback.
 //
 // Every VOLCAL_* knob used to have its own ad-hoc parser, and each one
-// swallowed misconfiguration silently: `VOLCAL_CACHE=sharde` ran uncached
+// swallowed misconfiguration silently: `VOLCAL_BACKEND=basick` ran batched
 // and `VOLCAL_THREADS=eight` ran serial — both without a word.  These helpers
 // parse strictly (whole string must be consumed, value must be in range) and
 // emit exactly one stderr warning per variable per process naming the

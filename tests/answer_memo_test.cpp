@@ -1,4 +1,5 @@
-// The answer memo (runtime/answer_memo.hpp) and answer reuse in sweeps.
+// The answer memo (runtime/answer_memo.hpp), the repo's one answer-reuse
+// mechanism.
 //
 //   * Region eviction is exact at its boundary: an answer is evicted when a
 //     changed node lies at distance distance(v) and kept at distance(v) + 1,
@@ -9,9 +10,6 @@
 //     dropped, a lookup never returns an answer stored for a newer target,
 //     and a swap to a snapshot mapped at a recycled address serves nothing
 //     stale — including with concurrent waves racing live mutations.
-//   * Sweeps under CachePolicy::Shared run each distinct start once and are
-//     bit-identical to executing every start, for every registry family at
-//     1 and 8 threads; recording sweeps never reuse.
 //   * Moved here with the behaviour they pin: the ExecutionScratch epoch
 //     wrap-around regression, its node-count limit and the graph storage
 //     copy semantics.
@@ -29,7 +27,6 @@
 
 #include "labels/generators.hpp"
 #include "lcl/registry.hpp"
-#include "obs/trace.hpp"
 #include "volcal/runtime.hpp"
 #include "volcal/serve.hpp"
 
@@ -72,12 +69,6 @@ std::vector<NodeIndex> kept_nodes(AnswerMemo& memo, GraphView after, const IdAss
     }
   }
   return kept;
-}
-
-CacheConfig policy_config(CachePolicy policy) {
-  CacheConfig c;
-  c.policy = policy;
-  return c;
 }
 
 // --- region eviction --------------------------------------------------------
@@ -389,83 +380,6 @@ TEST(AnswerMemoRace, ConcurrentWavesNeverServeAnAnswerPastItsMutation) {
     load.join();
     service.drain_and_stop();
     EXPECT_GT(service.cache_stats().hits, 0);
-  }
-}
-
-// --- answer reuse in sweeps ---------------------------------------------------
-
-TEST(AnswerReuse, EveryRegistryFamilyIsPolicyAndThreadInvariant) {
-  for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
-    SCOPED_TRACE(entry.name);
-    const ErasedInstance inst = entry.make(300, /*seed=*/21);
-    std::vector<NodeIndex> starts;
-    for (NodeIndex v = 0; v < inst.node_count(); ++v) starts.push_back(v);
-    for (NodeIndex v = inst.node_count() - 1; v >= 0; v -= 3) starts.push_back(v);
-    auto solver = [&](Execution& exec) { return inst.solve(exec); };
-    const auto baseline = ParallelRunner(1, policy_config(CachePolicy::Off))
-                              .run_at(inst.graph(), inst.ids(), starts, solver);
-    for (const int threads : {1, 8}) {
-      const auto run = ParallelRunner(threads, policy_config(CachePolicy::Shared))
-                           .run_at(inst.graph(), inst.ids(), starts, solver);
-      EXPECT_EQ(baseline.output, run.output) << threads << " threads";
-      EXPECT_EQ(baseline.volume, run.volume);
-      EXPECT_EQ(baseline.distance, run.distance);
-      EXPECT_EQ(baseline.queries, run.queries);
-      EXPECT_TRUE(same_costs(baseline.stats, run.stats));
-      EXPECT_EQ(run.stats.cache.policy, CachePolicy::Shared);
-      EXPECT_EQ(run.stats.cache.misses, inst.node_count());
-      EXPECT_EQ(run.stats.cache.hits,
-                static_cast<std::int64_t>(starts.size()) - inst.node_count());
-    }
-  }
-}
-
-TEST(AnswerReuse, RepeatedStartsRunOnceAndCopyTruncation) {
-  const auto inst = make_complete_binary_tree(8, Color::Red, Color::Blue);
-  const std::vector<NodeIndex> starts{0, 0, 0, 5, 5, 9, 0, 5, 9, 9};
-  auto solver = [](Execution& exec) {
-    return static_cast<int>(explore_ball(exec, 4).size());
-  };
-  for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{12}}) {
-    SCOPED_TRACE(budget);
-    const auto off = ParallelRunner(1, policy_config(CachePolicy::Off))
-                         .run_at(inst.graph, inst.ids, starts, solver, budget);
-    for (const int threads : {1, 8}) {
-      const auto shared = ParallelRunner(threads, policy_config(CachePolicy::Shared))
-                              .run_at(inst.graph, inst.ids, starts, solver, budget);
-      EXPECT_EQ(off.output, shared.output);
-      EXPECT_EQ(off.volume, shared.volume);
-      EXPECT_TRUE(same_costs(off.stats, shared.stats));  // truncation included
-      EXPECT_EQ(shared.stats.cache.misses, 3);
-      EXPECT_EQ(shared.stats.cache.hits, 7);
-      EXPECT_GT(shared.stats.cache.served_nodes, 0);
-    }
-    if (budget > 0) {
-      EXPECT_EQ(off.stats.truncated, static_cast<std::int64_t>(starts.size()));
-    }
-  }
-}
-
-// Recording sinks execute every start: a trace must contain every query.
-TEST(AnswerReuse, TracedSweepsNeverReuse) {
-  const auto inst = make_complete_binary_tree(6, Color::Red, Color::Blue);
-  const std::vector<NodeIndex> starts{0, 0, 3, 3, 11, 11};
-  auto solver = [](auto& exec) {
-    return static_cast<int>(explore_ball(exec, 3).size());
-  };
-  const auto plain = ParallelRunner(1, policy_config(CachePolicy::Off))
-                         .run_at(inst.graph, inst.ids, starts, solver);
-  ParallelRunner shared_runner(2, policy_config(CachePolicy::Shared));
-  obs::TraceRecorder recorder;
-  const auto traced = obs::run_at_traced(shared_runner, inst.graph, inst.ids, starts,
-                                         solver, recorder);
-  EXPECT_EQ(plain.output, traced.output);
-  EXPECT_TRUE(same_costs(plain.stats, traced.stats));
-  EXPECT_EQ(traced.stats.cache.hits, 0);
-  ASSERT_EQ(recorder.traces().size(), starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    EXPECT_EQ(static_cast<std::int64_t>(recorder.traces()[i].events.size()),
-              plain.queries[i]);
   }
 }
 

@@ -2,10 +2,12 @@
 // per-node volume/distance, sup-costs, total_queries, truncated) must be
 // bit-identical to the serial runner at any thread count — asserted here at
 // 1, 2 and 8 threads for every problem family in the suite, plus the budget
-// truncation path and RandomTape bit-usage merging.
+// truncation path (repeated starts included), RandomTape bit-usage merging,
+// and the CacheConfig constructor that refuses every policy but Off.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
 #include "labels/generators.hpp"
@@ -124,6 +126,44 @@ TEST(ParallelRunner, BudgetTruncationIsDeterministic) {
       /*budget=*/9);
   EXPECT_GT(run.stats.truncated, 0);
   for (const auto v : run.volume) EXPECT_LE(v, 9);
+}
+
+// Sweeps execute every start: a repeated start runs (and truncates) again,
+// and the per-start slots and the truncation count agree at 1 and 8 threads.
+TEST(ParallelRunner, RepeatedStartsRunEveryTimeAndCountEveryTruncation) {
+  const auto inst = make_complete_binary_tree(8, Color::Red, Color::Blue);
+  const std::vector<NodeIndex> starts{0, 0, 0, 5, 5, 9, 0, 5, 9, 9};
+  auto solver = [](Execution& exec) {
+    return static_cast<int>(explore_ball(exec, 4).size());
+  };
+  for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{12}}) {
+    SCOPED_TRACE(budget);
+    const auto serial = ParallelRunner(1).run_at(inst.graph, inst.ids, starts, solver, budget);
+    const auto parallel =
+        ParallelRunner(8).run_at(inst.graph, inst.ids, starts, solver, budget);
+    expect_identical(serial, parallel, 8);
+    EXPECT_EQ(serial.queries, parallel.queries);
+    EXPECT_TRUE(same_costs(serial.stats, parallel.stats));
+    EXPECT_EQ(serial.stats.starts, static_cast<std::int64_t>(starts.size()));
+    EXPECT_EQ(serial.stats.truncated, budget > 0 ? static_cast<std::int64_t>(starts.size()) : 0);
+    for (std::size_t i = 1; i < starts.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (starts[i] != starts[j]) continue;
+        EXPECT_EQ(serial.output[i], serial.output[j]);
+        EXPECT_EQ(serial.volume[i], serial.volume[j]);
+        EXPECT_EQ(serial.queries[i], serial.queries[j]);
+      }
+    }
+  }
+}
+
+// volbench builds its runner as ParallelRunner(1, CacheConfig{}); sweeps have
+// no answer reuse, so that constructor accepts only CachePolicy::Off.
+TEST(ParallelRunner, CacheConfigConstructorRefusesReuse) {
+  EXPECT_EQ(ParallelRunner(3, CacheConfig{}).threads(), 3);
+  CacheConfig shared;
+  shared.policy = CachePolicy::Shared;
+  EXPECT_THROW(ParallelRunner(1, shared), std::invalid_argument);
 }
 
 TEST(ParallelRunner, TapeBitAccountingMergesDeterministically) {

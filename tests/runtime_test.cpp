@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "graph/bfs.hpp"
 #include "labels/generators.hpp"
 #include "runtime/execution.hpp"
@@ -18,6 +21,15 @@ Graph path_graph(NodeIndex n) {
 // ---------------------------------------------------------------------------
 // Execution: the query model of Section 2.2
 // ---------------------------------------------------------------------------
+
+// An execution and a tape keep &ids, so neither may be built from a temporary
+// ID table (`RandomTape tape(IdAssignment::sequential(n), seed)` dangled).
+static_assert(!std::is_constructible_v<Execution, GraphView, IdAssignment, NodeIndex>);
+static_assert(!std::is_constructible_v<Execution, GraphView, IdAssignment, NodeIndex,
+                                       std::int64_t, ExecutionScratch&>);
+static_assert(!std::is_constructible_v<RandomTape, IdAssignment, std::uint64_t>);
+static_assert(std::is_constructible_v<Execution, GraphView, const IdAssignment&, NodeIndex>);
+static_assert(std::is_constructible_v<RandomTape, const IdAssignment&, std::uint64_t>);
 
 TEST(Execution, StartCountsAsVolumeOne) {
   Graph g = path_graph(3);

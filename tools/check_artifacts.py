@@ -124,7 +124,7 @@ REPORT = {  # perf::BenchArtifact, schema v2 (src/perf/artifact.hpp)
 FAMILY = REPORT | {"kind": one_of("bench-family"), "family": TEXT, "title": None,
                    "theta": None, "algorithm": None}
 SERVE_REPORT = REPORT | {"serve": SERVE, "mutate?": MUTATE}
-METRICS = {"tool": None, "sweeps": POSITIVE, "tape_max_bits": None, "cache": CACHE,
+METRICS = {"tool": None, "sweeps": POSITIVE, "tape_max_bits": None,
            "totals": {"starts": POSITIVE} | dict.fromkeys(("max_volume", "max_distance",
                "total_queries", "total_volume", "truncated", "wall_seconds")),
            "volume": histogram, "distance": histogram, "queries": histogram,

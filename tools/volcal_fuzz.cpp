@@ -7,8 +7,8 @@
 //   volcal_fuzz --replay tests/corpus/x.repro     # re-run a reproducer
 //
 // Every case, and every replayed reproducer, runs the full predicate
-// (check::check_all): the base invariants plus the answer-reuse, backend,
-// snapshot and mutation differentials.
+// (check::check_all): the base invariants plus the backend, snapshot and
+// mutation differentials.
 //
 // Exit status: 0 when every case (or replayed reproducer) passes, 1 on any
 // failure, 2 on usage errors.  Failures are minimized before reporting; with
