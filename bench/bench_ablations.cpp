@@ -21,6 +21,7 @@
 #include "lcl/problems/cp_thc.hpp"
 #include "lcl/problems/hierarchical_thc.hpp"
 #include "lcl/problems/leaf_coloring.hpp"
+#include "lcl/registry.hpp"
 #include "runtime/answer_memo.hpp"
 #include "runtime/success.hpp"
 
@@ -302,7 +303,7 @@ void churn_eviction_ablation(JsonReport& report) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_ablations");
+  auto args = volcal::bench::Args::parse(argc, argv, "bench_ablations");
   volcal::bench::Observer::install(args, "bench_ablations");
   volcal::bench::JsonReport report("bench_ablations");
   volcal::bench::truncation_ablation(report);

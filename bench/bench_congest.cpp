@@ -109,7 +109,7 @@ void two_tree_table(JsonReport& report) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_congest");
+  auto args = volcal::bench::Args::parse(argc, argv, "bench_congest");
   volcal::bench::Observer::install(args, "bench_congest");
   volcal::bench::JsonReport report("bench_congest");
   volcal::bench::flooding_table(report);

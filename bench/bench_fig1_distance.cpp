@@ -141,7 +141,7 @@ void run(const Args& args) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_fig1_distance");
+  auto args = volcal::bench::Args::parse(argc, argv, "bench_fig1_distance");
   volcal::bench::Observer::install(args, "bench_fig1_distance");
   volcal::bench::run(args);
   return 0;

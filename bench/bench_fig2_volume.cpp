@@ -126,7 +126,7 @@ void run(const Args& args) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_fig2_volume");
+  auto args = volcal::bench::Args::parse(argc, argv, "bench_fig2_volume");
   volcal::bench::Observer::install(args, "bench_fig2_volume");
   volcal::bench::run(args);
   return 0;

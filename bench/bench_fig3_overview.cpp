@@ -204,7 +204,7 @@ void run(const Args& args) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_fig3_overview");
+  auto args = volcal::bench::Args::parse(argc, argv, "bench_fig3_overview");
   volcal::bench::Observer::install(args, "bench_fig3_overview");
   volcal::bench::run(args);
   return 0;

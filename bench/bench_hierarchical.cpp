@@ -239,6 +239,8 @@ BENCHMARK(BM_RecursiveHTHC)->Arg(2)->Arg(3);
 
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(&argc, argv, "bench_hierarchical");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   volcal::bench::Observer::install(args, "bench_hierarchical");
   volcal::bench::JsonReport report("bench_hierarchical");
   volcal::bench::distance_table(report);
@@ -246,7 +248,6 @@ int main(int argc, char** argv) {
   volcal::bench::deep_nest_table(report);
   volcal::bench::adversary_table(report);
   report.write_file(args.json);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -132,7 +132,7 @@ void hh_table(JsonReport& report) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_hybrid_hh");
+  auto args = volcal::bench::Args::parse(argc, argv, "bench_hybrid_hh");
   volcal::bench::Observer::install(args, "bench_hybrid_hh");
   volcal::bench::JsonReport report("bench_hybrid_hh");
   volcal::bench::hybrid_crossover_table(report);

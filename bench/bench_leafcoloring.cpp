@@ -159,13 +159,14 @@ BENCHMARK(BM_NearestLeafFromRoot)->Arg(10)->Arg(14);
 
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(&argc, argv, "bench_leafcoloring");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   volcal::bench::Observer::install(args, "bench_leafcoloring");
   volcal::bench::JsonReport report("bench_leafcoloring");
   volcal::bench::walk_length_table(report);
   volcal::bench::truncation_table(report);
   volcal::bench::adversary_table(report);
   report.write_file(args.json);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -149,7 +149,7 @@ void bit_budget_table(JsonReport& report) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_randomness_models");
+  auto args = volcal::bench::Args::parse(argc, argv, "bench_randomness_models");
   volcal::bench::Observer::install(args, "bench_randomness_models");
   volcal::bench::JsonReport report("bench_randomness_models");
   volcal::bench::models_table(report);

@@ -340,7 +340,7 @@ void run(const Args& args) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_runner");
+  auto args = volcal::bench::Args::parse(argc, argv, "bench_runner");
   volcal::bench::Observer::install(args, "bench_runner");
   volcal::bench::run(args);
   return 0;

@@ -8,9 +8,7 @@
 // family) are tight against the matching exhaustive algorithms measured
 // here; the interactive adversary demonstrations live in bench_leafcoloring
 // and bench_balancedtree.
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hpp"
 #include "labels/generators.hpp"
@@ -47,16 +45,6 @@ void print_rows(const std::vector<Row>& rows) {
                    row.note});
   }
   table.print();
-  // Machine-readable series for downstream plotting.
-  if (std::getenv("VOLCAL_CSV") != nullptr) {
-    std::printf("\ncsv,problem,measure,n,cost\n");
-    for (const auto& row : rows) {
-      for (std::size_t i = 0; i < row.curve.ns.size(); ++i) {
-        std::printf("csv,%s,%s,%.0f,%.0f\n", row.problem.c_str(), row.measure.c_str(),
-                    row.curve.ns[i], row.curve.costs[i]);
-      }
-    }
-  }
 }
 
 // --- Row 1: LeafColoring ----------------------------------------------------
@@ -278,7 +266,7 @@ void hh_rows(std::vector<Row>& rows, int k, int l) {
 
 int main(int argc, char** argv) {
   using namespace volcal::bench;
-  auto args = Args::parse(&argc, argv, "bench_table1");
+  auto args = Args::parse(argc, argv, "bench_table1");
   Observer::install(args, "bench_table1");
   print_header(
       "Table 1 — complexities of the constructed LCLs "

@@ -8,10 +8,10 @@
 // measured costs — the engine's results are bit-identical at any thread count.
 //
 // Every bench main accepts the shared flag set of bench::Args (--json,
-// --trace, --chrome-trace, --metrics, --filter, --max-n, --threads,
-// --backend, --help);
-// curves print as tables and dump as JSON, and the observability flags attach
-// the obs/ layer (trace sinks + sweep metrics) to every measure() call.
+// --trace, --chrome-trace, --metrics, --max-n, --help; the google-benchmark
+// mains also --benchmark_*) and refuses any other argument; curves print as
+// tables and dump as JSON, and the observability flags attach the obs/ layer
+// (trace sinks + sweep metrics) to every measure() call.
 #pragma once
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 
 #include "graph/graph.hpp"
 #include "labels/ids.hpp"
-#include "lcl/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "perf/artifact.hpp"
@@ -71,19 +70,14 @@ inline std::vector<NodeIndex> sampled_starts(NodeIndex n, NodeIndex count) {
 // --- Shared command-line flags (every bench main) ---------------------------
 
 // One parser for all bench binaries.  parse() strips the flags it recognizes
-// out of argv (so google-benchmark mains can hand the remainder to
-// benchmark::Initialize) and `--threads N` is applied by exporting
-// VOLCAL_THREADS before any runner is built.
+// out of argv, so the google-benchmark mains can hand the remainder to
+// benchmark::Initialize.
 struct Args {
   const char* json = nullptr;          // --json <path>: curve report
   const char* trace = nullptr;         // --trace <path>: JSONL query trace
   const char* chrome_trace = nullptr;  // --chrome-trace <path>: trace_event
   const char* metrics = nullptr;       // --metrics <path>: SweepMetrics JSON
-  std::string filter;                  // --filter <substr>: registry subset
   std::int64_t max_n = 0;              // --max-n <n>: skip larger instances
-  int threads = 0;                     // --threads <t>
-  const char* backend = nullptr;       // --backend basic|batched
-  bool help = false;
 
   bool observing() const {
     return trace != nullptr || chrome_trace != nullptr || metrics != nullptr;
@@ -99,18 +93,10 @@ struct Args {
         "  --chrome-trace <path>  per-execution timeline in Chrome trace_event format\n"
         "                         (open in chrome://tracing or ui.perfetto.dev)\n"
         "  --metrics <path>       aggregate sweep metrics (histograms, workers) as JSON\n"
-        "  --filter <substr>      restrict registry-driven sections to matching entries\n"
         "  --max-n <n>            skip instances larger than n\n"
-        "  --threads <t>          worker threads (same as VOLCAL_THREADS=t)\n"
-        "  --backend <backend>    plan execution backend: basic|batched\n"
-        "                         (same as VOLCAL_BACKEND=<backend>)\n"
         "  --help                 this message\n\n"
-        "Problem registry (--filter matches the first column):\n",
+        "Worker threads come from VOLCAL_THREADS (default 1).\n",
         tool);
-    for (const RegistryEntry& e : ProblemRegistry::global().entries()) {
-      std::printf("  %-14s %-28s %s\n      %s\n", e.name.c_str(), e.title.c_str(),
-                  e.theta.c_str(), e.algorithm.c_str());
-    }
   }
 
   // The last installed Args (default-constructed before any install) — lets
@@ -124,8 +110,9 @@ struct Args {
   static void install(const Args& args) { mutable_current() = args; }
   static void reset() { mutable_current() = Args{}; }
 
-  // Flags may be given as `--flag value` or `--flag=value`.  Unrecognized
-  // arguments stay in argv for the binary's own parsing.
+  // Flags may be given as `--flag value` or `--flag=value`.  This form leaves
+  // unrecognized arguments in argv for google-benchmark; the mains that hand
+  // argv on check benchmark::ReportUnrecognizedArguments afterwards.
   static Args parse(int* argc, char** argv, const char* tool) {
     Args args;
     auto value_of = [&](int& i, const char* name, std::size_t len) -> const char* {
@@ -146,42 +133,28 @@ struct Args {
         args.chrome_trace = v;
       } else if ((v = value_of(i, "--metrics", 9)) != nullptr) {
         args.metrics = v;
-      } else if ((v = value_of(i, "--filter", 8)) != nullptr) {
-        args.filter = v;
       } else if ((v = value_of(i, "--max-n", 7)) != nullptr) {
         args.max_n = std::atoll(v);
-      } else if ((v = value_of(i, "--threads", 9)) != nullptr) {
-        args.threads = std::atoi(v);
-      } else if ((v = value_of(i, "--backend", 9)) != nullptr) {
-        args.backend = v;
       } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-        args.help = true;
+        print_help(tool);
+        std::exit(0);
       } else {
         argv[out++] = argv[i];
       }
     }
     *argc = out;
     argv[out] = nullptr;
-    if (args.help) {
-      print_help(tool);
-      std::exit(0);
-    }
-    if (args.threads > 0) {
-      const std::string t = std::to_string(args.threads);
-      setenv("VOLCAL_THREADS", t.c_str(), /*overwrite=*/1);
-    }
-    if (args.backend != nullptr) {
-      ExecBackend parsed = ExecBackend::Batched;
-      if (!backend_from_name(args.backend, &parsed)) {
-        std::fprintf(stderr, "%s: unknown --backend '%s' (basic|batched)\n", tool,
-                     args.backend);
-        std::exit(2);
-      }
-      // Exported rather than stored: every ParallelRunner the binary builds
-      // picks the backend up through backend_from_env().
-      setenv("VOLCAL_BACKEND", args.backend, /*overwrite=*/1);
-    }
     install(args);
+    return args;
+  }
+
+  // For mains that do not hand argv on: a leftover argument exits 2.
+  static Args parse(int argc, char** argv, const char* tool) {
+    Args args = parse(&argc, argv, tool);
+    if (argc > 1) {
+      std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n", tool, argv[1]);
+      std::exit(2);
+    }
     return args;
   }
 
@@ -272,13 +245,12 @@ class Observer {
   obs::SweepMetrics metrics_;
 };
 
-// Runs `solve(exec)` from each start on the parallel sweep engine and
-// aggregates sup-costs (Defs. 2.1-2.2 restricted to the sample).  `tape`, if
-// given, gets per-worker bit-usage accounting; `threads` overrides the
-// VOLCAL_THREADS default.  `plan` is the family's ProbePlan (registry
-// entries carry one): batchable plans ride the batched backend when the
-// environment allows (--backend / VOLCAL_BACKEND), with identical measured
-// costs either way.
+// Runs `solve(exec)` from each start on the parallel sweep engine
+// (VOLCAL_THREADS workers) and aggregates sup-costs (Defs. 2.1-2.2
+// restricted to the sample).  `tape`, if given, gets per-worker bit-usage
+// accounting.  `plan` is the family's ProbePlan (registry entries carry
+// one): batchable plans ride the batched backend, with measured costs
+// identical to the per-start loop.
 //
 // Observability: when an Observer is installed, the sweep is profiled and
 // folded into its metrics; when tracing was requested *and* the solver is
@@ -290,10 +262,10 @@ class Observer {
 template <typename Fn>
 SweepStats measure(GraphView g, const IdAssignment& ids,
                    const std::vector<NodeIndex>& starts, Fn&& solve,
-                   RandomTape* tape = nullptr, int threads = 0,
+                   RandomTape* tape = nullptr,
                    const ProbePlan& plan = ProbePlan::independent()) {
   Observer* obs = Observer::current();
-  ParallelRunner runner(threads);
+  ParallelRunner runner;
   SweepProfile profile;
   SweepProfile* prof = obs != nullptr ? &profile : nullptr;
   // The engine wants a Label-returning solver; benches often measure

@@ -6,8 +6,9 @@
 // Usage: registry_tour [filter-substring] [n_target]
 //
 // This binary never names a concrete problem type: generator, solver, and
-// verifier all come out of the registry entry, which is exactly how the
-// bench binaries' --filter flag resolves families.
+// verifier all come out of the registry entry, which is exactly how
+// volcal_bench, volcal_gen and volcal_fuzz resolve their --filter/--family
+// flags.
 #include <cstdio>
 #include <cstdlib>
 #include <span>

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/text_file.hpp"
+
 namespace volcal::obs {
 
 namespace {
@@ -81,15 +83,9 @@ std::string SweepMetrics::to_json(const std::string& tool) const {
 }
 
 bool SweepMetrics::write_file(const std::string& path, const std::string& tool) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "obs: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
   const std::string doc = to_json(tool);
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  return true;
+  return write_text_file(path,
+                         [&](std::FILE* f) { std::fwrite(doc.data(), 1, doc.size(), f); });
 }
 
 }  // namespace volcal::obs

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "runtime/sweep_stats.hpp"
+#include "util/text_file.hpp"
 
 namespace volcal::perf {
 
@@ -182,17 +183,6 @@ void append_body(std::string& out, const BenchArtifact& a) {
   out += buf;
 }
 
-bool write_text(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "perf: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 EnvFingerprint env_from_json(const JsonValue& v) {
   EnvFingerprint env;
   env.git_sha = v.string_at("git_sha");
@@ -215,7 +205,9 @@ std::string BenchArtifact::to_json() const {
 }
 
 bool BenchArtifact::write_file(const std::string& path) const {
-  return write_text(path, to_json());
+  const std::string doc = to_json();
+  return write_text_file(path,
+                         [&](std::FILE* f) { std::fwrite(doc.data(), 1, doc.size(), f); });
 }
 
 std::optional<BenchArtifact> BenchArtifact::from_json(const JsonValue& doc,

@@ -1,7 +1,5 @@
 #include "perf/probe.hpp"
 
-#include "plan/probe_plan.hpp"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -71,7 +69,6 @@ EnvFingerprint current_env(int threads) {
   env.os = "unknown";
 #endif
   env.threads = threads;
-  env.backend = backend_name(backend_from_env());
   return env;
 }
 

@@ -131,10 +131,9 @@ struct EnvFingerprint {
   std::string build_type;  // CMAKE_BUILD_TYPE at configure time
   std::string os;
   int threads = 1;  // resolved sweep-engine worker count
-  // Plan execution backend the run used (VOLCAL_BACKEND / --backend).  Cost
-  // curves are backend-invariant — the per-backend baseline directories exist
-  // to compare wall time, and this field says which one an artifact belongs
-  // to.  "batched" when unset (the engine default).
+  // Plan execution backend: "batched", every runner's default.  Cost curves
+  // are backend-invariant, so artifacts that say "basic" (the committed
+  // baselines) still diff clean; the diff reports the field as a note.
   std::string backend = "batched";
 };
 

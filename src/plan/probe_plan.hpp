@@ -25,10 +25,10 @@
 //                       argument lives in DESIGN.md "Probe plans and
 //                       backends").
 //
-// The backend knob is orthogonal: ExecBackend::Basic forces every plan down
-// the per-start path (the ablation / differential baseline), Batched (the
-// default) lets batchable plans use the batched backend.  VOLCAL_BACKEND
-// selects it process-wide, the bench flag --backend exports it.
+// The plan alone picks the backend: every runner starts on
+// ExecBackend::Batched, so batchable plans batch and the rest run per start.
+// set_backend(ExecBackend::Basic) forces the per-start loop everywhere — the
+// reference of the differentials and of bench_runner's ablation.
 #pragma once
 
 #include <cstdint>
@@ -64,22 +64,14 @@ struct ProbePlan {
 };
 
 // Which execution backend a runner uses for plan-dispatched sweeps
-// (run_planned).  Basic = always per-start BasicExecution; Batched = use the
-// wave-synchronous multi-start backend whenever the plan and the sweep are
-// eligible, per-start otherwise.  Plain run_at sweeps carry no plan and are
-// unaffected by the knob.
+// (run_planned).  Basic = always per-start BasicExecution; Batched (every
+// runner's default) = use the wave-synchronous multi-start backend whenever
+// the plan and the sweep are eligible, per-start otherwise.  Plain run_at
+// sweeps carry no plan and never batch.
 enum class ExecBackend { Basic, Batched };
 
 constexpr const char* backend_name(ExecBackend b) {
   return b == ExecBackend::Basic ? "basic" : "batched";
 }
-
-// "basic" | "batched" -> ExecBackend; false on anything else.
-bool backend_from_name(const char* name, ExecBackend* out);
-
-// VOLCAL_BACKEND environment default (what the bench flag --backend
-// exports); Batched when unset or unparseable — the batched backend is
-// bit-identical by contract, so it is safe to prefer.
-ExecBackend backend_from_env();
 
 }  // namespace volcal

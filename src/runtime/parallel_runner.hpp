@@ -153,10 +153,9 @@ class ParallelRunner {
 
   int threads() const { return threads_; }
 
-  // Execution backend for plan-dispatched sweeps (run_planned).  Defaults to
-  // the environment (VOLCAL_BACKEND, Batched unless overridden — the batched
-  // backend is bit-identical by contract); plain run_at sweeps carry no plan
-  // and never batch.
+  // Execution backend for plan-dispatched sweeps (run_planned).  Batched
+  // unless set: the batched backend is bit-identical by contract, so the plan
+  // decides what batches.  Plain run_at sweeps carry no plan and never batch.
   void set_backend(ExecBackend backend) { backend_ = backend; }
   ExecBackend backend() const { return backend_; }
 
@@ -383,7 +382,7 @@ class ParallelRunner {
   }
 
   int threads_;
-  ExecBackend backend_ = backend_from_env();
+  ExecBackend backend_ = ExecBackend::Batched;
 };
 
 // Whole-graph convenience wrapper over the sweep engine: serial (and

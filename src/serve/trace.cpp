@@ -3,23 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/text_file.hpp"
+
 namespace volcal::serve {
 namespace {
-
-struct FileHandle {
-  explicit FileHandle(const std::string& path) : f(std::fopen(path.c_str(), "w")) {
-    if (f == nullptr) {
-      std::fprintf(stderr, "serve: cannot open %s for writing\n", path.c_str());
-    }
-  }
-  ~FileHandle() {
-    if (f != nullptr) std::fclose(f);
-  }
-  FileHandle(const FileHandle&) = delete;
-  FileHandle& operator=(const FileHandle&) = delete;
-
-  std::FILE* f;
-};
 
 void emit_slice(std::FILE* f, bool* first, const RequestSpan& s, const char* name,
                 std::int64_t begin_ns, std::int64_t end_ns) {
@@ -40,32 +27,30 @@ void emit_slice(std::FILE* f, bool* first, const RequestSpan& s, const char* nam
 
 bool write_serve_chrome_trace(const std::string& path,
                               std::span<const RequestSpan> spans) {
-  FileHandle file(path);
-  if (file.f == nullptr) return false;
-  std::fprintf(file.f, "{\"traceEvents\":[");
-  bool first = true;
-  for (const RequestSpan& s : spans) {
-    emit_slice(file.f, &first, s, "queue", s.admit_ns, s.dequeue_ns);
-    emit_slice(file.f, &first, s, "wave", s.dequeue_ns, s.exec_begin_ns);
-    emit_slice(file.f, &first, s, "execute", s.exec_begin_ns, s.exec_end_ns);
-    emit_slice(file.f, &first, s, "write", s.exec_end_ns, s.done_ns);
-  }
-  std::fprintf(file.f, "],\"displayTimeUnit\":\"ms\"}\n");
-  return true;
+  return write_text_file(path, [&](std::FILE* f) {
+    std::fprintf(f, "{\"traceEvents\":[");
+    bool first = true;
+    for (const RequestSpan& s : spans) {
+      emit_slice(f, &first, s, "queue", s.admit_ns, s.dequeue_ns);
+      emit_slice(f, &first, s, "wave", s.dequeue_ns, s.exec_begin_ns);
+      emit_slice(f, &first, s, "execute", s.exec_begin_ns, s.exec_end_ns);
+      emit_slice(f, &first, s, "write", s.exec_end_ns, s.done_ns);
+    }
+    std::fprintf(f, "],\"displayTimeUnit\":\"ms\"}\n");
+  });
 }
 
 bool write_slow_query_log(const std::string& path, std::span<const SlowQuery> slow) {
-  FileHandle file(path);
-  if (file.f == nullptr) return false;
-  for (const SlowQuery& q : slow) {
-    std::fprintf(file.f,
-                 "{\"seq\":%" PRIu64 ",\"id\":%" PRIu64 ",\"node\":%" PRId64
-                 ",\"wave\":%" PRIu64 ",\"latency_ns\":%" PRId64 ",\"volume\":%" PRId64
-                 ",\"cache_hit\":%s,\"invalid\":%s}\n",
-                 q.seq, q.client_id, q.node, q.wave, q.latency_ns, q.volume,
-                 q.cache_hit ? "true" : "false", q.invalid ? "true" : "false");
-  }
-  return true;
+  return write_text_file(path, [&](std::FILE* f) {
+    for (const SlowQuery& q : slow) {
+      std::fprintf(f,
+                   "{\"seq\":%" PRIu64 ",\"id\":%" PRIu64 ",\"node\":%" PRId64
+                   ",\"wave\":%" PRIu64 ",\"latency_ns\":%" PRId64 ",\"volume\":%" PRId64
+                   ",\"cache_hit\":%s,\"invalid\":%s}\n",
+                   q.seq, q.client_id, q.node, q.wave, q.latency_ns, q.volume,
+                   q.cache_hit ? "true" : "false", q.invalid ? "true" : "false");
+    }
+  });
 }
 
 }  // namespace volcal::serve

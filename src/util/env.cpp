@@ -1,6 +1,7 @@
 #include "util/env.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -24,44 +25,54 @@ int warn_count = 0;
 
 }  // namespace
 
-void warn_invalid(const char* name, const std::string& value,
-                  const std::string& reason, const std::string& fallback) {
-  std::lock_guard lock(warn_mu());
-  if (!warned_names().insert(name).second) return;
-  ++warn_count;
-  std::fprintf(stderr, "volcal: ignoring %s=\"%s\" (%s); using %s\n", name,
-               value.c_str(), reason.c_str(), fallback.c_str());
+std::optional<std::int64_t> parse_int(const char* text, std::int64_t lo,
+                                      std::int64_t hi) {
+  if (*text == '\0') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return std::nullopt;
+  return v;
 }
 
-std::optional<std::string> raw(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return std::nullopt;
-  return std::string(v);
+std::optional<double> parse_double(const char* text, double lo, double hi) {
+  if (*text == '\0') return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (*end != '\0' || !std::isfinite(v) || v < lo || v > hi) return std::nullopt;
+  return v;
+}
+
+std::int64_t int_flag(const char* tool, const char* flag, const char* text,
+                      std::int64_t lo, std::int64_t hi) {
+  if (const auto v = parse_int(text, lo, hi)) return *v;
+  std::fprintf(stderr, "%s: invalid %s '%s' (want an integer in [%lld, %lld])\n", tool, flag,
+               text, static_cast<long long>(lo), static_cast<long long>(hi));
+  std::exit(2);
+}
+
+double number_flag(const char* tool, const char* flag, const char* text, double lo,
+                   double hi) {
+  if (const auto v = parse_double(text, lo, hi)) return *v;
+  std::fprintf(stderr, "%s: invalid %s '%s' (want a number in [%g, %g])\n", tool, flag, text,
+               lo, hi);
+  std::exit(2);
 }
 
 std::optional<std::int64_t> positive_int(const char* name, std::int64_t max_value,
                                          const std::string& fallback_desc) {
   const char* v = std::getenv(name);
   if (v == nullptr) return std::nullopt;
-  if (*v == '\0') {
-    warn_invalid(name, v, "empty value", fallback_desc);
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0') {
-    warn_invalid(name, v, "not an integer", fallback_desc);
-    return std::nullopt;
-  }
-  if (errno == ERANGE || parsed > max_value) {
-    warn_invalid(name, v, "exceeds maximum " + std::to_string(max_value),
-                 fallback_desc);
-    return std::nullopt;
-  }
-  if (parsed <= 0) {
-    warn_invalid(name, v, "must be a positive integer", fallback_desc);
-    return std::nullopt;
+  const auto parsed = parse_int(v, 1, max_value);
+  if (!parsed) {
+    // One warning per variable per process, whichever thread asks first.
+    std::lock_guard lock(warn_mu());
+    if (warned_names().insert(name).second) {
+      ++warn_count;
+      std::fprintf(stderr,
+                   "volcal: ignoring %s=\"%s\" (not an integer in [1, %lld]); using %s\n",
+                   name, v, static_cast<long long>(max_value), fallback_desc.c_str());
+    }
   }
   return parsed;
 }

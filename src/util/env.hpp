@@ -1,12 +1,8 @@
-// Strict environment-variable parsing with loud (but one-time) fallback.
-//
-// Every VOLCAL_* knob used to have its own ad-hoc parser, and each one
-// swallowed misconfiguration silently: `VOLCAL_BACKEND=basick` ran batched
-// and `VOLCAL_THREADS=eight` ran serial — both without a word.  These helpers
-// parse strictly (whole string must be consumed, value must be in range) and
-// emit exactly one stderr warning per variable per process naming the
-// variable, the rejected value, and the fallback actually used.  A valid
-// value never warns, and an unset variable is not a misconfiguration.
+// Strict number parsing: the whole string must be consumed and the value
+// must be in range.  VOLCAL_THREADS, the one VOLCAL_* runtime knob, falls
+// back with exactly one stderr warning naming the variable, the rejected
+// value and the fallback, so `VOLCAL_THREADS=eight` never runs serial
+// unannounced; the tools' numeric flags exit 2 instead.
 #pragma once
 
 #include <cstdint>
@@ -15,23 +11,27 @@
 
 namespace volcal::env {
 
-// getenv(name) parsed as a strictly positive integer <= max_value.  Returns
-// nullopt (after a one-time warning describing `fallback_desc`) when the
-// variable is set but empty, non-numeric, has trailing junk, is <= 0, or
-// exceeds max_value; nullopt silently when unset.
+// All of `text` as a base-10 integer in [lo, hi]; nullopt when it is empty,
+// has trailing junk, overflows, or lies outside the range.
+std::optional<std::int64_t> parse_int(const char* text, std::int64_t lo,
+                                      std::int64_t hi);
+
+// All of `text` as a finite number in [lo, hi]; nullopt otherwise.
+std::optional<double> parse_double(const char* text, double lo, double hi);
+
+// Command-line flags: parse_int / parse_double of `text`, or
+//   <tool>: invalid <flag> 'text' (want a value in [lo, hi])
+// on stderr and exit 2.
+std::int64_t int_flag(const char* tool, const char* flag, const char* text,
+                      std::int64_t lo, std::int64_t hi);
+double number_flag(const char* tool, const char* flag, const char* text, double lo,
+                   double hi);
+
+// getenv(name) parsed as an integer in [1, max_value].  Returns nullopt
+// (after a one-time warning describing `fallback_desc`) when the variable is
+// set but rejected; nullopt silently when unset.
 std::optional<std::int64_t> positive_int(const char* name, std::int64_t max_value,
                                          const std::string& fallback_desc);
-
-// getenv(name) as a raw string, or nullopt when unset.  Callers that parse
-// enumerations combine this with warn_invalid on rejection.
-std::optional<std::string> raw(const char* name);
-
-// Records a misconfiguration of `name`: one warning per variable per process,
-//   volcal: ignoring NAME="value" (reason); using fallback
-// Safe to call from multiple threads; later calls for the same name are
-// dropped.
-void warn_invalid(const char* name, const std::string& value,
-                  const std::string& reason, const std::string& fallback);
 
 // Number of warnings emitted so far (test hook; counts each variable once).
 int warning_count_for_testing();

@@ -84,12 +84,11 @@ TEST(Measure, MatchesDirectSerialSweep) {
 }
 
 TEST(Args, ParsesAllFlagsInBothForms) {
-  const char* raw[] = {"bench",          "--json",   "out.json", "--trace=t.jsonl",
-                       "--chrome-trace", "c.json",   "--metrics=m.json",
-                       "--filter",       "hthc",     "--max-n=4096",
+  const char* raw[] = {"bench",          "--json", "out.json",         "--trace=t.jsonl",
+                       "--chrome-trace", "c.json", "--metrics=m.json", "--max-n=4096",
                        nullptr};
-  int argc = 10;
-  char* argv[11];
+  int argc = 8;
+  char* argv[9];
   for (int i = 0; i < argc; ++i) argv[i] = const_cast<char*>(raw[i]);
   argv[argc] = nullptr;
   const Args args = Args::parse(&argc, argv, "bench");
@@ -97,7 +96,6 @@ TEST(Args, ParsesAllFlagsInBothForms) {
   EXPECT_STREQ(args.trace, "t.jsonl");
   EXPECT_STREQ(args.chrome_trace, "c.json");
   EXPECT_STREQ(args.metrics, "m.json");
-  EXPECT_EQ(args.filter, "hthc");
   EXPECT_EQ(args.max_n, 4096);
   EXPECT_TRUE(args.observing());
   // Everything was ours: argv is compacted down to the program name.
@@ -122,6 +120,15 @@ TEST(Args, LeavesForeignFlagsForTheBinary) {
   EXPECT_STREQ(argv[2], "positional");
   EXPECT_EQ(argv[3], nullptr);
   EXPECT_FALSE(args.observing());
+
+  // The by-value form, for mains that do not hand argv to google-benchmark,
+  // names a leftover and exits 2 — so do the flags Args no longer has.
+  for (const char* leftover : {"--benchmark_filter=BM_x", "positional", "--backend=basic",
+                               "--filter=x", "--threads=2", "--cache=shared"}) {
+    char* rest[] = {const_cast<char*>("bench"), const_cast<char*>(leftover), nullptr};
+    EXPECT_EXIT((void)Args::parse(2, rest, "bench"), ::testing::ExitedWithCode(2),
+                std::string("bench: unknown argument '") + leftover + "'");
+  }
 }
 
 TEST(Args, KeepNGatesOnlyWhenMaxNSet) {
@@ -168,14 +175,14 @@ TEST(JsonReport, RendersCurvesWithFitAndWallTime) {
 TEST(Args, InstallAndResetScopeTheProcessWideArgs) {
   Args::reset();
   EXPECT_EQ(Args::current().max_n, 0);
-  EXPECT_TRUE(Args::current().filter.empty());
+  EXPECT_EQ(Args::current().json, nullptr);
 
   Args scoped;
   scoped.max_n = 777;
-  scoped.filter = "hthc";
+  scoped.json = "scoped.json";
   Args::install(scoped);
   EXPECT_EQ(Args::current().max_n, 777);
-  EXPECT_EQ(Args::current().filter, "hthc");
+  EXPECT_STREQ(Args::current().json, "scoped.json");
 
   // parse() installs its result, replacing the previous Args wholesale.
   const char* raw[] = {"bench", "--max-n", "42", nullptr};
@@ -185,7 +192,7 @@ TEST(Args, InstallAndResetScopeTheProcessWideArgs) {
   argv[argc] = nullptr;
   (void)Args::parse(&argc, argv, "bench");
   EXPECT_EQ(Args::current().max_n, 42);
-  EXPECT_TRUE(Args::current().filter.empty()) << "stale filter leaked through parse()";
+  EXPECT_EQ(Args::current().json, nullptr) << "stale --json leaked through parse()";
 
   Args::reset();
   EXPECT_EQ(Args::current().max_n, 0);

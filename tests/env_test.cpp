@@ -1,11 +1,11 @@
-// Strict environment parsing (util/env.hpp): whole-string integer parses,
+// Strict number parsing (util/env.hpp): whole-string parses in range,
 // one-time-per-variable warnings on misconfiguration, and the strict
-// behavior of the VOLCAL_THREADS / VOLCAL_BACKEND consumers.
+// behavior of the VOLCAL_THREADS consumer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 
-#include "plan/probe_plan.hpp"
 #include "util/env.hpp"
 #include "volcal/runtime.hpp"
 
@@ -26,7 +26,6 @@ class EnvTest : public ::testing::Test {
 
 TEST_F(EnvTest, UnsetIsSilentlyAbsent) {
   EXPECT_EQ(env::positive_int("VOLCAL_TEST_KNOB", 100, "default"), std::nullopt);
-  EXPECT_EQ(env::raw("VOLCAL_TEST_KNOB"), std::nullopt);
   EXPECT_EQ(env::warning_count_for_testing(), 0);
 }
 
@@ -66,15 +65,21 @@ TEST_F(EnvTest, ThreadCountParsesStrictly) {
   EXPECT_EQ(detail::resolve_thread_count(0), 1);
 }
 
-TEST_F(EnvTest, BackendParsesStrictly) {
-  ASSERT_EQ(setenv("VOLCAL_BACKEND", "basic", 1), 0);
-  EXPECT_EQ(backend_from_env(), ExecBackend::Basic);
-  env::reset_warnings_for_testing();
-  ASSERT_EQ(setenv("VOLCAL_BACKEND", "basick", 1), 0);
-  EXPECT_EQ(backend_from_env(), ExecBackend::Batched);  // safe default kept
-  EXPECT_EQ(env::warning_count_for_testing(), 1);
-  ASSERT_EQ(unsetenv("VOLCAL_BACKEND"), 0);
-  EXPECT_EQ(backend_from_env(), ExecBackend::Batched);
+// The parsers behind the tools' numeric flags (volcal_serve, volcal_load).
+TEST_F(EnvTest, FlagParsersTakeTheWholeStringInRange) {
+  EXPECT_EQ(env::parse_int("256", 1, 256), 256);
+  EXPECT_EQ(env::parse_int("0", 0, 4294967295), 0);
+  for (const char* bad : {"", "abc", "xyz", "8 threads", "-1", "0", "257",
+                          "99999999999999999999"}) {
+    EXPECT_EQ(env::parse_int(bad, 1, 256), std::nullopt) << "\"" << bad << "\"";
+  }
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_EQ(env::parse_double("0", 0.0, max), 0.0);
+  EXPECT_EQ(env::parse_double("2.5", 0.0, max), 2.5);
+  for (const char* bad : {"", "abc", "1.5ms", "-5", "inf", "nan", "1e999"}) {
+    EXPECT_EQ(env::parse_double(bad, 0.0, max), std::nullopt) << "\"" << bad << "\"";
+  }
+  EXPECT_EQ(env::warning_count_for_testing(), 0);  // only positive_int warns
 }
 
 }  // namespace

@@ -171,6 +171,8 @@ TEST(Metrics, TotalsEqualEngineSweepStats) {
   EXPECT_EQ(metrics.volume_hist.max, run.stats.max_volume);
   EXPECT_EQ(metrics.distance_hist.max, run.stats.max_distance);
   EXPECT_EQ(metrics.queries_hist.sum, run.stats.total_queries);
+  // A full disk fails the write; it must not pass for a written file.
+  EXPECT_FALSE(metrics.write_file("/dev/full", "obs_test"));
 }
 
 // --- the histogram contract (obs/histogram.hpp) -----------------------------
@@ -397,6 +399,9 @@ TEST(Exporters, JsonlAndChromeFilesHaveExpectedShape) {
   const std::string chrome = testing::TempDir() + "obs_test_chrome.json";
   ASSERT_TRUE(obs::write_trace_jsonl(jsonl, sweeps));
   ASSERT_TRUE(obs::write_chrome_trace(chrome, sweeps));
+  // A full disk fails the write; it must not pass for a written file.
+  EXPECT_FALSE(obs::write_trace_jsonl("/dev/full", sweeps));
+  EXPECT_FALSE(obs::write_chrome_trace("/dev/full", sweeps));
 
   std::ifstream jf(jsonl);
   std::string line;

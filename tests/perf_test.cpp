@@ -141,6 +141,8 @@ TEST(Artifact, FileRoundTrip) {
   ASSERT_TRUE(back.has_value()) << err;
   EXPECT_EQ(back->family, "leaf-coloring");
   std::remove(path.c_str());
+  // A full disk fails the write; it must not pass for a written artifact.
+  EXPECT_FALSE(a.write_file("/dev/full"));
 }
 
 TEST(Artifact, RefitMatchesCurveShape) {

@@ -2,8 +2,9 @@
 //
 // Three contracts, in increasing strength:
 //   * plan IR — the ProbePlan value type, its names/eligibility predicate,
-//     the VOLCAL_BACKEND knob, and which plan each registry family registered
-//     (ball-4 promises BatchedBall(4); everything else is IndependentStarts);
+//     the Batched default of every runner, and which plan each registry
+//     family registered (ball-4 promises BatchedBall(4); everything else is
+//     IndependentStarts);
 //   * executor exactness — BatchedBallExecutor reproduces explore_ball on a
 //     per-start Execution meter-for-meter (volume, distance, query count),
 //     including component exhaustion, duplicate centers in one batch, radius
@@ -14,7 +15,6 @@
 //     the stats tagged by the plan/backend that actually executed.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -45,27 +45,12 @@ TEST(ProbePlanIr, FactoriesNamesAndEligibility) {
   static_assert(!bad.batchable());
 }
 
-TEST(ProbePlanIr, BackendNamesRoundTrip) {
-  ExecBackend backend = ExecBackend::Batched;
-  EXPECT_TRUE(backend_from_name("basic", &backend));
-  EXPECT_EQ(backend, ExecBackend::Basic);
-  EXPECT_TRUE(backend_from_name("batched", &backend));
-  EXPECT_EQ(backend, ExecBackend::Batched);
-  EXPECT_FALSE(backend_from_name("vectorized", &backend));
+TEST(ProbePlanIr, RunnersStartOnTheBatchedBackend) {
+  // The plan picks the backend: the batched backend is bit-identical by
+  // contract, so only set_backend(Basic) (the reference) opts out.
+  EXPECT_EQ(ParallelRunner().backend(), ExecBackend::Batched);
   EXPECT_STREQ(backend_name(ExecBackend::Basic), "basic");
   EXPECT_STREQ(backend_name(ExecBackend::Batched), "batched");
-}
-
-TEST(ProbePlanIr, BackendFromEnv) {
-  // Batched is the default: the backend is bit-identical by contract, so
-  // opting *out* is the explicit act.
-  ::unsetenv("VOLCAL_BACKEND");
-  EXPECT_EQ(backend_from_env(), ExecBackend::Batched);
-  ::setenv("VOLCAL_BACKEND", "basic", 1);
-  EXPECT_EQ(backend_from_env(), ExecBackend::Basic);
-  ::setenv("VOLCAL_BACKEND", "batched", 1);
-  EXPECT_EQ(backend_from_env(), ExecBackend::Batched);
-  ::unsetenv("VOLCAL_BACKEND");
 }
 
 TEST(ProbePlanIr, RegistryPlanSelection) {
@@ -157,38 +142,46 @@ TEST(BatchedBallExecutor, AnswerReadsBackTheBallSizeAndMeters) {
 // --- sweep equivalence across the whole registry ---------------------------
 
 TEST(PlannedSweep, BatchedBitIdenticalForEveryFamilyAndThreadCount) {
-  for (const RegistryEntry* entry : ProblemRegistry::global().match("")) {
-    const ErasedInstance inst = entry->make(200, /*seed=*/3);
-    // Every node, then every fifth node again: batches with repeated centers.
-    std::vector<NodeIndex> starts;
-    for (NodeIndex v = 0; v < inst.node_count(); ++v) starts.push_back(v);
-    for (NodeIndex v = 0; v < inst.node_count(); v += 5) starts.push_back(v);
-    const std::span<const NodeIndex> span(starts);
-    auto solve = [&](auto& exec) { return inst.solve(exec); };
+  // n_target 4096 is the perf gate's largest size: batched == basic over
+  // every start holds wherever the committed baselines pin a curve,
+  // whichever backend wrote them.
+  for (const NodeIndex n_target : {200, 4096}) {
+    for (const RegistryEntry* entry : ProblemRegistry::global().match("")) {
+      const ErasedInstance inst = entry->make(n_target, /*seed=*/3);
+      // Every node, then every fifth node again: batches with repeated centers.
+      std::vector<NodeIndex> starts;
+      for (NodeIndex v = 0; v < inst.node_count(); ++v) starts.push_back(v);
+      for (NodeIndex v = 0; v < inst.node_count(); v += 5) starts.push_back(v);
+      const std::span<const NodeIndex> span(starts);
+      auto solve = [&](auto& exec) { return inst.solve(exec); };
 
-    ParallelRunner base(1);
-    base.set_backend(ExecBackend::Basic);
-    const auto baseline = base.run_planned(inst.graph(), inst.ids(), span, entry->plan, solve);
-    EXPECT_EQ(baseline.stats.backend, ExecBackend::Basic) << entry->name;
-    EXPECT_EQ(baseline.stats.plan, entry->plan.kind) << entry->name;
+      ParallelRunner base(1);
+      base.set_backend(ExecBackend::Basic);
+      const auto baseline =
+          base.run_planned(inst.graph(), inst.ids(), span, entry->plan, solve);
+      EXPECT_EQ(baseline.stats.backend, ExecBackend::Basic) << entry->name;
+      EXPECT_EQ(baseline.stats.plan, entry->plan.kind) << entry->name;
 
-    for (const int threads : {1, 8}) {
-      ParallelRunner runner(threads);
-      runner.set_backend(ExecBackend::Batched);
-      const auto run = runner.run_planned(inst.graph(), inst.ids(), span, entry->plan, solve);
-      const std::string where = entry->name + " x" + std::to_string(threads);
-      EXPECT_EQ(baseline.output, run.output) << where;
-      EXPECT_EQ(baseline.volume, run.volume) << where;
-      EXPECT_EQ(baseline.distance, run.distance) << where;
-      EXPECT_EQ(baseline.queries, run.queries) << where;
-      EXPECT_TRUE(same_costs(baseline.stats, run.stats)) << where;
-      EXPECT_EQ(run.stats.plan, entry->plan.kind) << where;
-      const ExecBackend expected_backend =
-          entry->plan.batchable() ? ExecBackend::Batched : ExecBackend::Basic;
-      EXPECT_EQ(run.stats.backend, expected_backend) << where;
-      if (entry->plan.batchable()) {
-        EXPECT_EQ(run.stats.batch.batched_starts, static_cast<std::int64_t>(starts.size()))
-            << where;
+      for (const int threads : {1, 8}) {
+        ParallelRunner runner(threads);
+        runner.set_backend(ExecBackend::Batched);
+        const auto run =
+            runner.run_planned(inst.graph(), inst.ids(), span, entry->plan, solve);
+        const std::string where = entry->name + " n_target " + std::to_string(n_target) +
+                                  " x" + std::to_string(threads);
+        EXPECT_EQ(baseline.output, run.output) << where;
+        EXPECT_EQ(baseline.volume, run.volume) << where;
+        EXPECT_EQ(baseline.distance, run.distance) << where;
+        EXPECT_EQ(baseline.queries, run.queries) << where;
+        EXPECT_TRUE(same_costs(baseline.stats, run.stats)) << where;
+        EXPECT_EQ(run.stats.plan, entry->plan.kind) << where;
+        const ExecBackend expected_backend =
+            entry->plan.batchable() ? ExecBackend::Batched : ExecBackend::Basic;
+        EXPECT_EQ(run.stats.backend, expected_backend) << where;
+        if (entry->plan.batchable()) {
+          EXPECT_EQ(run.stats.batch.batched_starts, static_cast<std::int64_t>(starts.size()))
+              << where;
+        }
       }
     }
   }

@@ -753,6 +753,9 @@ TEST(QueryService, SlowQueryLogThresholdEdges) {
         EXPECT_GE(q.node, 0);
         EXPECT_LT(q.node, n);
       }
+      // A full disk fails the export, whether the first write or the final
+      // flush hits it (1024 records overflow the stdio buffer, 16 do not).
+      EXPECT_FALSE(write_slow_query_log("/dev/full", slow));
     } else {
       EXPECT_TRUE(slow.empty());
     }
@@ -817,6 +820,7 @@ TEST(QueryService, TracerRecordsOneOrderedSpanPerRequest) {
   std::error_code ec;
   EXPECT_GT(fs::file_size(trace_path, ec), 0u);
   fs::remove(trace_path, ec);
+  EXPECT_FALSE(write_serve_chrome_trace("/dev/full", spans));  // a full disk fails it
 }
 
 // A worker answers the requests of a wave one after another, so a request's

@@ -1,8 +1,8 @@
 // volcal_bench — the benchmark-telemetry orchestrator behind the CI perf
-// gate.  Runs every registry family through the shared bench::Args pipeline
-// on an n-sweep, verifies each family's outputs once at the smallest size,
-// and writes one canonical BENCH_<family>.json artifact per family
-// (perf/artifact.hpp schema v2).
+// gate.  Runs every registry family through bench::measure on an n-sweep,
+// verifies each family's outputs once at the smallest size, and writes one
+// canonical BENCH_<family>.json artifact per family (perf/artifact.hpp
+// schema v2).
 //
 // The cost curves (volume / distance / queries vs n) are deterministic: the
 // sweep engine is bit-identical at any thread count and every generator is
@@ -18,11 +18,7 @@
 // way — snapshots round-trip bit-identically — which is what lets sweeps
 // extend past RAM-comfortable generator sizes.
 //
-// Usage: volcal_bench [--out-dir DIR] [--seed S] [--snapshot-dir DIR]
-//                     [bench::Args flags]
-//   --out-dir DIR destination directory (default ".", created if missing)
-//   --max-n N     largest instance target (default 4096)
-//   --filter S    restrict to registry entries whose name contains S
+// --help lists the flags and the registry; any other argument exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -117,7 +113,7 @@ perf::BenchArtifact run_family(const RegistryEntry& entry, std::int64_t max_n,
       const auto starts = sampled_starts(inst.node_count(), kStartSample);
       cost = measure(inst.graph(), inst.ids(), starts,
                      [&](Execution& exec) { return inst.solve(exec); },
-                     /*tape=*/nullptr, /*threads=*/0, entry.plan);
+                     /*tape=*/nullptr, entry.plan);
     }
     const auto nd = static_cast<double>(n);
     // The sweep's wall time rides on the volume curve only, so per-curve
@@ -143,9 +139,10 @@ perf::BenchArtifact run_family(const RegistryEntry& entry, std::int64_t max_n,
 }
 
 int run(int argc, char** argv) {
-  auto args = Args::parse(&argc, argv, "volcal_bench");
   std::string out_dir = ".";
   std::string snapshot_dir;
+  std::string filter;
+  std::int64_t max_n = 0;
   std::uint64_t seed = kSeed;
   for (int i = 1; i < argc; ++i) {
     auto value_of = [&](const char* name, std::size_t len) -> const char* {
@@ -157,12 +154,32 @@ int run(int argc, char** argv) {
     };
     if (const char* v = value_of("--out-dir", 9)) {
       out_dir = v;
+    } else if (const char* v = value_of("--max-n", 7)) {
+      max_n = std::atoll(v);
+    } else if (const char* v = value_of("--filter", 8)) {
+      filter = v;
     } else if (const char* v = value_of("--snapshot-dir", 14)) {
       snapshot_dir = v;
     } else if (const char* v = value_of("--seed", 6)) {
       seed = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+    } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+      std::printf(
+          "volcal_bench — one BENCH_<family>.json per registry family; worker threads\n"
+          "from VOLCAL_THREADS (default 1)\n\n"
+          "  --out-dir <dir>       destination directory, created if missing [.]\n"
+          "  --max-n <n>           largest instance target [%lld]\n"
+          "  --filter <substr>     only registry families whose name contains substr\n"
+          "  --snapshot-dir <dir>  load <family>-t<target>-s<seed>.vsnap files from dir\n"
+          "  --seed <s>            generator seed [%llu]; the baselines use the default\n\n"
+          "Problem registry (--filter matches the first column):\n",
+          static_cast<long long>(kDefaultMaxN), static_cast<unsigned long long>(kSeed));
+      for (const RegistryEntry& e : ProblemRegistry::global().entries()) {
+        std::printf("  %-14s %-28s %s\n      %s\n", e.name.c_str(), e.title.c_str(),
+                    e.theta.c_str(), e.algorithm.c_str());
+      }
+      return 0;
     } else {
-      std::fprintf(stderr, "volcal_bench: unknown argument '%s'\n", argv[i]);
+      std::fprintf(stderr, "volcal_bench: unknown argument '%s' (try --help)\n", argv[i]);
       return 2;
     }
   }
@@ -179,12 +196,12 @@ int run(int argc, char** argv) {
                  "baselines generated with the default seed\n",
                  static_cast<unsigned long long>(seed));
   }
-  const std::int64_t max_n = args.max_n > 0 ? args.max_n : kDefaultMaxN;
+  if (max_n <= 0) max_n = kDefaultMaxN;
 
-  const auto entries = ProblemRegistry::global().match(args.filter);
+  const auto entries = ProblemRegistry::global().match(filter);
   if (entries.empty()) {
     std::fprintf(stderr, "volcal_bench: no registry entries match filter '%s'\n",
-                 args.filter.c_str());
+                 filter.c_str());
     return 2;
   }
 
@@ -196,10 +213,7 @@ int run(int argc, char** argv) {
                   c.claim.c_str());
     }
     const std::string path = out_dir + "/BENCH_" + entry->name + ".json";
-    if (!art.write_file(path)) {
-      std::fprintf(stderr, "volcal_bench: cannot write %s\n", path.c_str());
-      return 2;
-    }
+    if (!art.write_file(path)) return 2;
     std::printf("  [artifact: %s]\n", path.c_str());
   }
   return 0;

@@ -38,6 +38,7 @@
 //                    [--rate QPS] [--zipf THETA] [--seed S] [--nodes N]
 //                    [--retry-sheds] [--update-rate F] [--verify FILE]
 //                    [--artifact FILE]
+// A numeric flag that is junk or out of range (see --help) exits 2.
 #include <signal.h>
 
 #include <chrono>
@@ -46,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -55,6 +57,7 @@
 
 #include "obs/histogram.hpp"
 #include "perf/artifact.hpp"
+#include "util/env.hpp"
 #include "util/hash.hpp"
 #include "volcal/io.hpp"
 #include "volcal/problems.hpp"
@@ -477,6 +480,10 @@ bool write_artifact(const std::string& path, const ConnectionTally& total,
   return artifact.write_file(path);
 }
 
+constexpr const char* kTool = "volcal_load";
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+
 int run(int argc, char** argv) {
   ::signal(SIGPIPE, SIG_IGN);  // a dying server surfaces as a send error
   LoadPlan plan;
@@ -494,21 +501,24 @@ int run(int argc, char** argv) {
     if (const char* v = value_of("--socket")) {
       plan.socket_path = v;
     } else if (const char* v = value_of("--requests")) {
-      plan.requests = std::atoll(v);
+      plan.requests = env::int_flag(kTool, "--requests", v, 1, kMaxInt);
     } else if (const char* v = value_of("--connections")) {
-      plan.connections = std::atoi(v);
+      // One thread per connection: the cap bounds what a typo can start.
+      plan.connections = static_cast<int>(env::int_flag(kTool, "--connections", v, 1, 256));
     } else if (const char* v = value_of("--rate")) {
-      plan.rate = std::atof(v);
+      plan.rate = env::number_flag(kTool, "--rate", v, 0.0, kMaxDouble);
     } else if (const char* v = value_of("--zipf")) {
-      plan.zipf = std::atof(v);
+      plan.zipf = env::number_flag(kTool, "--zipf", v, 0.0, kMaxDouble);
     } else if (const char* v = value_of("--seed")) {
       plan.seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value_of("--nodes")) {
-      plan.nodes = std::atoll(v);
+      // A snapshot holds at most 2^31 - 1 nodes.
+      plan.nodes =
+          env::int_flag(kTool, "--nodes", v, 1, std::numeric_limits<std::int32_t>::max());
     } else if (std::strcmp(argv[i], "--retry-sheds") == 0) {
       plan.retry_sheds = true;
     } else if (const char* v = value_of("--update-rate")) {
-      plan.update_rate = std::atof(v);
+      plan.update_rate = env::number_flag(kTool, "--update-rate", v, 0.0, 1.0);
     } else if (const char* v = value_of("--verify")) {
       verify_path = v;
     } else if (const char* v = value_of("--artifact")) {
@@ -517,14 +527,14 @@ int run(int argc, char** argv) {
       std::printf(
           "volcal_load — open-loop Zipfian load generator for volcal_serve\n\n"
           "  --socket <p>       serve socket to drive (required)\n"
-          "  --requests <n>     total queries across connections [2000]\n"
-          "  --connections <c>  parallel connections [1]\n"
-          "  --rate <qps>       open-loop send rate, 0 = max speed [0]\n"
-          "  --zipf <theta>     Zipf exponent, 0 = uniform [0.99]\n"
+          "  --requests <n>     total queries across connections, >= 1 [2000]\n"
+          "  --connections <c>  parallel connections, 1-256 [1]\n"
+          "  --rate <qps>       open-loop send rate, >= 0; 0 = max speed [0]\n"
+          "  --zipf <theta>     Zipf exponent, >= 0; 0 = uniform [0.99]\n"
           "  --seed <s>         traffic seed [7]\n"
-          "  --nodes <n>        node universe (required unless --verify)\n"
+          "  --nodes <n>        node universe, 1 to 2^31-1 (required unless --verify)\n"
           "  --retry-sheds      replay each shed once after its retry-after\n"
-          "  --update-rate <f>  mix in f * requests mutation batches on a\n"
+          "  --update-rate <f>  in [0, 1): mix in f * requests mutation batches on a\n"
           "                     dedicated connection (requires --verify)\n"
           "  --verify <f>       offline-label this snapshot and compare every\n"
           "                     response bit-for-bit (with --update-rate: the\n"
@@ -540,11 +550,7 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "volcal_load: --socket is required (try --help)\n");
     return 2;
   }
-  if (plan.connections < 1 || plan.requests < 1) {
-    std::fprintf(stderr, "volcal_load: need >= 1 connection and >= 1 request\n");
-    return 2;
-  }
-  if (plan.update_rate < 0.0 || plan.update_rate >= 1.0) {
+  if (plan.update_rate >= 1.0) {
     std::fprintf(stderr, "volcal_load: --update-rate must be in [0, 1)\n");
     return 2;
   }

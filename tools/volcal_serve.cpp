@@ -1,7 +1,7 @@
 // volcal_serve — long-running query front-end over a loaded instance.
 //
-// Loads a .vsnap snapshot (or generates a registry instance), then serves
-// per-node label queries over a Unix-domain socket speaking the
+// Loads a .vsnap snapshot (volcal_gen writes them), then serves per-node
+// label queries over a Unix-domain socket speaking the
 // length-prefixed frame protocol (src/serve/protocol.hpp).  Each query runs
 // the family's solver once and is answered from one per-node answer memo
 // after that; admission is controlled by a bounded queue (overload answers
@@ -18,13 +18,12 @@
 //                     served file: the live target maps it for its whole
 //                     life, and truncating it kills the process (SIGBUS).
 //
-// Usage: volcal_serve --snapshot FILE | --family NAME [--n N] [--seed S]
-//                     --socket PATH [--threads N] [--queue N]
-//                     [--cache off|shared]
-//                     [--retry-after-ms N] [--artifact FILE]
+// Usage: volcal_serve --snapshot FILE --socket PATH [--threads N] [--queue N]
+//                     [--cache off|shared] [--retry-after-ms N] [--artifact FILE]
 //                     [--stats-interval SEC] [--stats-log FILE]
 //                     [--stats-window SEC] [--trace-serve FILE]
 //                     [--slow-ms MS] [--slow-log FILE]
+// A numeric flag that is junk or out of range (see --help) exits 2.
 //
 // The artifact (--artifact) is a schema-v2 bench-report with the "serve"
 // block: accepted/completed/shed counters, nearest-rank p50/p95/p99 latency
@@ -50,16 +49,15 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "perf/artifact.hpp"
+#include "util/env.hpp"
 #include "volcal/io.hpp"
-#include "volcal/problems.hpp"
 #include "volcal/serve.hpp"
 
 namespace volcal {
@@ -83,20 +81,16 @@ void on_reload_signal(int) {
   [[maybe_unused]] const ssize_t rc = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-serve::ServeTarget load_target(const std::string& snapshot_path,
-                               const std::string& family, NodeIndex n,
-                               std::uint64_t seed) {
-  if (!snapshot_path.empty()) {
-    ErasedInstance inst = io::load_instance(snapshot_path);
-    return serve::make_serve_target(
-        std::make_shared<const ErasedInstance>(std::move(inst)));
-  }
-  const RegistryEntry* entry = ProblemRegistry::global().find(family);
-  if (entry == nullptr) {
-    throw std::runtime_error("unknown family '" + family + "'");
-  }
+constexpr const char* kTool = "volcal_serve";
+// Bounds of the time flags (--stats-interval and --stats-window in s,
+// --slow-ms in ms): far past any use, and the upper one small enough that
+// none overflows as integer nanoseconds.  A window must be > 0.
+constexpr double kMinWindow = 1e-9;
+constexpr double kMaxPeriod = 1e9;
+
+serve::ServeTarget load_target(const std::string& snapshot_path) {
   return serve::make_serve_target(
-      std::make_shared<const ErasedInstance>(entry->make(n, seed)));
+      std::make_shared<const ErasedInstance>(io::load_instance(snapshot_path)));
 }
 
 bool write_artifact(const std::string& path, const serve::QueryService& service,
@@ -131,15 +125,12 @@ bool write_artifact(const std::string& path, const serve::QueryService& service,
 
 int run(int argc, char** argv) {
   std::string snapshot_path;
-  std::string family;
   std::string socket_path;
   std::string artifact_path;
   std::string stats_log_path;
   std::string trace_path;
   std::string slow_log_path;
   double stats_interval_s = 0.0;  // 0 disables the periodic export
-  NodeIndex n = 4096;
-  std::uint64_t seed = 7;
   serve::ServeConfig config;
   config.cache.policy = CachePolicy::Shared;
 
@@ -154,68 +145,53 @@ int run(int argc, char** argv) {
     };
     if (const char* v = value_of("--snapshot")) {
       snapshot_path = v;
-    } else if (const char* v = value_of("--family")) {
-      family = v;
     } else if (const char* v = value_of("--socket")) {
       socket_path = v;
     } else if (const char* v = value_of("--artifact")) {
       artifact_path = v;
-    } else if (const char* v = value_of("--n")) {
-      n = static_cast<NodeIndex>(std::atoll(v));
-    } else if (const char* v = value_of("--seed")) {
-      seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value_of("--threads")) {
-      config.threads = std::atoi(v);
+      config.threads = static_cast<int>(env::int_flag(kTool, "--threads", v, 1, 256));
     } else if (const char* v = value_of("--queue")) {
-      config.queue_capacity = static_cast<std::size_t>(std::atoll(v));
+      config.queue_capacity = static_cast<std::size_t>(
+          env::int_flag(kTool, "--queue", v, 1, std::numeric_limits<std::int64_t>::max()));
     } else if (const char* v = value_of("--retry-after-ms")) {
-      config.retry_after_ms = static_cast<std::uint32_t>(std::atoi(v));
+      config.retry_after_ms = static_cast<std::uint32_t>(env::int_flag(
+          kTool, "--retry-after-ms", v, 0, std::numeric_limits<std::uint32_t>::max()));
     } else if (const char* v = value_of("--cache")) {
       if (!CacheConfig::policy_from_name(v, &config.cache.policy)) {
         std::fprintf(stderr, "volcal_serve: unknown cache policy '%s'\n", v);
         return 2;
       }
     } else if (const char* v = value_of("--stats-interval")) {
-      stats_interval_s = std::atof(v);
+      stats_interval_s = env::number_flag(kTool, "--stats-interval", v, 0.0, kMaxPeriod);
     } else if (const char* v = value_of("--stats-log")) {
       stats_log_path = v;
     } else if (const char* v = value_of("--stats-window")) {
-      char* end = nullptr;
-      config.stats_window_seconds = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !std::isfinite(config.stats_window_seconds) ||
-          config.stats_window_seconds <= 0.0) {
-        std::fprintf(stderr,
-                     "volcal_serve: --stats-window must be a finite number of "
-                     "seconds > 0, got '%s'\n",
-                     v);
-        return 2;
-      }
+      config.stats_window_seconds =
+          env::number_flag(kTool, "--stats-window", v, kMinWindow, kMaxPeriod);
     } else if (const char* v = value_of("--trace-serve")) {
       trace_path = v;
     } else if (const char* v = value_of("--slow-ms")) {
-      config.slow_threshold_ns =
-          static_cast<std::int64_t>(std::atof(v) * 1e6);
+      config.slow_threshold_ns = static_cast<std::int64_t>(
+          env::number_flag(kTool, "--slow-ms", v, 0.0, kMaxPeriod) * 1e6);
     } else if (const char* v = value_of("--slow-log")) {
       slow_log_path = v;
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "volcal_serve — per-node label query service over a loaded instance\n\n"
-          "  --snapshot <f>       serve this .vsnap; SIGHUP reloads <f> (replace the\n"
-          "                       file by mv, never by rewriting it in place)\n"
-          "  --family <s>         generate and serve a registry instance instead\n"
-          "  --n <n>              generated instance size [4096]\n"
-          "  --seed <s>           generator seed [7]\n"
+          "  --snapshot <f>       serve this .vsnap (required); SIGHUP reloads <f>\n"
+          "                       (replace the file by mv, never rewrite it in place)\n"
           "  --socket <p>         Unix socket path to listen on (required)\n"
-          "  --threads <n>        worker threads [VOLCAL_THREADS, else 1]\n"
-          "  --queue <n>          admission queue capacity [1024]\n"
-          "  --retry-after-ms <n> shed backoff hint [50]\n"
+          "  --threads <n>        worker threads, 1-256 [VOLCAL_THREADS, else 1]\n"
+          "  --queue <n>          admission queue capacity, >= 1 [1024]\n"
+          "  --retry-after-ms <n> shed backoff hint, 0-4294967295 [50]\n"
           "  --cache <p>          per-node answer memo: off | shared [shared]\n"
           "  --artifact <f>       write the serve perf artifact on drain\n"
-          "  --stats-interval <s> write a stats JSONL line every s seconds\n"
+          "  --stats-interval <s> write a stats JSONL line every s seconds, 0-1e9\n"
           "  --stats-log <f>      periodic stats destination [stdout]\n"
-          "  --stats-window <s>   sliding window for windowed percentiles [10]\n"
+          "  --stats-window <s>   sliding window for windowed percentiles, 1e-9-1e9 [10]\n"
           "  --trace-serve <f>    collect request spans, write Chrome trace on drain\n"
-          "  --slow-ms <ms>       slow-query threshold (enables the slow log)\n"
+          "  --slow-ms <ms>       slow-query threshold, 0-1e9 (enables the slow log)\n"
           "  --slow-log <f>       write the slow-query JSONL on drain\n");
       return 0;
     } else {
@@ -223,18 +199,14 @@ int run(int argc, char** argv) {
       return 2;
     }
   }
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "volcal_serve: --socket is required (try --help)\n");
-    return 2;
-  }
-  if (snapshot_path.empty() == family.empty()) {
-    std::fprintf(stderr, "volcal_serve: give exactly one of --snapshot / --family\n");
+  if (snapshot_path.empty() || socket_path.empty()) {
+    std::fprintf(stderr, "volcal_serve: --snapshot and --socket are required (try --help)\n");
     return 2;
   }
 
   serve::ServeTarget target;
   try {
-    target = load_target(snapshot_path, family, n, seed);
+    target = load_target(snapshot_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "volcal_serve: cannot load instance: %s\n", e.what());
     return 1;
@@ -282,8 +254,7 @@ int run(int argc, char** argv) {
     std::fputc('\n', stats_file);
     std::fflush(stats_file);
   };
-  std::printf("volcal_serve: serving %s (n=%lld) on %s, %d thread(s)\n",
-              snapshot_path.empty() ? family.c_str() : snapshot_path.c_str(),
+  std::printf("volcal_serve: serving %s (n=%lld) on %s, %d thread(s)\n", snapshot_path.c_str(),
               static_cast<long long>(service.node_count()), socket_path.c_str(),
               service.threads());
   std::fflush(stdout);
@@ -317,20 +288,16 @@ int run(int argc, char** argv) {
     while (::read(g_signal_pipe[0], drain_buf, sizeof drain_buf) > 0) {
     }
     if (g_reload_signal.exchange(0, std::memory_order_relaxed) != 0) {
-      if (snapshot_path.empty()) {
-        std::fprintf(stderr, "volcal_serve: SIGHUP ignored (no --snapshot to reload)\n");
-      } else {
-        try {
-          service.swap_target(load_target(snapshot_path, family, n, seed));
-          std::printf("volcal_serve: reloaded %s (swap #%lld)\n", snapshot_path.c_str(),
-                      static_cast<long long>(service.counters().swaps));
-          std::fflush(stdout);
-        } catch (const std::exception& e) {
-          // Keep serving the old target: a bad reload must not take the
-          // service down.
-          std::fprintf(stderr, "volcal_serve: reload failed, keeping old target: %s\n",
-                       e.what());
-        }
+      try {
+        service.swap_target(load_target(snapshot_path));
+        std::printf("volcal_serve: reloaded %s (swap #%lld)\n", snapshot_path.c_str(),
+                    static_cast<long long>(service.counters().swaps));
+        std::fflush(stdout);
+      } catch (const std::exception& e) {
+        // Keep serving the old target: a bad reload must not take the
+        // service down.
+        std::fprintf(stderr, "volcal_serve: reload failed, keeping old target: %s\n",
+                     e.what());
       }
     }
     if (g_drain_signal.load(std::memory_order_relaxed) != 0) break;
