@@ -311,6 +311,5 @@ int main(int argc, char** argv) {
   volcal::bench::window_ablation(report);
   volcal::bench::remark57_ablation(report);
   volcal::bench::churn_eviction_ablation(report);
-  report.write_file(args.json);
-  return 0;
+  return volcal::bench::finish(report, args);
 }

@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   volcal::bench::embedding_table(report);
   volcal::bench::fooling_table(report);
   volcal::bench::cost_table(report);
-  report.write_file(args.json);
+  const int status = volcal::bench::finish(report, args);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return status;
 }

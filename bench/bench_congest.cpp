@@ -115,6 +115,5 @@ int main(int argc, char** argv) {
   volcal::bench::flooding_table(report);
   volcal::bench::leafcoloring_table(report);
   volcal::bench::two_tree_table(report);
-  report.write_file(args.json);
-  return 0;
+  return volcal::bench::finish(report, args);
 }

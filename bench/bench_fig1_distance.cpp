@@ -26,7 +26,7 @@ struct Point {
   Curve rand;
 };
 
-void run(const Args& args) {
+int run(const Args& args) {
   JsonReport report("bench_fig1_distance");
   std::vector<Point> points;
 
@@ -127,7 +127,6 @@ void run(const Args& args) {
     report.add(p.problem + " / R-DIST", p.rand, p.paper_rand);
   }
   table.print();
-  report.write_file(args.json);
   std::printf(
       "\nGap regions (no LCLs exist between the classes) are theorems cited in\n"
       "§1 [2,3,5,9,12,13,15,20-22,29,33,34]; the shaded Fig.-1 area is not a\n"
@@ -135,6 +134,7 @@ void run(const Args& args) {
       "construction in this paper.  Θ(log* n) curves measure as flat: with\n"
       "64-bit IDs log* n <= 5 over any feasible sweep, so Θ(1) fits are the\n"
       "expected rendering of the class-B point.\n");
+  return finish(report, args);
 }
 
 }  // namespace
@@ -143,6 +143,5 @@ void run(const Args& args) {
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(argc, argv, "bench_fig1_distance");
   volcal::bench::Observer::install(args, "bench_fig1_distance");
-  volcal::bench::run(args);
-  return 0;
+  return volcal::bench::run(args);
 }

@@ -14,7 +14,7 @@
 namespace volcal::bench {
 namespace {
 
-void run(const Args& args) {
+int run(const Args& args) {
   print_header("Figure 2 — preliminary volume landscape (classes A and B)");
   stats::Table table(
       {"problem", "class", "D-VOL paper", "D-VOL fitted", "R-VOL paper", "R-VOL fitted"});
@@ -114,12 +114,12 @@ void run(const Args& args) {
     report.add("LeafColoring / R-VOL", rvol, "Θ(log n)");
   }
   table.print();
-  report.write_file(args.json);
   std::printf(
       "\nClasses A and B coincide for distance and volume (§1.2): the measured\n"
       "volume of the class-B witness stays log*-flat.  Everything at and above\n"
       "Ω(log n) is the open C+D region the rest of the paper charts — see\n"
       "bench_fig3_overview and bench_table1.\n");
+  return finish(report, args);
 }
 
 }  // namespace
@@ -128,6 +128,5 @@ void run(const Args& args) {
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(argc, argv, "bench_fig2_volume");
   volcal::bench::Observer::install(args, "bench_fig2_volume");
-  volcal::bench::run(args);
-  return 0;
+  return volcal::bench::run(args);
 }

@@ -25,7 +25,7 @@ struct Line {
   Curve rvol{}, dvol{}, rdist{}, ddist{};
 };
 
-void run(const Args& args) {
+int run(const Args& args) {
   JsonReport report("bench_fig3_overview");
   std::vector<Line> lines;
 
@@ -191,13 +191,13 @@ void run(const Args& args) {
     report.add(line.problem + " / D-DIST", line.ddist, line.paper);
   }
   table.print();
-  report.write_file(args.json);
   std::printf(
       "\nReading the lines: LeafColoring separates volume from distance by\n"
       "randomness alone; Hybrid-THC moves the distance endpoint to log n while\n"
       "keeping volume polynomial; HH-THC places the two endpoints at any pair\n"
       "n^{1/k} / n^{1/ℓ}.  D-VOL entries marked by the exhaustive-algorithm\n"
       "upper bound where hardness is adversarial (see EXPERIMENTS.md).\n");
+  return finish(report, args);
 }
 
 }  // namespace
@@ -206,6 +206,5 @@ void run(const Args& args) {
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(argc, argv, "bench_fig3_overview");
   volcal::bench::Observer::install(args, "bench_fig3_overview");
-  volcal::bench::run(args);
-  return 0;
+  return volcal::bench::run(args);
 }

@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
   volcal::bench::waypoint_lemmas_table(report);
   volcal::bench::deep_nest_table(report);
   volcal::bench::adversary_table(report);
-  report.write_file(args.json);
+  const int status = volcal::bench::finish(report, args);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return status;
 }

@@ -138,6 +138,5 @@ int main(int argc, char** argv) {
   volcal::bench::hybrid_crossover_table(report);
   volcal::bench::decline_table(report);
   volcal::bench::hh_table(report);
-  report.write_file(args.json);
-  return 0;
+  return volcal::bench::finish(report, args);
 }

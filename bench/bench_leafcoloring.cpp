@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   volcal::bench::walk_length_table(report);
   volcal::bench::truncation_table(report);
   volcal::bench::adversary_table(report);
-  report.write_file(args.json);
+  const int status = volcal::bench::finish(report, args);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return status;
 }

@@ -155,6 +155,5 @@ int main(int argc, char** argv) {
   volcal::bench::models_table(report);
   volcal::bench::enforcement_demo(report);
   volcal::bench::bit_budget_table(report);
-  report.write_file(args.json);
-  return 0;
+  return volcal::bench::finish(report, args);
 }

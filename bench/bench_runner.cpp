@@ -263,7 +263,7 @@ void run_workload(const std::string& workload, const Graph& g, const IdAssignmen
   }
 }
 
-void run(const Args& args) {
+int run(const Args& args) {
   print_header("Sweep-engine throughput: map-based vs flat-scratch vs parallel");
   stats::Table table({"workload", "n", "engine", "starts/s", "visited nodes/s", "speedup"});
   JsonReport report("bench_runner");
@@ -333,7 +333,7 @@ void run(const Args& args) {
       "single Θ(n)-volume executions (nearleaf/t1 root start) both engines are\n"
       "memory-bound and the gap narrows to the per-lookup hash-vs-array\n"
       "difference.\n");
-  report.write_file(args.json);
+  return finish(report, args);
 }
 
 }  // namespace
@@ -342,6 +342,5 @@ void run(const Args& args) {
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(argc, argv, "bench_runner");
   volcal::bench::Observer::install(args, "bench_runner");
-  volcal::bench::run(args);
-  return 0;
+  return volcal::bench::run(args);
 }

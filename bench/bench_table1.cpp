@@ -303,6 +303,5 @@ int main(int argc, char** argv) {
   for (const auto& row : rows) {
     report.add(row.problem + " / " + row.measure, row.curve, row.paper);
   }
-  report.write_file(args.json);
-  return 0;
+  return finish(report, args);
 }

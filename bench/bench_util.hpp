@@ -11,7 +11,8 @@
 // --trace, --chrome-trace, --metrics, --max-n, --help; the google-benchmark
 // mains also --benchmark_*) and refuses any other argument; curves print as
 // tables and dump as JSON, and the observability flags attach the obs/ layer
-// (trace sinks + sweep metrics) to every measure() call.
+// (trace sinks + sweep metrics) to every measure() call.  Every main ends in
+// finish(), which exits 2 when a requested output failed to write.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -35,6 +37,7 @@
 #include "runtime/sweep_stats.hpp"
 #include "stats/growth.hpp"
 #include "stats/table.hpp"
+#include "util/env.hpp"
 #include "util/hash.hpp"
 
 namespace volcal::bench {
@@ -93,7 +96,7 @@ struct Args {
         "  --chrome-trace <path>  per-execution timeline in Chrome trace_event format\n"
         "                         (open in chrome://tracing or ui.perfetto.dev)\n"
         "  --metrics <path>       aggregate sweep metrics (histograms, workers) as JSON\n"
-        "  --max-n <n>            skip instances larger than n\n"
+        "  --max-n <n>            skip instances larger than n, 1 to 2^31-1\n"
         "  --help                 this message\n\n"
         "Worker threads come from VOLCAL_THREADS (default 1).\n",
         tool);
@@ -115,26 +118,23 @@ struct Args {
   // argv on check benchmark::ReportUnrecognizedArguments afterwards.
   static Args parse(int* argc, char** argv, const char* tool) {
     Args args;
-    auto value_of = [&](int& i, const char* name, std::size_t len) -> const char* {
-      if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-        return argv[i] + len + 1;
-      }
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < *argc) return argv[++i];
-      return nullptr;
+    auto value_of = [&](int& i, const char* name) {
+      return env::flag_value(*argc, argv, &i, name);
     };
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
       const char* v = nullptr;
-      if ((v = value_of(i, "--json", 6)) != nullptr) {
+      if ((v = value_of(i, "--json")) != nullptr) {
         args.json = v;
-      } else if ((v = value_of(i, "--trace", 7)) != nullptr) {
+      } else if ((v = value_of(i, "--trace")) != nullptr) {
         args.trace = v;
-      } else if ((v = value_of(i, "--chrome-trace", 14)) != nullptr) {
+      } else if ((v = value_of(i, "--chrome-trace")) != nullptr) {
         args.chrome_trace = v;
-      } else if ((v = value_of(i, "--metrics", 9)) != nullptr) {
+      } else if ((v = value_of(i, "--metrics")) != nullptr) {
         args.metrics = v;
-      } else if ((v = value_of(i, "--max-n", 7)) != nullptr) {
-        args.max_n = std::atoll(v);
+      } else if ((v = value_of(i, "--max-n")) != nullptr) {
+        args.max_n =
+            env::int_flag(tool, "--max-n", v, 1, std::numeric_limits<std::int32_t>::max());
       } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
         print_help(tool);
         std::exit(0);
@@ -170,8 +170,9 @@ struct Args {
 // Installed once per binary from the parsed Args.  While installed, measure()
 // profiles every sweep, folds it into one SweepMetrics, and — when a trace
 // path was requested and the solver is generic enough to run on
-// TracedExecution — records full query traces.  Artifacts are written when
-// the (static) observer is destroyed at exit, or on an explicit flush().
+// TracedExecution — records full query traces.  finish() writes the
+// artifacts through flush(); the (static) observer's destructor flushes
+// whatever is still unwritten.
 class Observer {
  public:
   static Observer* current() { return slot(); }
@@ -213,19 +214,24 @@ class Observer {
     metrics_.phases.add("sweep", run.stats.wall_seconds);
   }
 
-  void flush() {
-    if (!trace_path_.empty() && obs::write_trace_jsonl(trace_path_, sweeps_)) {
-      std::printf("[trace: %s]\n", trace_path_.c_str());
-    }
-    if (!chrome_path_.empty() && obs::write_chrome_trace(chrome_path_, sweeps_)) {
-      std::printf("[chrome trace: %s]\n", chrome_path_.c_str());
-    }
-    if (!metrics_path_.empty() && metrics_.write_file(metrics_path_, tool_)) {
-      std::printf("[metrics: %s]\n", metrics_path_.c_str());
-    }
-    trace_path_.clear();
-    chrome_path_.clear();
-    metrics_path_.clear();
+  // Writes each requested artifact once.  False if any failed to write (the
+  // writer names it on stderr).
+  bool flush() {
+    bool ok = true;
+    const auto write = [&](std::string& path, const char* what, auto&& writer) {
+      if (path.empty()) return;
+      if (writer()) {
+        std::printf("[%s: %s]\n", what, path.c_str());
+      } else {
+        ok = false;
+      }
+      path.clear();
+    };
+    write(trace_path_, "trace", [&] { return obs::write_trace_jsonl(trace_path_, sweeps_); });
+    write(chrome_path_, "chrome trace",
+          [&] { return obs::write_chrome_trace(chrome_path_, sweeps_); });
+    write(metrics_path_, "metrics", [&] { return metrics_.write_file(metrics_path_, tool_); });
+    return ok;
   }
 
   const obs::SweepMetrics& metrics() const { return metrics_; }
@@ -399,5 +405,14 @@ class JsonReport {
   perf::PhaseTimer phases_;
   WallTimer since_construction_;
 };
+
+// The last step of every bench main: writes the --json report and the
+// Observer's artifacts.  Returns the exit status, 2 if a requested output
+// failed to write (as volcal_bench), else 0.
+inline int finish(const JsonReport& report, const Args& args) {
+  bool ok = args.json == nullptr || report.write_file(args.json);
+  if (Observer* obs = Observer::current()) ok = obs->flush() && ok;
+  return ok ? 0 : 2;
+}
 
 }  // namespace volcal::bench

@@ -150,13 +150,11 @@ void append_body(std::string& out, const BenchArtifact& a) {
                   ", \"wall_seconds\": %.6g"
                   ", \"shed_latency_samples\": %" PRId64
                   ", \"shed_p50_ns\": %.17g, \"shed_p95_ns\": %.17g"
-                  ", \"shed_p99_ns\": %.17g, \"retries\": %" PRId64
-                  ", \"retry_compliant\": %" PRId64 "}",
+                  ", \"shed_p99_ns\": %.17g}",
                   s.accepted, s.completed, s.shed, s.invalid, s.swaps,
                   s.latency_samples, s.p50_ns, s.p95_ns, s.p99_ns, s.mean_ns,
                   s.max_ns, s.qps, s.wall_seconds, s.shed_latency_samples,
-                  s.shed_p50_ns, s.shed_p95_ns, s.shed_p99_ns, s.retries,
-                  s.retry_compliant);
+                  s.shed_p50_ns, s.shed_p95_ns, s.shed_p99_ns);
     out += sbuf;
   }
   if (a.mutate.has_value()) {
@@ -282,13 +280,11 @@ std::optional<BenchArtifact> BenchArtifact::from_json(const JsonValue& doc,
     s.max_ns = serve->number_at("max_ns");
     s.qps = serve->number_at("qps");
     s.wall_seconds = serve->number_at("wall_seconds");
-    // Additive shed/retry fields (absent in pre-observability artifacts).
+    // Additive shed fields (absent in pre-observability artifacts).
     s.shed_latency_samples = serve->int_at("shed_latency_samples");
     s.shed_p50_ns = serve->number_at("shed_p50_ns");
     s.shed_p95_ns = serve->number_at("shed_p95_ns");
     s.shed_p99_ns = serve->number_at("shed_p99_ns");
-    s.retries = serve->int_at("retries");
-    s.retry_compliant = serve->int_at("retry_compliant");
     a.serve = s;
   }
   if (const JsonValue* mutate = doc.find("mutate")) {

@@ -24,8 +24,7 @@
 //               "max_ns", "qps", "wall_seconds",   // optional: query-service
 //               "shed_latency_samples",            //   runs (volcal_serve /
 //               "shed_p50_ns", "shed_p95_ns",      //   volcal_load) only;
-//               "shed_p99_ns", "retries",          //   shed_* / retr* fields
-//               "retry_compliant"},                //   additive (default 0)
+//               "shed_p99_ns"},                    //   shed_* additive (0)
 //     "mutate": {"updates", "applied", "rejected",    // optional: dynamic-
 //                "cache_evicted", "cache_retained",   //   graph runs only
 //                "flushes", "update_p50_ns",          //   (volcal_load
@@ -109,14 +108,11 @@ struct ServeStatsBlock {
   double qps = 0.0;           // completed / wall_seconds
   double wall_seconds = 0.0;  // measured serving window
   // Client-side shed accounting (volcal_load): shed round-trips are timed
-  // separately so the query percentiles above stay pure, and retried sheds
-  // record whether the client honored the advertised retry_after_ms.
+  // separately so the query percentiles above stay pure.
   std::int64_t shed_latency_samples = 0;
   double shed_p50_ns = 0.0;
   double shed_p95_ns = 0.0;
   double shed_p99_ns = 0.0;
-  std::int64_t retries = 0;          // shed requests re-submitted
-  std::int64_t retry_compliant = 0;  // retries waiting >= retry_after_ms
 
   // Sets latency_samples and p50/p95/p99/mean/max_ns from a latency
   // histogram in ns (percentiles within 1/32 of exact; obs/histogram.hpp).

@@ -1,9 +1,6 @@
-// ServeClient — the typed client for one volcal_serve connection.
-//
-// SocketClient (serve/server.hpp) is the transport: it moves frames.  This
-// wrapper is the protocol: each call sends one request and returns the
-// matching typed reply, so tools and tests stop hand-rolling the
-// send-frame / switch-on-frame-type / match-request-id dance.
+// ServeClient — the client side of one volcal_serve connection.  It owns the
+// socket and the frame decoder; each synchronous call sends one request and
+// returns the matching typed reply.
 //
 //   ServeClient client;
 //   client.connect(path);
@@ -13,29 +10,28 @@
 //   auto u = client.update(batch);            // apply a MutationBatch
 //   client.bye();                             // done
 //
-// Two usage modes, per connection:
+// Two usage modes, per connection, from one thread (not thread-safe):
 //
 //   * Synchronous (query/stats/update): one request in flight; the call
-//     blocks until its own reply arrives.  Request ids are drawn from a
-//     private high-bit-tagged counter so they can never collide with
-//     pipelined ids.
-//   * Pipelined (post_query/poll): the open-loop load-generator shape —
-//     fire-and-forget sends from one thread, a receiver thread polling
-//     typed frames and correlating request ids itself.  The two modes must
-//     not be interleaved concurrently (the client is not thread-safe; the
-//     pipelined split is exactly one sender plus one poller).
+//     blocks until its own reply arrives.  Request ids come from a private
+//     counter tagged with bit 63, so they never collide with pipelined ids.
+//   * Pipelined (post_query + fd/read_some/next): the load generator posts
+//     queries as they fall due, waits on fd() with its own poll deadline,
+//     drains the socket with read_some() and pops frames with next(),
+//     correlating request ids itself.
 //
-// Replies are matched by request id; stray frames from earlier pipelined
-// traffic are skipped, a Bye frame (server draining) fails the call.  Every
-// `ok == false` reply means the connection is no longer usable — the server
-// is gone, draining, or the stream corrupted — and the caller should close().
+// A synchronous call skips stray frames and fails on a Bye frame (server
+// draining).  Every `ok == false` reply means the connection is no longer
+// usable — the server is gone, draining, or the stream corrupted — and the
+// caller should close().  The out-of-line members live in serve/server.cpp,
+// next to the socket helpers they share with the server.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
 
 namespace volcal::serve {
 
@@ -58,47 +54,40 @@ class ServeClient {
     UpdateResultFrame result;
   };
 
-  bool connect(const std::string& socket_path) { return sock_.connect(socket_path); }
-  void close() { sock_.close(); }
-  bool connected() const { return sock_.connected(); }
+  ServeClient() = default;
+  ServeClient(const ServeClient&) = delete;
+  ServeClient& operator=(const ServeClient&) = delete;
+  ~ServeClient() { close(); }
+
+  bool connect(const std::string& socket_path);
+  void close();
 
   // --- synchronous calls: one request, one matched reply -------------------
 
   QueryReply query(std::int64_t node) {
     QueryReply out;
     const std::uint64_t id = next_id();
-    if (!sock_.send_query(id, node)) return out;
-    Frame frame;
-    while (sock_.recv_frame(&frame)) {
-      if (frame.type == FrameType::Result && frame.result.request_id == id) {
-        out.ok = true;
-        out.result = frame.result;
-        return out;
+    out.ok = call(encode_query({id, node}), [&](Frame& f) {
+      if (f.type == FrameType::Result && f.result.request_id == id) {
+        out.result = f.result;
+        return true;
       }
-      if (frame.type == FrameType::Shed && frame.shed.request_id == id) {
-        out.ok = true;
-        out.shed = true;
-        out.retry_after_ms = frame.shed.retry_after_ms;
-        return out;
-      }
-      if (frame.type == FrameType::Bye) return out;
-    }
+      if (f.type != FrameType::Shed || f.shed.request_id != id) return false;
+      out.shed = true;
+      out.retry_after_ms = f.shed.retry_after_ms;
+      return true;
+    });
     return out;
   }
 
   // Fetches the live metrics snapshot (the Stats frame payload) into *json.
   bool stats(std::string* json) {
     const std::uint64_t id = next_id();
-    if (!sock_.send_stats_request(id)) return false;
-    Frame frame;
-    while (sock_.recv_frame(&frame)) {
-      if (frame.type == FrameType::Stats && frame.stats.request_id == id) {
-        *json = std::move(frame.stats.json);
-        return true;
-      }
-      if (frame.type == FrameType::Bye) return false;
-    }
-    return false;
+    return call(encode_stats_request(id), [&](Frame& f) {
+      if (f.type != FrameType::Stats || f.stats.request_id != id) return false;
+      *json = std::move(f.stats.json);
+      return true;
+    });
   }
 
   // Applies one MutationBatch server-side (QueryService::apply_mutations)
@@ -107,40 +96,59 @@ class ServeClient {
   UpdateReply update(const MutationBatch& batch) {
     UpdateReply out;
     const std::uint64_t id = next_id();
-    if (!sock_.send_update(id, batch)) return out;
-    Frame frame;
-    while (sock_.recv_frame(&frame)) {
-      if (frame.type == FrameType::UpdateResult &&
-          frame.update_result.request_id == id) {
-        out.ok = true;
-        out.result = frame.update_result;
-        return out;
-      }
-      if (frame.type == FrameType::Bye) return out;
-    }
+    out.ok = call(encode_update({id, batch}), [&](Frame& f) {
+      if (f.type != FrameType::UpdateResult || f.update_result.request_id != id) return false;
+      out.result = f.update_result;
+      return true;
+    });
     return out;
   }
 
   // Ends the conversation.  The protocol has no client-side farewell frame —
   // the server's reader treats EOF as the goodbye — so this just closes.
-  void bye() { sock_.close(); }
+  void bye() { close(); }
 
   // --- pipelined primitives: many requests in flight -----------------------
 
   // Fire-and-forget query with a caller-chosen id.  Keep caller ids below
   // the top bit (bit 63 tags the synchronous counter above).
   bool post_query(std::uint64_t request_id, std::int64_t node) {
-    return sock_.send_query(request_id, node);
+    return send(encode_query({request_id, node}));
   }
 
-  // Blocks until one complete typed frame arrives.  False on EOF / error /
-  // corrupt stream.
-  bool poll(Frame* out) { return sock_.recv_frame(out); }
+  // The socket, for the caller's poll: readable means read_some() has bytes.
+  int fd() const { return fd_; }
+
+  // Reads whatever has arrived, without blocking.  False on EOF, an error,
+  // or a closed connection.
+  bool read_some();
+
+  // Pops the next complete frame read_some() buffered; false when none is.
+  // A corrupt stream cannot resync, so it shuts the socket down: the
+  // caller's poll wakes at once and read_some() reports EOF.
+  bool next(Frame* out);
 
  private:
   std::uint64_t next_id() { return (std::uint64_t{1} << 63) | next_seq_++; }
+  bool send(const std::vector<std::uint8_t>& bytes);
+  // Blocks until one complete frame arrives.  False on EOF, an error or a
+  // corrupt stream.
+  bool recv_frame(Frame* out);
 
-  SocketClient sock_;
+  // Sends `request`, then reads frames until `accept` takes one (true) or
+  // the connection ends or says Bye (false).  Frames it declines are skipped.
+  template <class Accept>
+  bool call(const std::vector<std::uint8_t>& request, Accept&& accept) {
+    if (!send(request)) return false;
+    Frame frame;
+    while (recv_frame(&frame) && frame.type != FrameType::Bye) {
+      if (accept(frame)) return true;
+    }
+    return false;
+  }
+
+  int fd_ = -1;
+  FrameReader reader_;
   std::uint64_t next_seq_ = 1;
 };
 

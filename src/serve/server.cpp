@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -10,6 +11,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+
+#include "serve/client.hpp"
 
 namespace volcal::serve {
 
@@ -284,63 +287,61 @@ std::size_t SocketServer::connection_count() const {
 
 SocketServer::~SocketServer() { stop(); }
 
-SocketClient::~SocketClient() { close(); }
-
-bool SocketClient::connect(const std::string& socket_path) {
+bool ServeClient::connect(const std::string& socket_path) {
+  close();
   sockaddr_un addr;
   if (!fill_sockaddr(socket_path, &addr)) return false;
   fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd_ < 0) return false;
   if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd_);
-    fd_ = -1;
+    close();
     return false;
   }
+  reader_ = FrameReader();
   return true;
 }
 
-void SocketClient::close() {
+void ServeClient::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
 }
 
-bool SocketClient::send_query(std::uint64_t request_id, std::int64_t node) {
-  if (fd_ < 0) return false;
-  QueryFrame q;
-  q.request_id = request_id;
-  q.node = node;
-  const std::vector<std::uint8_t> bytes = encode_query(q);
-  return write_all(fd_, bytes.data(), bytes.size());
+bool ServeClient::send(const std::vector<std::uint8_t>& bytes) {
+  return fd_ >= 0 && write_all(fd_, bytes.data(), bytes.size());
 }
 
-bool SocketClient::send_stats_request(std::uint64_t request_id) {
+bool ServeClient::read_some() {
   if (fd_ < 0) return false;
-  const std::vector<std::uint8_t> bytes = encode_stats_request(request_id);
-  return write_all(fd_, bytes.data(), bytes.size());
-}
-
-bool SocketClient::send_update(std::uint64_t request_id, const MutationBatch& batch) {
-  if (fd_ < 0) return false;
-  UpdateFrame u;
-  u.request_id = request_id;
-  u.batch = batch;
-  const std::vector<std::uint8_t> bytes = encode_update(u);
-  return write_all(fd_, bytes.data(), bytes.size());
-}
-
-bool SocketClient::recv_frame(Frame* out) {
-  if (fd_ < 0) return false;
-  std::uint8_t buf[4096];
+  std::uint8_t buf[1 << 16];
   while (true) {
-    if (reader_.next(out)) return true;
-    if (reader_.corrupt()) return false;
-    const ssize_t got = ::read(fd_, buf, sizeof buf);
+    const ssize_t got = ::recv(fd_, buf, sizeof buf, MSG_DONTWAIT);
+    if (got > 0) {
+      reader_.feed(buf, static_cast<std::size_t>(got));
+      if (static_cast<std::size_t>(got) < sizeof buf) return true;
+      continue;
+    }
     if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) return false;
-    reader_.feed(buf, static_cast<std::size_t>(got));
+    return got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
+}
+
+bool ServeClient::next(Frame* out) {
+  if (reader_.next(out)) return true;
+  if (reader_.corrupt() && fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  return false;
+}
+
+// The blocking read under the synchronous calls is the pipelined one plus a
+// poll with no deadline.  After EOF the frames already read still come out.
+bool ServeClient::recv_frame(Frame* out) {
+  while (!next(out)) {
+    pollfd pfd{fd_, POLLIN, 0};
+    if (fd_ < 0 || (::poll(&pfd, 1, -1) < 0 && errno != EINTR)) return false;
+    if (!read_some()) return next(out);
+  }
+  return true;
 }
 
 }  // namespace volcal::serve

@@ -40,8 +40,7 @@
 // handles via shared_ptr, so a connection's fd outlives every response that
 // still has to be written through it.
 //
-// SocketClient is the matching blocking client used by volcal_load and the
-// serve tests: connect(), send queries (fire-and-forget), poll responses.
+// The matching client is ServeClient (serve/client.hpp).
 #pragma once
 
 #include <atomic>
@@ -101,37 +100,6 @@ class SocketServer {
   std::unordered_map<const Connection*, std::thread> readers_;
   std::vector<std::thread> finished_readers_;
   std::atomic<bool> stopped_{false};
-};
-
-// Blocking client for one serve connection.  Not thread-safe; volcal_load
-// uses one client per connection thread.
-class SocketClient {
- public:
-  ~SocketClient();
-
-  bool connect(const std::string& socket_path);
-  void close();
-  bool connected() const { return fd_ >= 0; }
-
-  // Writes one Query frame (fire-and-forget; responses arrive via recv).
-  bool send_query(std::uint64_t request_id, std::int64_t node);
-
-  // Writes one StatsRequest frame; the matching Stats frame arrives via
-  // recv_frame (interleaved with any in-flight query responses).
-  bool send_stats_request(std::uint64_t request_id);
-
-  // Writes one Update frame carrying a MutationBatch; the matching
-  // UpdateResult arrives via recv_frame.  Throws std::length_error if the
-  // batch exceeds kMaxUpdateFrameBytes.
-  bool send_update(std::uint64_t request_id, const MutationBatch& batch);
-
-  // Blocks until one complete frame arrives (Result, Shed, Stats,
-  // UpdateResult, or Bye).  False on EOF / error / corrupt stream.
-  bool recv_frame(Frame* out);
-
- private:
-  int fd_ = -1;
-  FrameReader reader_;
 };
 
 }  // namespace volcal::serve

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <set>
 
@@ -41,6 +42,15 @@ std::optional<double> parse_double(const char* text, double lo, double hi) {
   const double v = std::strtod(text, &end);
   if (*end != '\0' || !std::isfinite(v) || v < lo || v > hi) return std::nullopt;
   return v;
+}
+
+const char* flag_value(int argc, char** argv, int* i, const char* name) {
+  const char* arg = argv[*i];
+  const std::size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) != 0) return nullptr;
+  if (arg[len] == '=') return arg + len + 1;
+  if (arg[len] == '\0' && *i + 1 < argc) return argv[++*i];
+  return nullptr;
 }
 
 std::int64_t int_flag(const char* tool, const char* flag, const char* text,

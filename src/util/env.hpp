@@ -19,6 +19,11 @@ std::optional<std::int64_t> parse_int(const char* text, std::int64_t lo,
 // All of `text` as a finite number in [lo, hi]; nullopt otherwise.
 std::optional<double> parse_double(const char* text, double lo, double hi);
 
+// The value of command-line flag `name` at argv[*i], given as `name=value`
+// or as `name value` (then *i moves onto the value); nullptr when argv[*i]
+// is another argument or `name` ends argv.
+const char* flag_value(int argc, char** argv, int* i, const char* name);
+
 // Command-line flags: parse_int / parse_double of `text`, or
 //   <tool>: invalid <flag> 'text' (want a value in [lo, hi])
 // on stderr and exit 2.

@@ -2,12 +2,12 @@
 //
 // One include for everything the serving regime needs: the wire protocol
 // (length-prefixed frames + stream decoder), the concurrent QueryService
-// (batched execution, admission control, hot snapshot swap, live mutation
-// apply, per-node answer memo), the per-request tracer / slow-query
-// log, the Unix-socket transport used by tools/volcal_serve, and the typed
+// (admission control, waves answered through the per-node answer memo, hot
+// snapshot swap, live mutation apply), the per-request tracer / slow-query
+// log, the Unix-socket transport used by tools/volcal_serve, and the
 // ServeClient tools/volcal_load and tools/volcal_top talk through.  The
 // fine-grained serve/... headers remain valid includes but are internal
-// layout (see DESIGN.md "API surface and deprecations").
+// layout (see DESIGN.md "API surface").
 #pragma once
 
 #include "serve/client.hpp"

@@ -122,13 +122,18 @@ TEST(Args, LeavesForeignFlagsForTheBinary) {
   EXPECT_FALSE(args.observing());
 
   // The by-value form, for mains that do not hand argv to google-benchmark,
-  // names a leftover and exits 2 — so do the flags Args no longer has.
+  // names a leftover and exits 2 — so do the flags Args no longer has, and a
+  // --max-n that is not a size.
   for (const char* leftover : {"--benchmark_filter=BM_x", "positional", "--backend=basic",
                                "--filter=x", "--threads=2", "--cache=shared"}) {
     char* rest[] = {const_cast<char*>("bench"), const_cast<char*>(leftover), nullptr};
     EXPECT_EXIT((void)Args::parse(2, rest, "bench"), ::testing::ExitedWithCode(2),
                 std::string("bench: unknown argument '") + leftover + "'");
   }
+  char* junk[] = {const_cast<char*>("bench"), const_cast<char*>("--max-n"),
+                  const_cast<char*>("abc"), nullptr};
+  EXPECT_EXIT((void)Args::parse(3, junk, "bench"), ::testing::ExitedWithCode(2),
+              "bench: invalid --max-n 'abc'");
 }
 
 TEST(Args, KeepNGatesOnlyWhenMaxNSet) {

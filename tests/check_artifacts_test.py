@@ -193,9 +193,6 @@ CASES = [
     ("serve: shed samples <= shed", "--serve-report DOC",
      edit(SERVE_REPORT, (P + ("shed_latency_samples",), 2)),
      "doc.json serve: want shed_latency_samples <= shed, got [2, 0]"),
-    ("serve: retry_compliant <= retries", "--serve-report DOC",
-     edit(SERVE_REPORT, (P + ("retry_compliant",), 1)),
-     "doc.json serve: want retry_compliant <= retries, got [1, 0]"),
     # Mutate blocks: checked whenever present, required under --expect-mutate.
     ("mutate: required", "--expect-mutate DOC", SERVE_REPORT, "doc.json: missing key 'mutate'"),
     ("mutate: applied updates", "--expect-mutate DOC", edit(LOAD_REPORT, (M + ("applied",), 0)),

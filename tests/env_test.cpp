@@ -82,5 +82,24 @@ TEST_F(EnvTest, FlagParsersTakeTheWholeStringInRange) {
   EXPECT_EQ(env::warning_count_for_testing(), 0);  // only positive_int warns
 }
 
+// Every tool reads a flag's value as `--flag=value` or `--flag value`.
+TEST_F(EnvTest, FlagValueTakesBothSpellings) {
+  char* argv[] = {const_cast<char*>("tool"),    const_cast<char*>("--seed=5"),
+                  const_cast<char*>("--seed"),  const_cast<char*>("6"),
+                  const_cast<char*>("--seeds"), const_cast<char*>("--seed"), nullptr};
+  int i = 1;
+  EXPECT_STREQ(env::flag_value(6, argv, &i, "--seed"), "5");
+  EXPECT_EQ(i, 1);
+  i = 2;
+  EXPECT_EQ(env::flag_value(6, argv, &i, "--max-n"), nullptr);
+  EXPECT_STREQ(env::flag_value(6, argv, &i, "--seed"), "6");
+  EXPECT_EQ(i, 3);  // moved onto the value
+  i = 4;            // another flag sharing the prefix
+  EXPECT_EQ(env::flag_value(6, argv, &i, "--seed"), nullptr);
+  i = 5;            // the flag ends argv: no value
+  EXPECT_EQ(env::flag_value(6, argv, &i, "--seed"), nullptr);
+  EXPECT_EQ(i, 5);
+}
+
 }  // namespace
 }  // namespace volcal

@@ -9,6 +9,7 @@
 // rule and its region eviction at the unit level).
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -976,9 +977,9 @@ TEST(SocketServer, SlowClientTimesOutInsteadOfWedgingDrain) {
 
   ServeClient client;
   ASSERT_TRUE(client.connect(path));
-  // Far more responses than a Unix-socket buffer holds, and we never poll():
-  // the pipelined fire-and-forget mode is exactly the misbehaving-client
-  // shape this test needs.
+  // Far more responses than a Unix-socket buffer holds, and we never read
+  // them: posting without draining is exactly the misbehaving-client shape
+  // this test needs.
   constexpr std::uint64_t kQueries = 20000;
   for (std::uint64_t i = 0; i < kQueries; ++i) {
     if (!client.post_query(i, static_cast<std::int64_t>(i) % n)) break;
@@ -995,6 +996,69 @@ TEST(SocketServer, SlowClientTimesOutInsteadOfWedgingDrain) {
 
   client.close();
   server.stop();
+}
+
+// The pipelined mode volcal_load runs on: queries posted ahead of their
+// answers, the socket waited on through fd() and drained with read_some()
+// and next().  Every id is answered exactly once, each node twice (the
+// second time from the answer memo), with the offline sweep's label; a
+// synchronous call on the same client still finds its own reply afterwards.
+TEST(SocketServer, PipelinedQueriesAreAnsweredOnceWithTheOfflineLabels) {
+  ServeTarget target = target_for("ball-4", 400, 7);
+  const std::vector<int> expected = offline_labels(*target.instance);
+  const auto n = static_cast<std::uint64_t>(expected.size());
+  ServeConfig config;
+  config.threads = 2;
+  config.queue_capacity = 1 << 12;  // above 2n: nothing is shed
+  config.cache.policy = CachePolicy::Shared;
+  QueryService service(std::move(target), config);
+  SocketServer server;
+  const std::string path = unique_socket_path("pipelined");
+  ASSERT_TRUE(server.start(service, path));
+
+  ServeClient client;
+  ASSERT_TRUE(client.connect(path));
+  const std::uint64_t queries = 2 * n;
+  std::vector<int> answers(queries, 0);
+  std::uint64_t answered = 0;
+  const auto drain = [&] {
+    Frame frame;
+    while (client.next(&frame)) {
+      ASSERT_EQ(frame.type, FrameType::Result);
+      const std::uint64_t id = frame.result.request_id;
+      ASSERT_LT(id, queries);
+      ++answers[id];
+      ++answered;
+      EXPECT_EQ(frame.result.status, QueryStatus::Ok) << "id " << id;
+      EXPECT_EQ(frame.result.node, static_cast<std::int64_t>(id % n)) << "id " << id;
+      EXPECT_EQ(frame.result.label, expected[id % n]) << "id " << id;
+    }
+  };
+  for (std::uint64_t id = 0; id < queries; ++id) {
+    ASSERT_TRUE(client.post_query(id, static_cast<std::int64_t>(id % n)));
+    if (id % 64 == 63) {  // take whatever has arrived, without waiting
+      ASSERT_TRUE(client.read_some());
+      drain();
+    }
+  }
+  while (answered < queries && !::testing::Test::HasFatalFailure()) {
+    pollfd pfd{client.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10'000), 1) << answered << " of " << queries << " answered";
+    ASSERT_TRUE(client.read_some());
+    drain();
+  }
+  ASSERT_EQ(answered, queries);
+  for (std::uint64_t id = 0; id < queries; ++id) EXPECT_EQ(answers[id], 1) << "id " << id;
+
+  const ServeClient::QueryReply reply = client.query(3);
+  ASSERT_TRUE(reply.ok);
+  EXPECT_FALSE(reply.shed);
+  EXPECT_EQ(reply.result.label, expected[3]);
+  client.bye();
+
+  service.drain_and_stop();
+  server.stop();
+  EXPECT_EQ(service.counters().shed, 0);
 }
 
 void expect_buckets_sum_to_count(const perf::JsonValue& h, const std::string& where) {

@@ -104,10 +104,9 @@ CACHE = {"policy": one_of("off", "shared")} | dict.fromkeys(
 SERVE = dict.fromkeys(SERVE_TOTALS + ("latency_samples",), NAT) | dict.fromkeys(
     PERCENTILES + ("mean_ns", "max_ns", "qps", "wall_seconds"), REAL) | {
     "shed_latency_samples?": NAT, "shed_p50_ns?": REAL, "shed_p95_ns?": REAL,
-    "shed_p99_ns?": REAL, "retries?": NAT, "retry_compliant?": NAT,
+    "shed_p99_ns?": REAL,
     "<=": [("completed", "accepted"), PERCENTILES + ("max_ns",),
-           ("shed_p50_ns", "shed_p95_ns", "shed_p99_ns"), ("shed_latency_samples", "shed"),
-           ("retry_compliant", "retries")]}
+           ("shed_p50_ns", "shed_p95_ns", "shed_p99_ns"), ("shed_latency_samples", "shed")]}
 MUTATE = dict.fromkeys(("updates", "applied", "rejected", "cache_evicted",
                         "cache_retained", "flushes"), NAT) | dict.fromkeys(
     ("update_p50_ns", "update_p95_ns", "update_p99_ns", "apply_p50_ns"), REAL) | {

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@ constexpr std::int64_t kDefaultMaxN = 4096;
 constexpr std::int64_t kMinN = 256;
 constexpr NodeIndex kStartSample = 16;
 constexpr std::uint64_t kSeed = 7;
+constexpr const char* kTool = "volcal_bench";
 
 // One registry family -> one bench-family artifact: generate an n-sweep,
 // verify once at the smallest size, sweep sampled starts at every size, and
@@ -142,35 +144,31 @@ int run(int argc, char** argv) {
   std::string out_dir = ".";
   std::string snapshot_dir;
   std::string filter;
-  std::int64_t max_n = 0;
+  std::int64_t max_n = kDefaultMaxN;
   std::uint64_t seed = kSeed;
   for (int i = 1; i < argc; ++i) {
-    auto value_of = [&](const char* name, std::size_t len) -> const char* {
-      if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-        return argv[i] + len + 1;
-      }
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* v = value_of("--out-dir", 9)) {
+    auto value_of = [&](const char* name) { return env::flag_value(argc, argv, &i, name); };
+    if (const char* v = value_of("--out-dir")) {
       out_dir = v;
-    } else if (const char* v = value_of("--max-n", 7)) {
-      max_n = std::atoll(v);
-    } else if (const char* v = value_of("--filter", 8)) {
+    } else if (const char* v = value_of("--max-n")) {
+      max_n = env::int_flag(kTool, "--max-n", v, 1, std::numeric_limits<std::int32_t>::max());
+    } else if (const char* v = value_of("--filter")) {
       filter = v;
-    } else if (const char* v = value_of("--snapshot-dir", 14)) {
+    } else if (const char* v = value_of("--snapshot-dir")) {
       snapshot_dir = v;
-    } else if (const char* v = value_of("--seed", 6)) {
-      seed = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+    } else if (const char* v = value_of("--seed")) {
+      seed = static_cast<std::uint64_t>(
+          env::int_flag(kTool, "--seed", v, 0, std::numeric_limits<std::int64_t>::max()));
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "volcal_bench — one BENCH_<family>.json per registry family; worker threads\n"
           "from VOLCAL_THREADS (default 1)\n\n"
           "  --out-dir <dir>       destination directory, created if missing [.]\n"
-          "  --max-n <n>           largest instance target [%lld]\n"
+          "  --max-n <n>           largest instance target, 1 to 2^31-1 [%lld]\n"
           "  --filter <substr>     only registry families whose name contains substr\n"
           "  --snapshot-dir <dir>  load <family>-t<target>-s<seed>.vsnap files from dir\n"
-          "  --seed <s>            generator seed [%llu]; the baselines use the default\n\n"
+          "  --seed <s>            generator seed, 0 to 2^63-1 [%llu]; the baselines use\n"
+          "                        the default\n\n"
           "Problem registry (--filter matches the first column):\n",
           static_cast<long long>(kDefaultMaxN), static_cast<unsigned long long>(kSeed));
       for (const RegistryEntry& e : ProblemRegistry::global().entries()) {
@@ -196,7 +194,6 @@ int run(int argc, char** argv) {
                  "baselines generated with the default seed\n",
                  static_cast<unsigned long long>(seed));
   }
-  if (max_n <= 0) max_n = kDefaultMaxN;
 
   const auto entries = ProblemRegistry::global().match(filter);
   if (entries.empty()) {

@@ -11,14 +11,15 @@
 // unreadable/invalid artifacts.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "perf/artifact.hpp"
 #include "perf/diff.hpp"
+#include "util/env.hpp"
 
 namespace volcal::perf {
 namespace {
@@ -72,16 +73,17 @@ bool load_set(const std::string& path, std::vector<BenchArtifact>& out) {
   return true;
 }
 
+constexpr const char* kTool = "volcal_bench_diff";
+constexpr double kMax = std::numeric_limits<double>::max();
+
 int run(int argc, char** argv) {
   DiffOptions opt;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ignore-wall") == 0) {
       opt.ignore_wall = true;
-    } else if (std::strcmp(argv[i], "--wall-tolerance") == 0 && i + 1 < argc) {
-      opt.wall_tolerance = std::atof(argv[++i]);
-    } else if (std::strncmp(argv[i], "--wall-tolerance=", 17) == 0) {
-      opt.wall_tolerance = std::atof(argv[i] + 17);
+    } else if (const char* v = env::flag_value(argc, argv, &i, "--wall-tolerance")) {
+      opt.wall_tolerance = env::number_flag(kTool, "--wall-tolerance", v, 0.0, kMax);
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "volcal_bench_diff [--wall-tolerance X] [--ignore-wall] BASE CAND\n\n"

@@ -15,25 +15,29 @@
 // --out-dir each minimized case is also written as a .repro file that
 // tests/fuzz_regression_test.cpp can replay once committed to the corpus.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "check/check.hpp"
 #include "check/fuzz.hpp"
 #include "check/repro.hpp"
+#include "util/env.hpp"
 
 namespace {
+
+constexpr const char* kTool = "volcal_fuzz";
 
 void print_help() {
   std::printf(
       "volcal_fuzz — differential fuzzing & invariant checking harness\n\n"
-      "  --seed <s>      base seed; a run is a pure function of (seed, iters) [1]\n"
-      "  --iters <k>     cases to generate, round-robin over the registry [200]\n"
+      "  --seed <s>      base seed, 0 to 2^63-1; a run is a pure function of\n"
+      "                  (seed, iters) [1]\n"
+      "  --iters <k>     cases to generate, >= 1, round-robin over the registry [200]\n"
       "  --family <sub>  restrict to registry families whose name contains <sub>\n"
-      "  --max-n <n>     upper bound for generated instance sizes [600]\n"
+      "  --max-n <n>     upper bound for generated instance sizes, 1 to 2^31-1 [600]\n"
       "  --out-dir <d>   write minimized reproducers (*.repro) into <d>, creating it\n"
       "  --replay <f>    replay one reproducer file instead of fuzzing\n"
       "  --log           print every generated case\n"
@@ -67,23 +71,21 @@ int main(int argc, char** argv) {
   volcal::check::FuzzOptions opts;
   std::vector<std::string> replays;
   for (int i = 1; i < argc; ++i) {
-    auto value = [&](const char* name) -> const char* {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-        return argv[i] + len + 1;
-      }
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
+    auto value = [&](const char* name) {
+      return volcal::env::flag_value(argc, argv, &i, name);
     };
     const char* v = nullptr;
     if ((v = value("--seed")) != nullptr) {
-      opts.seed = std::strtoull(v, nullptr, 10);
+      opts.seed = static_cast<std::uint64_t>(
+          volcal::env::int_flag(kTool, "--seed", v, 0, std::numeric_limits<std::int64_t>::max()));
     } else if ((v = value("--iters")) != nullptr) {
-      opts.iters = std::atoi(v);
+      opts.iters = static_cast<int>(
+          volcal::env::int_flag(kTool, "--iters", v, 1, std::numeric_limits<int>::max()));
     } else if ((v = value("--family")) != nullptr) {
       opts.family_filter = v;
     } else if ((v = value("--max-n")) != nullptr) {
-      opts.max_n = static_cast<volcal::NodeIndex>(std::atoll(v));
+      opts.max_n = static_cast<volcal::NodeIndex>(
+          volcal::env::int_flag(kTool, "--max-n", v, 1, std::numeric_limits<std::int32_t>::max()));
     } else if ((v = value("--out-dir")) != nullptr) {
       opts.out_dir = v;
     } else if ((v = value("--replay")) != nullptr) {

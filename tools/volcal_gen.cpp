@@ -21,12 +21,13 @@
 //                  instance again and fail unless the two files are
 //                  byte-identical (every section, labels included)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "volcal/io.hpp"
+#include "util/env.hpp"
 #include "volcal/problems.hpp"
 
 namespace volcal {
@@ -62,6 +63,10 @@ bool validate_roundtrip(const ErasedInstance& inst, const std::string& path) {
   return problem.empty();
 }
 
+constexpr const char* kTool = "volcal_gen";
+constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxN = std::numeric_limits<std::int32_t>::max();
+
 int run(int argc, char** argv) {
   std::string out_dir = ".";
   std::string filter;
@@ -70,22 +75,15 @@ int run(int argc, char** argv) {
   std::int64_t min_n = 256;
   bool validate = false;
   for (int i = 1; i < argc; ++i) {
-    auto value_of = [&](const char* name) -> const char* {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-        return argv[i] + len + 1;
-      }
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
+    auto value_of = [&](const char* name) { return env::flag_value(argc, argv, &i, name); };
     if (const char* v = value_of("--out-dir")) {
       out_dir = v;
     } else if (const char* v = value_of("--seed")) {
-      seed = std::strtoull(v, nullptr, 10);
+      seed = static_cast<std::uint64_t>(env::int_flag(kTool, "--seed", v, 0, kMaxSeed));
     } else if (const char* v = value_of("--max-n")) {
-      max_n = std::atoll(v);
+      max_n = env::int_flag(kTool, "--max-n", v, 1, kMaxN);
     } else if (const char* v = value_of("--min-n")) {
-      min_n = std::atoll(v);
+      min_n = env::int_flag(kTool, "--min-n", v, 1, kMaxN);
     } else if (const char* v = value_of("--filter")) {
       filter = v;
     } else if (std::strcmp(argv[i], "--validate") == 0) {
@@ -94,9 +92,9 @@ int run(int argc, char** argv) {
       std::printf(
           "volcal_gen — write registry instances as binary snapshots\n\n"
           "  --out-dir <d>  destination directory [.]\n"
-          "  --seed <s>     generator seed [7]\n"
-          "  --max-n <n>    largest sweep target [4096]\n"
-          "  --min-n <n>    smallest sweep target [256]\n"
+          "  --seed <s>     generator seed, 0 to 2^63-1 [7]\n"
+          "  --max-n <n>    largest sweep target, 1 to 2^31-1 [4096]\n"
+          "  --min-n <n>    smallest sweep target, 1 to 2^31-1 [256]\n"
           "  --filter <s>   only families whose name contains <s>\n"
           "  --validate     mmap-load each snapshot back, re-save it, compare bytes\n");
       return 0;
@@ -105,7 +103,7 @@ int run(int argc, char** argv) {
       return 2;
     }
   }
-  if (min_n < 1 || max_n < min_n) {
+  if (max_n < min_n) {
     std::fprintf(stderr, "volcal_gen: bad sweep range [%lld, %lld]\n",
                  static_cast<long long>(min_n), static_cast<long long>(max_n));
     return 2;

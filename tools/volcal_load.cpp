@@ -1,20 +1,23 @@
-// volcal_load — open-loop load generator for volcal_serve.
+// volcal_load — load generator for volcal_serve.
 //
 // Drives a serve socket with Zipfian per-node queries (hot nodes repeat —
 // the regime the per-node answer memo exists for), measures client-side
 // latency and sustained throughput, and optionally verifies every response
 // against the offline engine.
 //
-// Open loop: requests are sent on a fixed schedule (--rate) regardless of
-// response progress, so an overloaded server sheds instead of silently
-// slowing the generator down.  Shed responses are accounted separately from
-// query latency — their round-trips get their own histogram (shed_* artifact
-// fields), so the query percentiles measure served work only.  Every series
-// (query, shed, update round-trip, apply) is an obs::Histogram: nearest-rank
-// percentiles within 1/32 of exact, in fixed memory per connection.  With
-// --retry-sheds each shed request is replayed once after honoring the
-// server's advertised retry_after_ms, and the artifact records how many
-// retries actually waited the full backoff ("retries" / "retry_compliant").
+// Each connection is one thread running one ppoll loop over its socket.
+// Query i of a connection is due at t0 + i * connections / --rate and
+// carries request id i; it is sent once it is due and fewer than kWindow
+// queries of the connection are unanswered, and its latency runs from its
+// due time, so a stall of the server or of the generator itself is charged
+// to every query it delays.  How late each send was goes into the send-lag
+// histogram.  At --rate 0 every query is due at once: the loop is closed,
+// kWindow in flight per connection, and latency runs from the send (from
+// the due time it would measure queue position).  Shed round-trips get
+// their own histogram (shed_* artifact fields), so the query percentiles
+// measure served work only.  Every series (query, shed, lag, update round-trip,
+// apply) is an obs::Histogram: nearest-rank percentiles within 1/32 of
+// exact, in fixed memory per connection.
 //
 // --verify FILE loads the same snapshot the server is serving, labels every
 // node offline with the per-start engine (run_at_all_nodes), and fails
@@ -36,23 +39,24 @@
 //
 // Usage: volcal_load --socket PATH [--requests N] [--connections C]
 //                    [--rate QPS] [--zipf THETA] [--seed S] [--nodes N]
-//                    [--retry-sheds] [--update-rate F] [--verify FILE]
-//                    [--artifact FILE]
+//                    [--update-rate F] [--verify FILE] [--artifact FILE]
 // A numeric flag that is junk or out of range (see --help) exits 2.
+#include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -94,16 +98,19 @@ class ZipfSampler {
   double total_ = 0.0;
 };
 
+// At most this many queries of one connection are unanswered at a time;
+// volbench's closed-loop phase uses the same window.
+constexpr std::int64_t kWindow = 256;
+
 struct ConnectionTally {
   std::int64_t sent = 0;
   std::int64_t results = 0;
   std::int64_t shed = 0;
   std::int64_t invalid = 0;
   std::int64_t mismatches = 0;
-  std::int64_t retries = 0;          // shed requests replayed (--retry-sheds)
-  std::int64_t retry_compliant = 0;  // replays that waited >= retry_after_ms
-  obs::Histogram latency;            // served results only, ns
-  obs::Histogram shed_latency;       // shed round-trips, separately
+  obs::Histogram latency;       // served results only, ns
+  obs::Histogram shed_latency;  // shed round-trips, separately
+  obs::Histogram lag;           // send time - due time, ns (--rate > 0)
 
   void merge(const ConnectionTally& t) {
     sent += t.sent;
@@ -111,10 +118,9 @@ struct ConnectionTally {
     shed += t.shed;
     invalid += t.invalid;
     mismatches += t.mismatches;
-    retries += t.retries;
-    retry_compliant += t.retry_compliant;
     latency.merge(t.latency);
     shed_latency.merge(t.shed_latency);
+    lag.merge(t.lag);
   }
 };
 
@@ -122,11 +128,10 @@ struct LoadPlan {
   std::string socket_path;
   std::int64_t requests = 2000;
   int connections = 1;
-  double rate = 0.0;  // total target QPS across connections; 0 = max speed
+  double rate = 0.0;  // total target QPS across connections; 0 = all due at once
   double zipf = 0.99;
   std::uint64_t seed = 7;
   std::int64_t nodes = 0;
-  bool retry_sheds = false;
   double update_rate = 0.0;   // fraction of --requests sent as MutationBatches
   std::int64_t updates = 0;   // derived: llround(requests * update_rate)
   const std::vector<int>* expected = nullptr;  // offline labels, when verifying
@@ -145,17 +150,15 @@ struct UpdateTally {
   obs::Histogram apply;       // server-side apply time, ns
 };
 
-// One shed response eligible for replay: the node, the advertised backoff,
-// and when the shed arrived (compliance = replay waited >= the backoff).
-struct ShedRetry {
-  std::int64_t node = 0;
-  std::uint32_t retry_after_ms = 0;
-  std::chrono::steady_clock::time_point shed_at;
-};
+std::int64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
-// One connection: a sender on this thread, a receiver on a helper thread.
-// Every query is answered by exactly one Result or Shed, so the receiver
-// exits after `sent` responses (Bye frames are ignored).
+// One connection's ppoll loop (see the top of the file).  Every query is
+// answered by exactly one Result or Shed; a response whose id was never sent,
+// or was already answered, fails the connection.
 bool run_connection(const LoadPlan& plan, int conn_index, ConnectionTally* tally) {
   serve::ServeClient client;
   if (!client.connect(plan.socket_path)) {
@@ -163,183 +166,94 @@ bool run_connection(const LoadPlan& plan, int conn_index, ConnectionTally* tally
                  plan.socket_path.c_str());
     return false;
   }
-  const std::int64_t base = plan.requests / plan.connections;
-  const std::int64_t extra = plan.requests % plan.connections;
-  const std::int64_t to_send = base + (conn_index < extra ? 1 : 0);
-  if (to_send == 0) return true;
+  const std::int64_t count =
+      plan.requests / plan.connections + (conn_index < plan.requests % plan.connections);
 
-  // Send timestamps by request id, shared between sender and receiver.
-  std::mutex inflight_mu;
-  std::unordered_map<std::uint64_t, std::chrono::steady_clock::time_point> inflight;
-  std::unordered_map<std::uint64_t, std::int64_t> node_of;
-  std::vector<ShedRetry> retry_queue;  // filled by the receiver under inflight_mu
+  // The schedule, filled before the loop: query i's node, and once it is
+  // sent, the ns since t0 its latency runs from (-1 once answered).
+  ZipfSampler sampler(plan.nodes, plan.zipf);
+  std::uint64_t rng = splitmix64(plan.seed + static_cast<std::uint64_t>(conn_index));
+  std::vector<std::int32_t> node(static_cast<std::size_t>(count));  // nodes < 2^31
+  for (std::int32_t& v : node) v = static_cast<std::int32_t>(sampler.sample(&rng));
+  std::vector<std::int64_t> origin(static_cast<std::size_t>(count), 0);
 
-  bool receiver_ok = true;
-  std::thread receiver([&] {
+  constexpr double kNever = 0x1p62;  // ns; due times saturate here, whatever the --rate
+  const double period_ns =
+      plan.rate > 0.0 ? std::min(1e9 * static_cast<double>(plan.connections) / plan.rate, kNever)
+                      : 0.0;
+  const auto due = [&](std::int64_t i) {
+    return static_cast<std::int64_t>(std::min(static_cast<double>(i) * period_ns, kNever));
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  std::int64_t next = 0;
+  std::int64_t answered = 0;
+  while (answered < count) {
+    std::int64_t now = ns_since(t0);
+    while (next < count && next - answered < kWindow && due(next) <= now) {
+      if (period_ns > 0.0) tally->lag.add(now - due(next));
+      origin[static_cast<std::size_t>(next)] = period_ns > 0.0 ? due(next) : now;
+      if (!client.post_query(static_cast<std::uint64_t>(next),
+                             node[static_cast<std::size_t>(next)])) {
+        std::fprintf(stderr, "volcal_load: send failed on connection %d\n", conn_index);
+        return false;
+      }
+      ++tally->sent;
+      ++next;
+      now = ns_since(t0);
+    }
+
+    // Sleep until a response arrives or, if the window has room, the next
+    // query falls due.
+    const bool can_send = next < count && next - answered < kWindow;
+    const std::int64_t wait = can_send ? std::max<std::int64_t>(due(next) - now, 0) : 0;
+    const timespec timeout{static_cast<time_t>(wait / 1'000'000'000),
+                           static_cast<long>(wait % 1'000'000'000)};
+    pollfd pfd{client.fd(), POLLIN, 0};
+    const int ready = ::ppoll(&pfd, 1, can_send ? &timeout : nullptr, nullptr);
+    if (ready < 0 && errno != EINTR) {
+      std::perror("volcal_load: ppoll");
+      return false;
+    }
+    if (ready <= 0) continue;
+
+    const bool open = client.read_some();
+    const std::int64_t received = ns_since(t0);
     serve::Frame frame;
-    std::int64_t answered = 0;
-    while (answered < to_send) {
-      if (!client.poll(&frame)) {
-        receiver_ok = false;
-        return;
+    while (client.next(&frame)) {
+      const bool shed = frame.type == serve::FrameType::Shed;
+      if (!shed && frame.type != serve::FrameType::Result) continue;  // Bye
+      const std::uint64_t id = shed ? frame.shed.request_id : frame.result.request_id;
+      if (id >= static_cast<std::uint64_t>(next) || origin[id] < 0) {
+        std::fprintf(stderr, "volcal_load: connection %d: request %llu is not in flight\n",
+                     conn_index, static_cast<unsigned long long>(id));
+        return false;
       }
-      if (frame.type == serve::FrameType::Bye) continue;
-      std::uint64_t id = 0;
-      if (frame.type == serve::FrameType::Result) {
-        id = frame.result.request_id;
-      } else if (frame.type == serve::FrameType::Shed) {
-        id = frame.shed.request_id;
-      } else {
-        continue;
-      }
-      std::chrono::steady_clock::time_point sent_at;
-      std::int64_t node = -1;
-      {
-        std::lock_guard lock(inflight_mu);
-        const auto it = inflight.find(id);
-        if (it == inflight.end()) {
-          receiver_ok = false;  // response for a request we never sent
-          return;
-        }
-        sent_at = it->second;
-        inflight.erase(it);
-        node = node_of[id];
-        node_of.erase(id);
-      }
+      const std::int64_t latency = received - origin[id];
+      origin[id] = -1;
       ++answered;
-      const auto received_at = std::chrono::steady_clock::now();
-      if (frame.type == serve::FrameType::Shed) {
-        ++tally->shed;
-        // Shed round-trips are timed into their own series — never into the
+      if (shed) {
+        // Shed round-trips are timed into their own series, never into the
         // query latency histogram.
-        tally->shed_latency.add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(received_at -
-                                                                 sent_at)
-                .count());
-        if (plan.retry_sheds && frame.shed.retry_after_ms > 0) {
-          std::lock_guard lock(inflight_mu);
-          retry_queue.push_back({node, frame.shed.retry_after_ms, received_at});
-        }
+        ++tally->shed;
+        tally->shed_latency.add(latency);
         continue;
       }
       ++tally->results;
-      tally->latency.add(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(received_at -
-                                                               sent_at)
-              .count());
+      tally->latency.add(latency);
       if (frame.result.status != serve::QueryStatus::Ok) {
         ++tally->invalid;
-        continue;
-      }
-      if (plan.expected != nullptr) {
-        if (node < 0 || node >= static_cast<std::int64_t>(plan.expected->size()) ||
-            frame.result.label !=
-                (*plan.expected)[static_cast<std::size_t>(node)]) {
-          ++tally->mismatches;
-        }
+      } else if (plan.expected != nullptr &&
+                 frame.result.label != (*plan.expected)[static_cast<std::size_t>(node[id])]) {
+        ++tally->mismatches;
       }
     }
-  });
-
-  ZipfSampler sampler(plan.nodes, plan.zipf);
-  std::uint64_t rng = splitmix64(plan.seed + static_cast<std::uint64_t>(conn_index));
-  const double per_conn_rate = plan.rate / static_cast<double>(plan.connections);
-  const auto begin = std::chrono::steady_clock::now();
-  bool sender_ok = true;
-  for (std::int64_t i = 0; i < to_send; ++i) {
-    if (per_conn_rate > 0.0) {
-      const auto due =
-          begin + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(static_cast<double>(i) /
-                                                    per_conn_rate));
-      std::this_thread::sleep_until(due);  // open loop: never waits on responses
-    }
-    const std::int64_t node = sampler.sample(&rng);
-    const std::uint64_t id =
-        (static_cast<std::uint64_t>(conn_index) << 48) | static_cast<std::uint64_t>(i);
-    {
-      std::lock_guard lock(inflight_mu);
-      inflight.emplace(id, std::chrono::steady_clock::now());
-      node_of.emplace(id, node);
-    }
-    if (!client.post_query(id, node)) {
-      std::fprintf(stderr, "volcal_load: send failed on connection %d\n", conn_index);
-      {
-        std::lock_guard lock(inflight_mu);
-        inflight.erase(id);
-        node_of.erase(id);
-      }
-      sender_ok = false;
-      break;
-    }
-    ++tally->sent;
-  }
-  if (!sender_ok) client.close();  // unblocks the receiver via EOF
-  receiver.join();
-
-  // Replay phase (--retry-sheds): after the open-loop window every shed
-  // request is re-sent exactly once, honoring the advertised backoff.
-  // Synchronous — one request in flight — so it cannot perturb what the
-  // open-loop phase measured.
-  if (sender_ok && receiver_ok && plan.retry_sheds && !retry_queue.empty()) {
-    std::uint64_t retry_seq = 0;
-    serve::Frame frame;
-    for (const ShedRetry& r : retry_queue) {
-      std::this_thread::sleep_until(r.shed_at +
-                                    std::chrono::milliseconds(r.retry_after_ms));
-      ++tally->retries;
-      if (std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - r.shed_at)
-              .count() >= static_cast<std::int64_t>(r.retry_after_ms)) {
-        ++tally->retry_compliant;
-      }
-      const std::uint64_t id = (static_cast<std::uint64_t>(conn_index) << 48) |
-                               (std::uint64_t{1} << 40) | retry_seq++;
-      const auto sent_at = std::chrono::steady_clock::now();
-      if (!client.post_query(id, r.node)) {
-        sender_ok = false;
-        break;
-      }
-      ++tally->sent;
-      bool got = false;
-      while (client.poll(&frame)) {
-        const auto received_at = std::chrono::steady_clock::now();
-        const auto rtt_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                received_at - sent_at)
-                                .count();
-        if (frame.type == serve::FrameType::Result &&
-            frame.result.request_id == id) {
-          ++tally->results;
-          tally->latency.add(rtt_ns);
-          if (frame.result.status != serve::QueryStatus::Ok) {
-            ++tally->invalid;
-          } else if (plan.expected != nullptr &&
-                     (r.node >= static_cast<std::int64_t>(plan.expected->size()) ||
-                      frame.result.label !=
-                          (*plan.expected)[static_cast<std::size_t>(r.node)])) {
-            ++tally->mismatches;
-          }
-          got = true;
-          break;
-        }
-        if (frame.type == serve::FrameType::Shed && frame.shed.request_id == id) {
-          // Shed again: count it, replay only once.
-          ++tally->shed;
-          tally->shed_latency.add(rtt_ns);
-          got = true;
-          break;
-        }
-        // Bye or stray frame between replays: keep reading.
-      }
-      if (!got) {
-        receiver_ok = false;
-        break;
-      }
+    if (!open && answered < count) {
+      std::fprintf(stderr, "volcal_load: connection %d lost with %lld queries unanswered\n",
+                   conn_index, static_cast<long long>(count - answered));
+      return false;
     }
   }
-
-  client.close();
-  return sender_ok && receiver_ok;
+  return true;
 }
 
 // The updater connection (--update-rate): `plan.updates` MutationBatches,
@@ -347,7 +261,7 @@ bool run_connection(const LoadPlan& plan, int conn_index, ConnectionTally* tally
 // synchronously (one Update in flight) and mirrored onto `local` only after
 // the server acknowledges Ok — so client and server graphs stay in lockstep
 // batch-for-batch.  With a target --rate the updates are spread evenly
-// across the expected load window; at max speed the synchronous round-trips
+// across the expected load window; at --rate 0 the synchronous round-trips
 // pace themselves.
 bool run_updater(const LoadPlan& plan, ErasedInstance* local, UpdateTally* tally) {
   serve::ServeClient client;
@@ -448,7 +362,6 @@ bool write_artifact(const std::string& path, const ConnectionTally& total,
   serve_block.completed = total.results;
   serve_block.shed = total.shed;
   serve_block.invalid = total.invalid;
-  serve_block.swaps = 0;
   serve_block.set_latency(total.latency);
   serve_block.wall_seconds = wall_seconds;
   serve_block.qps =
@@ -457,8 +370,6 @@ bool write_artifact(const std::string& path, const ConnectionTally& total,
   serve_block.shed_p50_ns = static_cast<double>(total.shed_latency.quantile(0.50));
   serve_block.shed_p95_ns = static_cast<double>(total.shed_latency.quantile(0.95));
   serve_block.shed_p99_ns = static_cast<double>(total.shed_latency.quantile(0.99));
-  serve_block.retries = total.retries;
-  serve_block.retry_compliant = total.retry_compliant;
   artifact.serve = serve_block;
 
   artifact.curves.push_back(serve_block.latency_curve());
@@ -486,18 +397,14 @@ constexpr double kMaxDouble = std::numeric_limits<double>::max();
 
 int run(int argc, char** argv) {
   ::signal(SIGPIPE, SIG_IGN);  // a dying server surfaces as a send error
+  // ppoll wakes within 1 us of a due time instead of the kernel's default
+  // 50 us slack, which would read as latency.  Every thread inherits it.
+  ::prctl(PR_SET_TIMERSLACK, 1000UL, 0, 0, 0);
   LoadPlan plan;
   std::string verify_path;
   std::string artifact_path;
   for (int i = 1; i < argc; ++i) {
-    auto value_of = [&](const char* name) -> const char* {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-        return argv[i] + len + 1;
-      }
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
+    auto value_of = [&](const char* name) { return env::flag_value(argc, argv, &i, name); };
     if (const char* v = value_of("--socket")) {
       plan.socket_path = v;
     } else if (const char* v = value_of("--requests")) {
@@ -510,13 +417,11 @@ int run(int argc, char** argv) {
     } else if (const char* v = value_of("--zipf")) {
       plan.zipf = env::number_flag(kTool, "--zipf", v, 0.0, kMaxDouble);
     } else if (const char* v = value_of("--seed")) {
-      plan.seed = std::strtoull(v, nullptr, 10);
+      plan.seed = static_cast<std::uint64_t>(env::int_flag(kTool, "--seed", v, 0, kMaxInt));
     } else if (const char* v = value_of("--nodes")) {
       // A snapshot holds at most 2^31 - 1 nodes.
       plan.nodes =
           env::int_flag(kTool, "--nodes", v, 1, std::numeric_limits<std::int32_t>::max());
-    } else if (std::strcmp(argv[i], "--retry-sheds") == 0) {
-      plan.retry_sheds = true;
     } else if (const char* v = value_of("--update-rate")) {
       plan.update_rate = env::number_flag(kTool, "--update-rate", v, 0.0, 1.0);
     } else if (const char* v = value_of("--verify")) {
@@ -525,15 +430,15 @@ int run(int argc, char** argv) {
       artifact_path = v;
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
-          "volcal_load — open-loop Zipfian load generator for volcal_serve\n\n"
+          "volcal_load — Zipfian load generator for volcal_serve\n\n"
           "  --socket <p>       serve socket to drive (required)\n"
           "  --requests <n>     total queries across connections, >= 1 [2000]\n"
           "  --connections <c>  parallel connections, 1-256 [1]\n"
-          "  --rate <qps>       open-loop send rate, >= 0; 0 = max speed [0]\n"
+          "  --rate <qps>       open-loop send rate, >= 0; 0 = closed loop, 256 in\n"
+          "                     flight per connection [0]\n"
           "  --zipf <theta>     Zipf exponent, >= 0; 0 = uniform [0.99]\n"
-          "  --seed <s>         traffic seed [7]\n"
+          "  --seed <s>         traffic seed, 0 to 2^63-1 [7]\n"
           "  --nodes <n>        node universe, 1 to 2^31-1 (required unless --verify)\n"
-          "  --retry-sheds      replay each shed once after its retry-after\n"
           "  --update-rate <f>  in [0, 1): mix in f * requests mutation batches on a\n"
           "                     dedicated connection (requires --verify)\n"
           "  --verify <f>       offline-label this snapshot and compare every\n"
@@ -617,7 +522,6 @@ int run(int argc, char** argv) {
   ConnectionTally total;
   for (const ConnectionTally& t : tallies) total.merge(t);
   const obs::Histogram& latency = total.latency;
-  const obs::Histogram& shed_latency = total.shed_latency;
 
   std::printf(
       "volcal_load: sent %lld, results %lld, shed %lld, invalid %lld in %.3f s "
@@ -630,13 +534,14 @@ int run(int argc, char** argv) {
               " ns (%" PRId64 " samples)\n",
               latency.quantile(0.50), latency.quantile(0.95), latency.quantile(0.99),
               latency.count);
-  if (shed_latency.count > 0) {
-    std::printf(
-        "volcal_load: shed round-trips p50 %" PRId64 " ns, p99 %" PRId64 " ns (%" PRId64
-        " samples); retries %lld (%lld honored retry-after)\n",
-        shed_latency.quantile(0.50), shed_latency.quantile(0.99), shed_latency.count,
-        static_cast<long long>(total.retries),
-        static_cast<long long>(total.retry_compliant));
+  if (total.lag.count > 0) {
+    std::printf("volcal_load: send lag p50 %" PRId64 " ns, p99 %" PRId64 " ns\n",
+                total.lag.quantile(0.50), total.lag.quantile(0.99));
+  }
+  if (const obs::Histogram& shed = total.shed_latency; shed.count > 0) {
+    std::printf("volcal_load: shed round-trips p50 %" PRId64 " ns, p99 %" PRId64
+                " ns (%" PRId64 " samples)\n",
+                shed.quantile(0.50), shed.quantile(0.99), shed.count);
   }
   if (plan.expected != nullptr) {
     std::printf("volcal_load: verify %s — %lld mismatch(es) across %lld result(s)\n",
@@ -674,12 +579,9 @@ int run(int argc, char** argv) {
       !write_artifact(artifact_path, total, updates, wall_seconds)) {
     return 1;
   }
-  for (const char c : ok) {
-    if (c == 0) return 1;
-  }
-  if (total.mismatches > 0) return 1;
-  if (!updater_ok || !churn_verify_ok || churn_mismatches > 0) return 1;
-  return 0;
+  const bool passed = std::count(ok.begin(), ok.end(), 0) == 0 && total.mismatches == 0 &&
+                      updater_ok && churn_verify_ok && churn_mismatches == 0;
+  return passed ? 0 : 1;
 }
 
 }  // namespace

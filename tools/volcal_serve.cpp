@@ -9,7 +9,8 @@
 //
 // Signals:
 //   SIGTERM / SIGINT  graceful drain: stop admission, answer every accepted
-//                     request, write the perf artifact, exit 0.
+//                     request, write the outputs, exit 0 (1 if the artifact,
+//                     the stats log, the trace or the slow log failed).
 //   SIGHUP            hot swap: reload --snapshot and atomically replace the
 //                     served instance; in-flight waves finish against the
 //                     old mapping, and the answer memo starts over (see the
@@ -47,6 +48,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -135,14 +137,7 @@ int run(int argc, char** argv) {
   config.cache.policy = CachePolicy::Shared;
 
   for (int i = 1; i < argc; ++i) {
-    auto value_of = [&](const char* name) -> const char* {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-        return argv[i] + len + 1;
-      }
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
+    auto value_of = [&](const char* name) { return env::flag_value(argc, argv, &i, name); };
     if (const char* v = value_of("--snapshot")) {
       snapshot_path = v;
     } else if (const char* v = value_of("--socket")) {
@@ -188,7 +183,8 @@ int run(int argc, char** argv) {
           "  --cache <p>          per-node answer memo: off | shared [shared]\n"
           "  --artifact <f>       write the serve perf artifact on drain\n"
           "  --stats-interval <s> write a stats JSONL line every s seconds, 0-1e9\n"
-          "  --stats-log <f>      periodic stats destination [stdout]\n"
+          "  --stats-log <f>      periodic stats destination, needs --stats-interval\n"
+          "                       [stdout]\n"
           "  --stats-window <s>   sliding window for windowed percentiles, 1e-9-1e9 [10]\n"
           "  --trace-serve <f>    collect request spans, write Chrome trace on drain\n"
           "  --slow-ms <ms>       slow-query threshold, 0-1e9 (enables the slow log)\n"
@@ -201,6 +197,10 @@ int run(int argc, char** argv) {
   }
   if (snapshot_path.empty() || socket_path.empty()) {
     std::fprintf(stderr, "volcal_serve: --snapshot and --socket are required (try --help)\n");
+    return 2;
+  }
+  if (!stats_log_path.empty() && stats_interval_s <= 0.0) {
+    std::fprintf(stderr, "volcal_serve: --stats-log needs --stats-interval (try --help)\n");
     return 2;
   }
 
@@ -240,7 +240,7 @@ int run(int argc, char** argv) {
   if (!server.start(service, socket_path)) return 1;
 
   std::FILE* stats_file = stdout;
-  if (stats_interval_s > 0.0 && !stats_log_path.empty()) {
+  if (!stats_log_path.empty()) {
     stats_file = std::fopen(stats_log_path.c_str(), "w");
     if (stats_file == nullptr) {
       std::fprintf(stderr, "volcal_serve: cannot open %s for writing\n",
@@ -248,11 +248,21 @@ int run(int argc, char** argv) {
       return 1;
     }
   }
+  // A stats line that fails to write is reported once; serving goes on, and
+  // the exit status says so after the drain.
+  bool stats_ok = true;
+  auto check_stats = [&](bool wrote) {
+    if (!wrote && stats_ok) {
+      std::fprintf(stderr, "volcal_serve: cannot write %s: %s\n",
+                   stats_log_path.empty() ? "stdout" : stats_log_path.c_str(),
+                   std::strerror(errno));
+    }
+    stats_ok = stats_ok && wrote;
+  };
   auto emit_stats_line = [&] {
-    const std::string line = service.stats_json();
-    std::fwrite(line.data(), 1, line.size(), stats_file);
-    std::fputc('\n', stats_file);
-    std::fflush(stats_file);
+    const std::string line = service.stats_json() + '\n';
+    check_stats(std::fwrite(line.data(), 1, line.size(), stats_file) == line.size() &&
+                std::fflush(stats_file) == 0);
   };
   std::printf("volcal_serve: serving %s (n=%lld) on %s, %d thread(s)\n", snapshot_path.c_str(),
               static_cast<long long>(service.node_count()), socket_path.c_str(),
@@ -317,8 +327,10 @@ int run(int argc, char** argv) {
     // completed, the queue is empty).
     emit_stats_line();
   }
-  if (stats_file != stdout && stats_file != nullptr) std::fclose(stats_file);
+  if (stats_file != stdout) check_stats(std::fclose(stats_file) == 0);
 
+  // Every requested output that failed to write fails the exit status.
+  bool outputs_ok = stats_ok;
   if (tracer) {
     const std::vector<serve::RequestSpan> spans = tracer->spans();
     if (serve::write_serve_chrome_trace(trace_path, spans)) {
@@ -326,6 +338,8 @@ int run(int argc, char** argv) {
                   trace_path.c_str(),
                   tracer->dropped() > 0 ? " (capacity hit; newest spans dropped)"
                                         : "");
+    } else {
+      outputs_ok = false;
     }
   }
   if (!slow_log_path.empty()) {
@@ -333,6 +347,8 @@ int run(int argc, char** argv) {
     if (serve::write_slow_query_log(slow_log_path, slow)) {
       std::printf("volcal_serve: wrote %zu slow-query records to %s\n",
                   slow.size(), slow_log_path.c_str());
+    } else {
+      outputs_ok = false;
     }
   }
 
@@ -354,7 +370,7 @@ int run(int argc, char** argv) {
   if (!artifact_path.empty() && !write_artifact(artifact_path, service, wall_seconds)) {
     return 1;
   }
-  return 0;
+  return outputs_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -27,12 +27,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "perf/json.hpp"
+#include "util/env.hpp"
 #include "volcal/serve.hpp"
 
 namespace volcal {
@@ -142,26 +143,22 @@ void render(const Snapshot& snap, const Snapshot* prev, bool clear) {
   std::fflush(stdout);
 }
 
+constexpr const char* kTool = "volcal_top";
+
 int run(int argc, char** argv) {
   std::string socket_path;
   double interval_s = 1.0;
   std::int64_t count = -1;  // -1 = until interrupted
   bool raw = false;
   for (int i = 1; i < argc; ++i) {
-    auto value_of = [&](const char* name) -> const char* {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-        return argv[i] + len + 1;
-      }
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
+    auto value_of = [&](const char* name) { return env::flag_value(argc, argv, &i, name); };
     if (const char* v = value_of("--socket")) {
       socket_path = v;
     } else if (const char* v = value_of("--interval")) {
-      interval_s = std::atof(v);
+      // The bounds of volcal_serve --stats-window.
+      interval_s = env::number_flag(kTool, "--interval", v, 1e-9, 1e9);
     } else if (const char* v = value_of("--count")) {
-      count = std::atoll(v);
+      count = env::int_flag(kTool, "--count", v, 1, std::numeric_limits<std::int64_t>::max());
     } else if (std::strcmp(argv[i], "--once") == 0) {
       count = 1;
     } else if (std::strcmp(argv[i], "--raw") == 0) {
@@ -170,8 +167,8 @@ int run(int argc, char** argv) {
       std::printf(
           "volcal_top — live dashboard over a volcal_serve Stats socket\n\n"
           "  --socket <p>    serve socket to poll (required)\n"
-          "  --interval <s>  seconds between polls [1]\n"
-          "  --count <n>     exit after n polls [until ^C]\n"
+          "  --interval <s>  seconds between polls, 1e-9-1e9 [1]\n"
+          "  --count <n>     exit after n polls, >= 1 [until ^C]\n"
           "  --once          single poll (same as --count 1)\n"
           "  --raw           print the raw stats JSON line(s) instead\n");
       return 0;
