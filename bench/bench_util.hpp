@@ -53,23 +53,6 @@ class WallTimer {
   std::chrono::steady_clock::time_point begin_;
 };
 
-// Evenly spread sample of at most `count` start nodes, always including node
-// 0 (the root of every generated instance — the worst case for the tree
-// families) and, whenever count >= 2, node n-1 (a deepest leaf).  count == 1
-// honors the "at most" contract and returns {0}.
-inline std::vector<NodeIndex> sampled_starts(NodeIndex n, NodeIndex count) {
-  std::vector<NodeIndex> out;
-  if (n <= 0 || count <= 0) return out;
-  const NodeIndex k = std::min(n, count);
-  out.reserve(static_cast<std::size_t>(k));
-  for (NodeIndex i = 0; i < k; ++i) {
-    // Endpoint-inclusive linear interpolation: i=0 -> 0, i=k-1 -> n-1.
-    const NodeIndex v = (k == 1) ? 0 : static_cast<NodeIndex>(i * (n - 1) / (k - 1));
-    if (out.empty() || out.back() != v) out.push_back(v);
-  }
-  return out;
-}
-
 // --- Shared command-line flags (every bench main) ---------------------------
 
 // One parser for all bench binaries.  parse() strips the flags it recognizes
@@ -208,10 +191,6 @@ class Observer {
                     const RandomTape* tape) {
     ++sweep_seq_;
     metrics_.observe(run, profile, tape);
-    // Phase accounting: every measured sweep's engine wall time folds into
-    // one "sweep" phase, so --metrics shows how much of the binary's runtime
-    // the engine itself owns.
-    metrics_.phases.add("sweep", run.stats.wall_seconds);
   }
 
   // Writes each requested artifact once.  False if any failed to write (the
@@ -334,8 +313,6 @@ inline void print_header(const std::string& title) {
 }
 
 // --- JSON report (--json <path>) -------------------------------------------
-
-inline std::string json_escape(const std::string& s) { return perf::json_escape(s); }
 
 // The canonical telemetry emitter behind every bench main's --json flag.
 // Collects named curves (with the paper's Θ-claim where the caller has one)

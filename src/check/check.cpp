@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "bench_util.hpp"
 #include "graph/mutation.hpp"
 #include "io/instance_io.hpp"
 #include "lcl/registry.hpp"
@@ -34,7 +33,7 @@ std::string at_start(const char* what, std::size_t i, NodeIndex start) {
   return os.str();
 }
 
-// --- bench::sampled_starts contract ----------------------------------------
+// --- sampled_starts contract ------------------------------------------------
 
 CheckResult check_sampled_starts(NodeIndex n, NodeIndex count,
                                  const std::vector<NodeIndex>& starts) {
@@ -277,14 +276,14 @@ CheckResult check_against_reference(GraphView g, const IdAssignment& ids,
 }
 
 // The case's start set: whole graph when start_count == 0, else the sampled
-// subset (validated separately by check_case's sampler checks).
+// subset (validated separately by check_engines' sampler checks).
 std::vector<NodeIndex> case_starts(const FuzzCase& c, NodeIndex n) {
   if (c.start_count == 0) {
     std::vector<NodeIndex> starts(static_cast<std::size_t>(n));
     for (NodeIndex v = 0; v < n; ++v) starts[static_cast<std::size_t>(v)] = v;
     return starts;
   }
-  return bench::sampled_starts(n, c.start_count);
+  return sampled_starts(n, c.start_count);
 }
 
 // The case's starts followed by the same starts in reverse: every start
@@ -292,6 +291,18 @@ std::vector<NodeIndex> case_starts(const FuzzCase& c, NodeIndex n) {
 std::vector<NodeIndex> with_repeats(std::vector<NodeIndex> starts) {
   starts.insert(starts.end(), starts.rbegin(), starts.rend());
   return starts;
+}
+
+// What two sweeps of the same starts disagree on — "" when outputs,
+// per-start costs and aggregate costs are bit-identical.
+template <typename Result>
+std::string sweep_difference(const Result& a, const Result& b) {
+  if (a.output != b.output) return "outputs";
+  if (a.volume != b.volume || a.distance != b.distance || a.queries != b.queries) {
+    return "per-start costs";
+  }
+  if (!same_costs(a.stats, b.stats)) return "aggregate costs";
+  return "";
 }
 
 // Which part of two graphs' CSR differs — "" when shape, offsets and
@@ -315,55 +326,20 @@ bool same_ids(const IdAssignment& a, const IdAssignment& b) {
   return std::ranges::equal(a.span(), b.span());
 }
 
-}  // namespace
+// The checks check_all runs over the case it built (check.hpp lists what
+// each asserts).
 
-const char* model_name(RandomnessModel m) {
-  switch (m) {
-    case RandomnessModel::Public: return "public";
-    case RandomnessModel::Secret: return "secret";
-    default: return "private";
-  }
-}
-
-bool model_from_name(const std::string& name, RandomnessModel* out) {
-  if (name == "private") *out = RandomnessModel::Private;
-  else if (name == "public") *out = RandomnessModel::Public;
-  else if (name == "secret") *out = RandomnessModel::Secret;
-  else return false;
-  return true;
-}
-
-std::string describe(const FuzzCase& c) {
-  std::ostringstream os;
-  os << "family=" << c.family << " variant=" << c.variant << " n_target=" << c.n_target
-     << " instance_seed=" << c.instance_seed << " model=" << model_name(c.model)
-     << " budget=" << c.budget << " start_count=" << c.start_count
-     << " tape_seed=" << c.tape_seed << " mutation_seed=" << c.mutation_seed
-     << " mutation_rewires=" << c.mutation_rewires
-     << " mutation_labels=" << c.mutation_labels;
-  return os.str();
-}
-
-CheckResult check_case(const FuzzCase& c) {
-  const RegistryEntry* entry = ProblemRegistry::global().find(c.family);
-  if (entry == nullptr) return fail("unknown registry family: " + c.family);
-  if (c.variant < 0 || c.variant >= entry->variants) {
-    return fail("variant " + std::to_string(c.variant) + " out of range for " + c.family);
-  }
-
-  const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
+CheckResult check_engines(const FuzzCase& c, const ErasedInstance& inst,
+                          const std::vector<NodeIndex>& starts) {
   const NodeIndex n = inst.node_count();
-  if (n <= 0) return fail("generator produced an empty instance");
-
   // Exercise the sampler's edge counts on every case (count == 1 is the one
-  // the pre-fix implementation silently rounded up to 2), then build the
-  // case's own start set.
+  // the pre-fix implementation silently rounded up to 2), then the case's
+  // own start set.
   for (const NodeIndex count : {NodeIndex{1}, NodeIndex{2}, n, 2 * n}) {
-    if (CheckResult r = check_sampled_starts(n, count, bench::sampled_starts(n, count)); !r) {
+    if (CheckResult r = check_sampled_starts(n, count, sampled_starts(n, count)); !r) {
       return r;
     }
   }
-  std::vector<NodeIndex> starts = case_starts(c, n);
   if (c.start_count != 0) {
     if (CheckResult r = check_sampled_starts(n, c.start_count, starts); !r) return r;
   }
@@ -378,22 +354,15 @@ CheckResult check_case(const FuzzCase& c) {
                                          &tape);
   auto threaded = ParallelRunner(8).run_at(inst.graph(), inst.ids(), span, solve, c.budget,
                                            &tape);
-  if (serial.output != threaded.output) return fail("sweep: 8-thread outputs diverge");
-  if (serial.volume != threaded.volume || serial.distance != threaded.distance ||
-      serial.queries != threaded.queries) {
-    return fail("sweep: 8-thread per-start costs diverge");
-  }
-  if (!same_costs(serial.stats, threaded.stats)) {
-    return fail("sweep: 8-thread aggregate costs diverge");
+  if (const std::string d = sweep_difference(serial, threaded); !d.empty()) {
+    return fail("sweep: 8-thread " + d + " diverge");
   }
 
   obs::TraceRecorder recorder;
   auto traced = obs::run_at_traced(ParallelRunner(1), inst.graph(), inst.ids(), span, solve,
                                    recorder, c.budget, &tape);
-  if (serial.output != traced.output) return fail("traced: outputs diverge from flat");
-  if (serial.volume != traced.volume || serial.distance != traced.distance ||
-      serial.queries != traced.queries || !same_costs(serial.stats, traced.stats)) {
-    return fail("traced: costs diverge from flat");
+  if (const std::string d = sweep_difference(serial, traced); !d.empty()) {
+    return fail("traced: " + d + " diverge from flat");
   }
 
   std::int64_t truncated_traces = 0;
@@ -445,18 +414,11 @@ CheckResult check_case(const FuzzCase& c) {
   return {};
 }
 
-CheckResult check_backend_case(const FuzzCase& c) {
-  const RegistryEntry* entry = ProblemRegistry::global().find(c.family);
-  if (entry == nullptr) return fail("unknown registry family: " + c.family);
-  if (c.variant < 0 || c.variant >= entry->variants) {
-    return fail("variant " + std::to_string(c.variant) + " out of range for " + c.family);
-  }
-  const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
-  const NodeIndex n = inst.node_count();
-  if (n <= 0) return fail("generator produced an empty instance");
-  const std::vector<NodeIndex> starts = with_repeats(case_starts(c, n));
-  const std::span<const NodeIndex> span(starts);
-  const ProbePlan plan = entry->plan;
+CheckResult check_backends(const FuzzCase& c, const RegistryEntry& entry,
+                           const ErasedInstance& inst, const std::vector<NodeIndex>& starts) {
+  const std::vector<NodeIndex> repeated = with_repeats(starts);
+  const std::span<const NodeIndex> span(repeated);
+  const ProbePlan plan = entry.plan;
 
   auto solve = [&](auto& exec) { return inst.solve(exec); };
 
@@ -478,15 +440,8 @@ CheckResult check_backend_case(const FuzzCase& c) {
     const auto run = runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
     const std::string where =
         std::string(plan.name()) + " at " + std::to_string(threads) + " thread(s)";
-    if (baseline.output != run.output) {
-      return fail("backend: outputs diverge for " + where);
-    }
-    if (baseline.volume != run.volume || baseline.distance != run.distance ||
-        baseline.queries != run.queries) {
-      return fail("backend: per-start costs diverge for " + where);
-    }
-    if (!same_costs(baseline.stats, run.stats)) {
-      return fail("backend: aggregate costs diverge for " + where);
+    if (const std::string d = sweep_difference(baseline, run); !d.empty()) {
+      return fail("backend: " + d + " diverge for " + where);
     }
     if (run.stats.plan != plan.kind) {
       return fail("backend: sweep tagged with the wrong plan for " + where);
@@ -496,10 +451,10 @@ CheckResult check_backend_case(const FuzzCase& c) {
         return fail("backend: batchable sweep did not take the batched path for " + where);
       }
       // Every start, repeats included, runs in exactly one batch.
-      if (run.stats.batch.batched_starts != static_cast<std::int64_t>(starts.size())) {
+      if (run.stats.batch.batched_starts != static_cast<std::int64_t>(repeated.size())) {
         return fail("backend: batch start accounting wrong for " + where);
       }
-      if (!starts.empty() && run.stats.batch.batches < 1) {
+      if (!repeated.empty() && run.stats.batch.batches < 1) {
         return fail("backend: batched sweep recorded zero batches for " + where);
       }
     } else if (run.stats.backend != ExecBackend::Basic) {
@@ -523,25 +478,15 @@ CheckResult check_backend_case(const FuzzCase& c) {
   if (fallback.stats.backend != ExecBackend::Basic) {
     return fail("backend: taped sweep did not fall back to the basic path");
   }
-  if (fb_baseline.output != fallback.output || fb_baseline.volume != fallback.volume ||
-      fb_baseline.distance != fallback.distance ||
-      fb_baseline.queries != fallback.queries ||
-      !same_costs(fb_baseline.stats, fallback.stats)) {
-    return fail("backend: taped fallback diverges from the basic backend");
+  if (const std::string d = sweep_difference(fb_baseline, fallback); !d.empty()) {
+    return fail("backend: taped fallback " + d + " diverge from the basic backend");
   }
   return {};
 }
 
-CheckResult check_snapshot_case(const FuzzCase& c) {
-  const RegistryEntry* entry = ProblemRegistry::global().find(c.family);
-  if (entry == nullptr) return fail("unknown registry family: " + c.family);
-  if (c.variant < 0 || c.variant >= entry->variants) {
-    return fail("variant " + std::to_string(c.variant) + " out of range for " + c.family);
-  }
-  const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
+CheckResult check_snapshot(const FuzzCase& c, const RegistryEntry& entry,
+                           const ErasedInstance& inst, const std::vector<NodeIndex>& starts) {
   const NodeIndex n = inst.node_count();
-  if (n <= 0) return fail("generator produced an empty instance");
-
   // Round-trip through a uniquely named temp file; the mapping survives the
   // unlink (POSIX), so the file is removed as soon as the load returns.
   const std::string path =
@@ -574,7 +519,6 @@ CheckResult check_snapshot_case(const FuzzCase& c) {
   // Differential sweeps: the loaded instance must be bit-identical to the
   // in-RAM one in outputs and costs, serial and 8-thread, and on the
   // family's planned backend.
-  const std::vector<NodeIndex> starts = case_starts(c, n);
   const std::span<const NodeIndex> span(starts);
   auto solve_a = [&](auto& exec) { return inst.solve(exec); };
   auto solve_b = [&](auto& exec) { return loaded.solve(exec); };
@@ -582,27 +526,18 @@ CheckResult check_snapshot_case(const FuzzCase& c) {
   for (const int threads : {1, 8}) {
     const auto run =
         ParallelRunner(threads).run_at(b, loaded.ids(), span, solve_b, c.budget);
-    const std::string where = "at " + std::to_string(threads) + " thread(s)";
-    if (base.output != run.output) {
-      return fail("snapshot: outputs diverge from the in-RAM instance " + where);
-    }
-    if (base.volume != run.volume || base.distance != run.distance ||
-        base.queries != run.queries) {
-      return fail("snapshot: per-start costs diverge from the in-RAM instance " + where);
-    }
-    if (!same_costs(base.stats, run.stats)) {
-      return fail("snapshot: aggregate costs diverge from the in-RAM instance " + where);
+    if (const std::string d = sweep_difference(base, run); !d.empty()) {
+      return fail("snapshot: " + d + " diverge from the in-RAM instance at " +
+                  std::to_string(threads) + " thread(s)");
     }
   }
   {
     ParallelRunner runner(8);
     runner.set_backend(ExecBackend::Batched);
     const auto planned =
-        runner.run_planned(b, loaded.ids(), span, entry->plan, solve_b, c.budget);
-    if (base.output != planned.output || base.volume != planned.volume ||
-        base.distance != planned.distance || base.queries != planned.queries ||
-        !same_costs(base.stats, planned.stats)) {
-      return fail("snapshot: planned-backend sweep on the loaded instance diverges");
+        runner.run_planned(b, loaded.ids(), span, entry.plan, solve_b, c.budget);
+    if (const std::string d = sweep_difference(base, planned); !d.empty()) {
+      return fail("snapshot: planned-backend sweep on the loaded instance: " + d + " diverge");
     }
   }
 
@@ -621,9 +556,6 @@ CheckResult check_snapshot_case(const FuzzCase& c) {
   // adopted from the mapping: the first must copy that table and the second
   // share the copy, and each must equal the same generation of the in-RAM
   // instance in CSR bytes, IDs, outputs and costs.
-  if (c.mutation_rewires < 0 || c.mutation_labels < 0) {
-    return fail("snapshot: negative mutation batch size in case");
-  }
   ErasedInstance mi = inst;
   ErasedInstance ml = loaded;
   for (int gen = 0; gen < 2; ++gen) {
@@ -647,27 +579,16 @@ CheckResult check_snapshot_case(const FuzzCase& c) {
     const ParallelRunner serial(1);
     const auto run_mi = serial.run_at(mi.graph(), mi.ids(), span, solve_mi, c.budget);
     const auto run_ml = serial.run_at(ml.graph(), ml.ids(), span, solve_ml, c.budget);
-    if (run_mi.output != run_ml.output || run_mi.volume != run_ml.volume ||
-        run_mi.distance != run_ml.distance || run_mi.queries != run_ml.queries ||
-        !same_costs(run_mi.stats, run_ml.stats)) {
-      return fail("snapshot: sweep of the mutated loaded instance diverges" + where);
+    if (const std::string d = sweep_difference(run_mi, run_ml); !d.empty()) {
+      return fail("snapshot: sweep of the mutated loaded instance: " + d + " diverge" + where);
     }
   }
   return {};
 }
 
-CheckResult check_mutation_case(const FuzzCase& c) {
-  const RegistryEntry* entry = ProblemRegistry::global().find(c.family);
-  if (entry == nullptr) return fail("unknown registry family: " + c.family);
-  if (c.variant < 0 || c.variant >= entry->variants) {
-    return fail("variant " + std::to_string(c.variant) + " out of range for " + c.family);
-  }
-  if (c.mutation_rewires < 0 || c.mutation_labels < 0) {
-    return fail("mutation: negative batch size in case");
-  }
-  const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
+CheckResult check_mutation(const FuzzCase& c, const RegistryEntry& entry,
+                           const ErasedInstance& inst, const std::vector<NodeIndex>& starts) {
   const NodeIndex n = inst.node_count();
-  if (n <= 0) return fail("generator produced an empty instance");
   const GraphView g0 = inst.graph();
 
   // Pre-mutation CSR copies — the copy-on-write contract says the old
@@ -726,32 +647,22 @@ CheckResult check_mutation_case(const FuzzCase& c) {
 
   // --- sweep differential: mutated vs naive-rebuilt, both backends, 1 and 8
   // threads -------------------------------------------------------------------
-  const std::vector<NodeIndex> starts = case_starts(c, n);
   const std::span<const NodeIndex> span(starts);
   auto solve_mut = [&](auto& exec) { return mut.solve(exec); };
   auto solve_naive = [&](auto& exec) { return naive.solve(exec); };
   const auto base_mut = ParallelRunner(1).run_at(gm, mut.ids(), span, solve_mut, c.budget);
   const auto base_naive =
       ParallelRunner(1).run_at(gn, naive.ids(), span, solve_naive, c.budget);
-  if (base_mut.output != base_naive.output) {
-    return fail("mutation: mutate-then-query diverges from rebuild-then-query");
-  }
-  if (base_mut.volume != base_naive.volume || base_mut.distance != base_naive.distance ||
-      base_mut.queries != base_naive.queries ||
-      !same_costs(base_mut.stats, base_naive.stats)) {
-    return fail("mutation: mutate-then-query costs diverge from rebuild-then-query");
+  if (const std::string d = sweep_difference(base_mut, base_naive); !d.empty()) {
+    return fail("mutation: mutate-then-query " + d + " diverge from rebuild-then-query");
   }
   for (const int threads : {1, 8}) {
     ParallelRunner runner(threads);
     runner.set_backend(ExecBackend::Batched);
-    const auto run = runner.run_planned(gm, mut.ids(), span, entry->plan, solve_mut, c.budget);
-    const std::string where = std::to_string(threads) + " thread(s)";
-    if (base_mut.output != run.output) {
-      return fail("mutation: planned-backend outputs diverge at " + where);
-    }
-    if (base_mut.volume != run.volume || base_mut.distance != run.distance ||
-        base_mut.queries != run.queries || !same_costs(base_mut.stats, run.stats)) {
-      return fail("mutation: planned-backend costs diverge at " + where);
+    const auto run = runner.run_planned(gm, mut.ids(), span, entry.plan, solve_mut, c.budget);
+    if (const std::string d = sweep_difference(base_mut, run); !d.empty()) {
+      return fail("mutation: planned-backend " + d + " diverge at " + std::to_string(threads) +
+                  " thread(s)");
     }
   }
 
@@ -798,11 +709,52 @@ CheckResult check_mutation_case(const FuzzCase& c) {
   return {};
 }
 
+}  // namespace
+
+const char* model_name(RandomnessModel m) {
+  switch (m) {
+    case RandomnessModel::Public: return "public";
+    case RandomnessModel::Secret: return "secret";
+    default: return "private";
+  }
+}
+
+bool model_from_name(const std::string& name, RandomnessModel* out) {
+  if (name == "private") *out = RandomnessModel::Private;
+  else if (name == "public") *out = RandomnessModel::Public;
+  else if (name == "secret") *out = RandomnessModel::Secret;
+  else return false;
+  return true;
+}
+
+std::string describe(const FuzzCase& c) {
+  std::ostringstream os;
+  os << "family=" << c.family << " variant=" << c.variant << " n_target=" << c.n_target
+     << " instance_seed=" << c.instance_seed << " model=" << model_name(c.model)
+     << " budget=" << c.budget << " start_count=" << c.start_count
+     << " tape_seed=" << c.tape_seed << " mutation_seed=" << c.mutation_seed
+     << " mutation_rewires=" << c.mutation_rewires
+     << " mutation_labels=" << c.mutation_labels;
+  return os.str();
+}
+
 CheckResult check_all(const FuzzCase& c) {
-  CheckResult r = check_case(c);
-  if (r.ok) r = check_backend_case(c);
-  if (r.ok) r = check_snapshot_case(c);
-  if (r.ok) r = check_mutation_case(c);
+  const RegistryEntry* entry = ProblemRegistry::global().find(c.family);
+  if (entry == nullptr) return fail("unknown registry family: " + c.family);
+  if (c.variant < 0 || c.variant >= entry->variants) {
+    return fail("variant " + std::to_string(c.variant) + " out of range for " + c.family);
+  }
+  if (c.mutation_rewires < 0 || c.mutation_labels < 0) {
+    return fail("negative mutation batch size in case");
+  }
+  const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
+  if (inst.node_count() <= 0) return fail("generator produced an empty instance");
+  const std::vector<NodeIndex> starts = case_starts(c, inst.node_count());
+
+  CheckResult r = check_engines(c, inst, starts);
+  if (r.ok) r = check_backends(c, *entry, inst, starts);
+  if (r.ok) r = check_snapshot(c, *entry, inst, starts);
+  if (r.ok) r = check_mutation(c, *entry, inst, starts);
   return r;
 }
 

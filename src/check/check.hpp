@@ -2,34 +2,12 @@
 // fuzzer (check/fuzz.hpp) minimizes against.
 //
 // A FuzzCase names one randomized scenario: a registry family + shape
-// variant + instance seed, a randomness model + tape seed, a query budget
-// and a start-set size.  check_case() builds the instance and asserts, in
-// one pass, everything the engine contract promises:
-//
-//   * differential execution — the flat epoch-stamped Execution, the traced
-//     BasicExecution<RecordingSink> and the historical map-based
-//     ReferenceMapExecution agree bit-for-bit on output, volume, distance,
-//     query count and truncation point (the reference runs the recorded
-//     probe sequence, so all three see identical query streams);
-//   * engine determinism — a serial sweep and an 8-thread sweep of the same
-//     start set produce identical SweepResults;
-//   * model invariants — per start, distance + 1 <= volume <= queries + 1;
-//     the traced running volume is monotone; truncation happens exactly at
-//     the budget (volume == budget at the throw, never beyond it);
-//   * trace faithfulness — every recorded trace survives obs::replay_trace;
-//   * self-verification — with no budget, the family's upper-bound
-//     algorithm's whole-graph output passes the family's own verifier;
-//   * tape invariants — words are windows of the bit stream, accounting
-//     matches consumption, ScopedUsage merging equals serial accounting, and
-//     the three randomness models keep their access disciplines;
-//   * helper contracts — bench::sampled_starts and obs::Histogram agree
-//     with independent recomputation on the case's own data (the histogram:
-//     exact count/sum/min/max, nearest-rank p50/p95/p99 within 1/32).
-//
-// The checks are exactly the ones that catch the bugs this harness was built
-// around (RandomTape word/bit stream aliasing, sampled_starts count==1);
-// deliberately re-introducing any of them
-// makes check_case fail with a pinpointed error string.
+// variant + instance seed, a randomness model + tape seed, a query budget,
+// a start-set size and a mutation batch.  check_all() builds the case once
+// and runs every check on it; each failure comes back as one pinpointed
+// line.  The checks include the ones that caught the bugs this harness was
+// built around (RandomTape word/bit stream aliasing, sampled_starts
+// count == 1): re-introducing either makes check_all fail.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +18,7 @@
 
 namespace volcal::check {
 
-// One reproducible scenario.  Everything check_case does is a pure function
+// One reproducible scenario.  Everything check_all does is a pure function
 // of these fields (plus the registry), which is what makes shrunk cases
 // replayable from a text file.
 struct FuzzCase {
@@ -52,8 +30,8 @@ struct FuzzCase {
   std::int64_t budget = 0;                         // query budget, 0 = unlimited
   NodeIndex start_count = 0;                       // sampled starts, 0 = every node
   std::uint64_t tape_seed = 1;                     // RandomTape seed
-  // Mutation-differential knobs (consumed by check_mutation_case only): the
-  // seed and size of the MutationBatch propose_mutation draws for the case.
+  // The seed and size of the MutationBatch propose_mutation draws for the
+  // snapshot and mutation checks.
   std::uint64_t mutation_seed = 1;
   int mutation_rewires = 2;                        // leaf rewires requested
   int mutation_labels = 2;                         // label updates requested
@@ -68,47 +46,48 @@ struct CheckResult {
   explicit operator bool() const { return ok; }
 };
 
-// Runs every check above on one case.  Throws nothing: malformed cases
-// (unknown family, out-of-range variant) come back as failures.
-CheckResult check_case(const FuzzCase& c);
-
-// Backend differential (plan/probe_plan.hpp + runtime/batched_execution.hpp):
-// the family's registered probe plan executed on the Batched backend over the
-// case's starts, each repeated once, at 1 and 8 threads, must be
-// bit-identical to the Basic backend in outputs and per-start/aggregate
-// costs.  Also asserts the sweep stats are tagged with the right
-// plan/backend, that on batchable plans every start (repeats included) runs
-// in exactly one batch, and that a budgeted/taped sweep (batched-ineligible)
-// falls back to the basic path bit-identically.
-CheckResult check_backend_case(const FuzzCase& c);
-
-// Snapshot round-trip differential (io/snapshot.hpp): the case's instance
-// written as a binary snapshot, mmap-loaded back, must carry bit-identical
-// CSR/ID arrays and produce bit-identical outputs and costs on the same
-// sweep — basic serial, 8-thread, and the family's planned backend — and the
-// loaded instance's whole-graph output must pass the family's verifier.
-// Two mutated generations of the loaded instance (whose ID table is adopted
-// from the mapping: the first generation copies it, the second shares the
-// copy) must equal the same generations of the in-RAM instance in CSR bytes,
-// IDs, outputs and costs.
-CheckResult check_snapshot_case(const FuzzCase& c);
-
-// Dynamic-graph differential (graph/mutation.hpp + AnswerMemo::
-// evict_region): draws a deterministic MutationBatch for the case's instance
-// and asserts mutate-then-query equals rebuild-from-scratch-then-query — the
-// CSR fast path and the Builder-based naive path produce byte-identical
-// graphs, the mutated instance sweeps bit-identically to the naive rebuild on
-// the Basic and Batched backends at 1 and 8 threads, and the pre-mutation
-// instance is untouched (copy-on-write).  It
-// also certifies the answer memo: with every node's answer memoized on the
-// old graph, the batch's region eviction must account for every answer
-// (evicted + retained == warm), evict each changed node's own answer, and
-// keep only answers equal to a cold run on the mutated instance.
-CheckResult check_mutation_case(const FuzzCase& c);
-
 // The one predicate every fuzz case, replayed reproducer and corpus pin
-// runs: check_case, then the backend, snapshot and mutation differentials,
-// stopping at the first failure.
+// runs.  It looks the family up, refuses an out-of-range variant or a
+// negative mutation size, builds the instance and the start set once (every
+// node when start_count == 0, else sampled_starts), and then asserts,
+// stopping at the first failure:
+//
+//   * engines — the flat epoch-stamped Execution (serial and 8 threads),
+//     the traced BasicExecution<RecordingSink> and the historical map-based
+//     ReferenceMapExecution, fed the recorded probe sequence, agree bit for
+//     bit on output, volume, distance, query count and truncation point;
+//     per start, distance + 1 <= volume <= queries + 1, the traced running
+//     volume is monotone and truncation happens exactly at the budget;
+//     every trace survives obs::replay_sweep; with no budget and every node
+//     a start, the output passes the family's own verifier; RandomTape
+//     words are windows of the bit stream, its accounting matches
+//     consumption, ScopedUsage merging equals serial accounting and the
+//     three models keep their access disciplines; sampled_starts (at counts
+//     1, 2, n, 2n and the case's own) and obs::Histogram (exact
+//     count/sum/min/max, nearest-rank p50/p95/p99 within 1/32) agree with
+//     independent recomputation;
+//   * backends — the family's probe plan on the Batched backend, over the
+//     starts each repeated once, at 1 and 8 threads, equals the Basic
+//     backend in outputs and per-start/aggregate costs and carries the
+//     right plan/backend tags (on batchable plans every start, repeats
+//     included, runs in exactly one batch); with a tape attached (and the
+//     case's budget) the sweep falls back to the basic path bit-identically;
+//   * snapshot — the instance saved and mmap-loaded back has bit-identical
+//     CSR and IDs and sweeps bit-identically (serial, 8 threads, planned
+//     backend); with no budget its whole-graph output passes the verifier;
+//     two mutated generations of the loaded instance (the first copies the
+//     adopted ID table, the second shares the copy) equal those of the
+//     in-RAM instance in CSR bytes, IDs, outputs and costs;
+//   * mutation — the case's MutationBatch applied by the CSR splice and by
+//     the Builder rebuild gives byte-identical graphs in fresh storage, a
+//     sorted in-range touched set holding every rewire endpoint, unchanged
+//     IDs and bit-identical sweeps (basic serial, planned at 1 and 8
+//     threads), and leaves the old instance's CSR untouched; with every
+//     answer memoized on the old graph, AnswerMemo::evict_region accounts
+//     for every answer, evicts each changed node's own and keeps only
+//     answers equal to a cold run on the mutated instance.
+//
+// Throws nothing: a malformed case comes back as a failure.
 CheckResult check_all(const FuzzCase& c);
 
 // Model <-> name, shared by the reproducer format and the driver's output.

@@ -85,74 +85,43 @@ FuzzCase generate_case(std::uint64_t seed, std::uint64_t iter, const std::string
 
 FuzzCase shrink_case(FuzzCase c,
                      const std::function<CheckResult(const FuzzCase&)>& failing_predicate) {
-  auto still_fails = [&](const FuzzCase& candidate) {
-    return !failing_predicate(candidate).ok;
+  // Each reduction returns a smaller case, or its argument unchanged when it
+  // has nothing left to reduce.  Every one strictly shrinks a bounded
+  // non-negative measure, so the descent below terminates.
+  using Reduction = FuzzCase (*)(FuzzCase);
+  static constexpr Reduction kReductions[] = {
+      [](FuzzCase k) {  // halve the instance, floor 32
+        if (k.n_target > 32) k.n_target = std::max<NodeIndex>(32, k.n_target / 2);
+        return k;
+      },
+      [](FuzzCase k) {  // prefer the one-start sweep ...
+        if (k.start_count == 0 || k.start_count > 1) k.start_count = 1;
+        return k;
+      },
+      [](FuzzCase k) {  // ... else shave the sample
+        if (k.start_count > 1) --k.start_count;
+        return k;
+      },
+      [](FuzzCase k) { k.variant = 0; return k; },
+      [](FuzzCase k) { k.model = RandomnessModel::Private; return k; },
+      [](FuzzCase k) { k.budget = 0; return k; },
+      [](FuzzCase k) {
+        if (k.mutation_labels > 0) k.mutation_labels = 0;
+        return k;
+      },
+      [](FuzzCase k) {
+        if (k.mutation_rewires > 1) k.mutation_rewires = 1;
+        return k;
+      },
   };
-  // Greedy descent: try each reduction, keep it only if the failure
-  // persists; repeat until a full pass changes nothing.  Every reduction
-  // strictly shrinks a bounded non-negative measure, so this terminates.
-  bool changed = true;
-  while (changed) {
+  // Greedy descent: apply each reduction for as long as the failure
+  // persists; repeat until a full pass changes nothing.
+  for (bool changed = true; changed;) {
     changed = false;
-    while (c.n_target > 32) {  // halve the instance, floor 32
-      FuzzCase candidate = c;
-      candidate.n_target = std::max<NodeIndex>(32, c.n_target / 2);
-      if (candidate.n_target == c.n_target || !still_fails(candidate)) break;
-      c = candidate;
-      changed = true;
-    }
-    if (c.start_count == 0 || c.start_count > 1) {
-      // Prefer the one-start sweep; fall back to shaving the sample.
-      FuzzCase candidate = c;
-      candidate.start_count = 1;
-      if (still_fails(candidate)) {
-        c = candidate;
-        changed = true;
-      } else if (c.start_count > 1) {
-        candidate.start_count = c.start_count - 1;
-        if (still_fails(candidate)) {
-          c = candidate;
-          changed = true;
-        }
-      }
-    }
-    if (c.variant != 0) {
-      FuzzCase candidate = c;
-      candidate.variant = 0;
-      if (still_fails(candidate)) {
-        c = candidate;
-        changed = true;
-      }
-    }
-    if (c.model != RandomnessModel::Private) {
-      FuzzCase candidate = c;
-      candidate.model = RandomnessModel::Private;
-      if (still_fails(candidate)) {
-        c = candidate;
-        changed = true;
-      }
-    }
-    if (c.budget != 0) {
-      FuzzCase candidate = c;
-      candidate.budget = 0;
-      if (still_fails(candidate)) {
-        c = candidate;
-        changed = true;
-      }
-    }
-    if (c.mutation_labels > 0) {
-      FuzzCase candidate = c;
-      candidate.mutation_labels = 0;
-      if (still_fails(candidate)) {
-        c = candidate;
-        changed = true;
-      }
-    }
-    if (c.mutation_rewires > 1) {
-      FuzzCase candidate = c;
-      candidate.mutation_rewires = 1;
-      if (still_fails(candidate)) {
-        c = candidate;
+    for (const Reduction reduce : kReductions) {
+      for (FuzzCase next = reduce(c); next != c && !failing_predicate(next).ok;
+           next = reduce(c)) {
+        c = std::move(next);
         changed = true;
       }
     }

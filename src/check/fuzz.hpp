@@ -10,14 +10,13 @@
 // small otherwise — small budgets are what exercise the truncation paths)
 // and the start-set size (whole graph or a sampled subset).
 //
-// Every case runs check_all (check/check.hpp): the base invariants and all
-// four differentials.  When it fails, the driver shrinks the case before
-// reporting: greedy passes that halve n_target, drop the start set to a
-// single node, canonicalize the variant and model, and lift the budget —
-// each kept only if the predicate still fails — looping to a fixpoint.  The
-// result is the smallest case this lattice reaches that still exhibits the
-// bug, written as a reproducer file (check/repro.hpp) for the regression
-// corpus.
+// Every case runs check_all (check/check.hpp).  When it fails, the driver
+// shrinks the case before reporting: greedy passes that halve n_target, drop
+// the start set to a single node, canonicalize the variant and model, lift
+// the budget and shrink the mutation batch — each kept only if the
+// predicate still fails — looping to a fixpoint.  The result is the smallest
+// case this lattice reaches that still exhibits the bug, written as a
+// reproducer file (check/repro.hpp) for the regression corpus.
 #pragma once
 
 #include <cstdint>

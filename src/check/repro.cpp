@@ -31,7 +31,7 @@ std::string to_repro(const FuzzCase& c, const std::string& error) {
   os << "mutation_rewires " << c.mutation_rewires << "\n";
   os << "mutation_labels " << c.mutation_labels << "\n";
   if (!error.empty()) {
-    // The error is one line by construction (check_case emits single-line
+    // The error is one line by construction (check_all emits single-line
     // messages); flatten defensively so the file stays parseable.
     std::string flat = error;
     for (char& ch : flat) {

@@ -36,7 +36,8 @@ class Graph {
   // adjacency holds each node's neighbors in port order.  The port-bijectivity
   // invariant is the caller's responsibility (Builder::build validates it; the
   // mutation fast path in graph/mutation.cpp maintains it edit-by-edit and is
-  // cross-checked against the Builder path by check_mutation_case).
+  // cross-checked against the Builder path by check::check_all's mutation
+  // check).
   static Graph from_csr(std::vector<CsrIndex> offsets, std::vector<CsrIndex> adjacency,
                         int max_degree) {
     detail::check_csr_size("Graph::from_csr", static_cast<NodeIndex>(offsets.size()) - 1,

@@ -31,8 +31,8 @@
 // allocation: its O(n) part is writing the two fresh arrays);
 // apply_mutation_naive replays the same semantics through Graph::Builder
 // (whose build() validates port bijectivity from scratch).
-// check_mutation_case requires the two CSRs to be byte-identical on every
-// fuzz case.
+// check::check_all requires the two CSRs to be byte-identical on every fuzz
+// case.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "perf/json.hpp"
+#include "perf/probe.hpp"
 #include "util/text_file.hpp"
 
 namespace volcal::obs {
@@ -20,7 +22,7 @@ void append_histogram(std::string& out, const char* name, const Histogram& h) {
 
 std::string SweepMetrics::to_json(const std::string& tool) const {
   char buf[512];
-  std::string out = "{\"tool\": \"" + tool + "\", ";
+  std::string out = "{\"tool\": \"" + perf::json_escape(tool) + "\", ";
   std::snprintf(buf, sizeof buf,
                 "\"sweeps\": %" PRId64 ", \"totals\": {\"starts\": %" PRId64
                 ", \"max_volume\": %" PRId64 ", \"max_distance\": %" PRId64
@@ -41,35 +43,12 @@ std::string SweepMetrics::to_json(const std::string& tool) const {
   out += ", \"workers\": [";
   for (int w = 0; w < workers_seen; ++w) {
     const auto ws = static_cast<std::size_t>(w);
-    // Batch occupancy = batched starts per wave: how full the worker's
-    // 64-slot frontier actually ran.
-    const double occupancy =
-        worker_waves[ws] > 0 ? static_cast<double>(worker_batched_starts[ws]) /
-                                   static_cast<double>(worker_waves[ws])
-                             : 0.0;
     std::snprintf(buf, sizeof buf,
-                  "%s{\"worker\": %d, \"starts\": %" PRId64 ", \"busy_ns\": %" PRId64
-                  ", \"batches\": %" PRId64 ", \"batched_starts\": %" PRId64
-                  ", \"waves\": %" PRId64 ", \"batch_occupancy\": %.3f}",
-                  w ? ", " : "", w, worker_starts[ws], worker_busy_ns[ws],
-                  worker_batches[ws], worker_batched_starts[ws], worker_waves[ws],
-                  occupancy);
+                  "%s{\"worker\": %d, \"starts\": %" PRId64 ", \"busy_ns\": %" PRId64 "}",
+                  w ? ", " : "", w, worker_starts[ws], worker_busy_ns[ws]);
     out += buf;
   }
-  out += "], \"phases\": [";
-  for (std::size_t i = 0; i < phases.phases().size(); ++i) {
-    const auto& p = phases.phases()[i];
-    std::snprintf(buf, sizeof buf, "%s{\"name\": \"%s\", \"wall_seconds\": %.6g}",
-                  i ? ", " : "", p.name.c_str(), p.wall_seconds);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof buf,
-                "], \"batch\": {\"batched_sweeps\": %" PRId64 ", \"batches\": %" PRId64
-                ", \"batched_starts\": %" PRId64 ", \"waves\": %" PRId64
-                ", \"expanded_nodes\": %" PRId64 "}",
-                batched_sweeps, stats.batch.batches, stats.batch.batched_starts,
-                stats.batch.waves, stats.batch.expanded_nodes);
-  out += buf;
+  out += ']';
   // Process-global probe samples, taken at serialization time.
   const perf::AllocStats alloc = perf::alloc_snapshot();
   std::snprintf(buf, sizeof buf,

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "perf/json.hpp"
+
 namespace volcal::obs {
 
 namespace detail {
@@ -55,27 +57,6 @@ std::int64_t MetricsSnapshot::gauge(const std::string& name,
 
 namespace {
 
-// Metric names are code-chosen identifiers plus a family name; escape the
-// JSON-special characters anyway so a hostile family name cannot break the
-// document.
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 template <typename T>
 void append_scalar_map(std::string& out, const char* key,
                        const std::vector<std::pair<std::string, T>>& entries) {
@@ -88,7 +69,7 @@ void append_scalar_map(std::string& out, const char* key,
     if (!first) out += ", ";
     first = false;
     out += '"';
-    append_escaped(out, name);
+    out += perf::json_escape(name);
     out += "\": ";
     std::snprintf(buf, sizeof buf, "%" PRId64, static_cast<std::int64_t>(value));
     out += buf;
@@ -109,7 +90,7 @@ void MetricsSnapshot::append_json(std::string& out) const {
     if (!first) out += ", ";
     first = false;
     out += '"';
-    append_escaped(out, name);
+    out += perf::json_escape(name);
     out += "\": ";
     h.append_json(out);
   }

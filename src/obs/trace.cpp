@@ -3,37 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "perf/json.hpp"
 #include "util/text_file.hpp"
 
 namespace volcal::obs {
-namespace {
-
-void escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  escape_into(out, s);
-  return out;
-}
-
-}  // namespace
 
 bool write_trace_jsonl(const std::string& path, std::span<const SweepTrace> sweeps) {
   return write_text_file(path, [&](std::FILE* f) {
@@ -42,7 +15,8 @@ bool write_trace_jsonl(const std::string& path, std::span<const SweepTrace> swee
       std::fprintf(f,
                    "{\"type\":\"sweep\",\"seq\":%zu,\"label\":\"%s\",\"n\":%" PRId64
                    ",\"plan\":\"%s\",\"starts\":%zu}\n",
-                   s, escaped(sweep.label).c_str(), sweep.n, escaped(sweep.plan).c_str(),
+                   s, perf::json_escape(sweep.label).c_str(), sweep.n,
+                   perf::json_escape(sweep.plan).c_str(),
                    sweep.traces.size());
       for (const ExecutionTrace& t : sweep.traces) {
         std::fprintf(f,
@@ -90,8 +64,8 @@ bool write_chrome_trace(const std::string& path, std::span<const SweepTrace> swe
                      ",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%zu,\"tid\":%d,\"args\":{"
                      "\"volume\":%" PRId64 ",\"distance\":%" PRId64 ",\"queries\":%" PRId64
                      ",\"truncated\":%s}}",
-                     first ? "" : ",", t.start, escaped(sweep.label).c_str(), ts_us, dur_us,
-                     s, tid, t.final_volume, t.final_distance, t.query_count,
+                     first ? "" : ",", t.start, perf::json_escape(sweep.label).c_str(), ts_us,
+                     dur_us, s, tid, t.final_volume, t.final_distance, t.query_count,
                      t.truncated ? "true" : "false");
         first = false;
       }

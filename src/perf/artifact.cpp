@@ -8,28 +8,6 @@
 
 namespace volcal::perf {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes (Θ, …) pass through untouched
-        }
-    }
-  }
-  return out;
-}
-
 void ArtifactCurve::refit() {
   fitted = "(n/a)";
   exponent = 0.0;

@@ -183,9 +183,4 @@ struct BenchArtifact {
   static std::optional<BenchArtifact> load(const std::string& path, std::string* err);
 };
 
-// JSON string escaping shared by every perf writer (same contract as
-// bench::json_escape; duplicated here so the library does not depend on
-// bench/ headers).
-std::string json_escape(const std::string& s);
-
 }  // namespace volcal::perf

@@ -1,8 +1,8 @@
 // Minimal JSON document model + recursive-descent parser for the perf
-// telemetry subsystem.  The repo's exporters write JSON with snprintf; this
-// is the matching *reader* — volcal_bench_diff and the tests need to load
-// artifacts back, and pulling in a third-party JSON library is not an option
-// (the container has none).
+// telemetry subsystem, and the string escaper every writer shares.  The
+// repo's exporters write JSON with snprintf; this is the matching *reader* —
+// volcal_bench_diff and the tests need to load artifacts back, and pulling
+// in a third-party JSON library is not an option (the container has none).
 //
 // Scope is deliberately small: full JSON syntax on input (objects, arrays,
 // strings with escapes, numbers, booleans, null), numbers held as double
@@ -74,5 +74,11 @@ JsonValue parse_json(const std::string& text, std::string* err = nullptr);
 
 // Loads and parses a file; error strings are prefixed with the path.
 JsonValue parse_json_file(const std::string& path, std::string* err = nullptr);
+
+// The one JSON string escaper every writer uses (perf artifacts, sweep
+// metrics, traces, the metrics registry): quote, backslash, \n and \t get
+// their short escapes, other control bytes \u00XX; UTF-8 (Θ, …) passes
+// through untouched.
+std::string json_escape(const std::string& s);
 
 }  // namespace volcal::perf

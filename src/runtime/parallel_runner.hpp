@@ -397,6 +397,23 @@ auto run_at_all_nodes(GraphView g, const IdAssignment& ids, Solver&& solver,
                                            tape);
 }
 
+// Evenly spread sample of at most `count` start nodes, always including node
+// 0 (the root of every generated instance — the worst case for the tree
+// families) and, whenever count >= 2, node n-1 (a deepest leaf).  count == 1
+// honors the "at most" contract and returns {0}.
+inline std::vector<NodeIndex> sampled_starts(NodeIndex n, NodeIndex count) {
+  std::vector<NodeIndex> out;
+  if (n <= 0 || count <= 0) return out;
+  const NodeIndex k = std::min(n, count);
+  out.reserve(static_cast<std::size_t>(k));
+  for (NodeIndex i = 0; i < k; ++i) {
+    // Endpoint-inclusive linear interpolation: i=0 -> 0, i=k-1 -> n-1.
+    const NodeIndex v = (k == 1) ? 0 : static_cast<NodeIndex>(i * (n - 1) / (k - 1));
+    if (out.empty() || out.back() != v) out.push_back(v);
+  }
+  return out;
+}
+
 // Lemma 2.5 sanity check on a completed run:
 // DIST <= VOL and VOL <= Δ^DIST + 1 (the latter evaluated with overflow
 // guard).  Returns true iff both inequalities hold for every node.

@@ -154,6 +154,9 @@ inline constexpr std::size_t kMaxStatsFrameBytes = std::size_t{1} << 20;
 // rewires or ~80k label writes per frame — far above any sane delta while
 // keeping a hostile length prefix from allocating unbounded memory.
 inline constexpr std::size_t kMaxUpdateFrameBytes = std::size_t{1} << 20;
+// The backoff a Shed frame advertises when the admission queue is full (a
+// draining service advertises 0: no retry).
+inline constexpr std::uint32_t kRetryAfterMs = 50;
 
 namespace wire {
 

@@ -91,8 +91,6 @@ struct ServeConfig {
   std::size_t queue_capacity = 1024;
   // Requests a worker pops per wave; values below 1 count as 1.
   int batch_max = 64;
-  // Advisory retry hint attached to shed responses.
-  std::uint32_t retry_after_ms = 50;
   // Per-node answer memo (policy Shared to enable; Off recomputes every
   // answer).
   CacheConfig cache;
@@ -136,7 +134,7 @@ struct QueryResult {
 
 enum class Admission {
   Accepted,  // callback will run exactly once
-  Shed,      // queue full — retry after ServeConfig::retry_after_ms
+  Shed,      // queue full — retry after kRetryAfterMs
   Stopped,   // draining/stopped — no retry
 };
 

@@ -217,9 +217,8 @@ void SocketServer::reader_loop(std::shared_ptr<Connection> conn) {
         ShedFrame sf;
         sf.request_id = q.request_id;
         // retry_after_ms == 0 tells the client the service is draining for
-        // good; a transient full queue advertises the configured backoff.
-        sf.retry_after_ms =
-            adm == Admission::Shed ? service_->config().retry_after_ms : 0;
+        // good; a transient full queue advertises kRetryAfterMs.
+        sf.retry_after_ms = adm == Admission::Shed ? kRetryAfterMs : 0;
         conn->send(encode_shed(sf));
       }
     }

@@ -261,11 +261,5 @@ TEST(JsonReport, PhaseScopesLandInArtifact) {
   EXPECT_FALSE(art.env.compiler.empty());
 }
 
-TEST(JsonReport, EscapesControlCharacters) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(json_escape("Θ(log n)"), "Θ(log n)");  // UTF-8 untouched
-}
-
 }  // namespace
 }  // namespace volcal::bench

@@ -49,10 +49,7 @@ METRICS = {
     "totals": {"starts": 3, "max_volume": 5, "max_distance": 5, "total_queries": 9,
                "total_volume": 9, "truncated": 0, "wall_seconds": 0.1},
     "volume": HIST, "distance": HIST, "queries": HIST, "start_wall_us": HIST,
-    "workers": [{"worker": 0, "starts": 3, "busy_ns": 10, "batches": 1, "batched_starts": 3,
-                 "waves": 2, "batch_occupancy": 1.5}],
-    "batch": {"batched_sweeps": 1, "batches": 1, "batched_starts": 3, "waves": 2,
-              "expanded_nodes": 7}}
+    "workers": [{"worker": 0, "starts": 3, "busy_ns": 10}]}
 TRACE = [
     {"type": "sweep", "seq": 0, "label": "s", "n": 3, "plan": "independent-starts", "starts": 1},
     {"type": "exec", "sweep": 0, "start": 0, "volume": 2, "distance": 1, "queries": 1,
@@ -216,26 +213,8 @@ CASES = [
     # Sweep metrics.
     ("metrics: key", "--metrics DOC", edit(METRICS, (("tape_max_bits",), DEL)),
      "doc.json: missing key 'tape_max_bits'"),
-    ("metrics: batch object", "--metrics DOC", edit(METRICS, (("batch",), [])),
-     "doc.json batch: must be an object"),
-    ("metrics: batch key", "--metrics DOC", edit(METRICS, (("batch", "waves"), DEL)),
-     "doc.json batch: missing key 'waves'"),
-    ("metrics: batch counter", "--metrics DOC", edit(METRICS, (("batch", "waves"), -1)),
-     "doc.json batch waves: must be a non-negative integer, got -1"),
-    ("metrics: batched_sweeps <= sweeps", "--metrics DOC",
-     edit(METRICS, (("batch", "batched_sweeps"), 2)),
-     "doc.json: batched_sweeps 2 exceeds sweeps 1"),
-    ("metrics: worker key", "--metrics DOC", edit(METRICS, (("workers", 0, "waves"), DEL)),
-     "doc.json workers[0]: missing key 'waves'"),
-    ("metrics: worker occupancy", "--metrics DOC",
-     edit(METRICS, (("workers", 0, "batch_occupancy"), 2.0)),
-     "doc.json worker 0: batch_occupancy 2.0 != batched_starts/waves 1.500"),
-    ("metrics: worker batches <= total", "--metrics DOC",
-     edit(METRICS, (("workers", 0, "batches"), 2)),
-     "doc.json: worker batches 2 exceed batch total 1"),
-    ("metrics: worker waves <= total", "--metrics DOC",
-     edit(METRICS, (("workers", 0, "waves"), 3), (("workers", 0, "batch_occupancy"), 1.0)),
-     "doc.json: worker waves 3 exceed batch total 2"),
+    ("metrics: worker key", "--metrics DOC", edit(METRICS, (("workers", 0, "busy_ns"), DEL)),
+     "doc.json workers[0]: missing key 'busy_ns'"),
     ("metrics: totals key", "--metrics DOC", edit(METRICS, (("totals", "truncated"), DEL)),
      "doc.json totals: missing key 'truncated'"),
     ("metrics: sweeps recorded", "--metrics DOC", edit(METRICS, (("sweeps",), 0)),

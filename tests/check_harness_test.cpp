@@ -50,7 +50,7 @@ TEST(CheckCase, PassesOnEveryFamilyQuickCases) {
     c.n_target = 120;
     c.instance_seed = 5;
     c.start_count = 9;
-    const CheckResult r = check_case(c);
+    const CheckResult r = check_all(c);
     EXPECT_TRUE(r.ok) << entry.name << ": " << r.error;
   }
 }
@@ -63,19 +63,29 @@ TEST(CheckCase, PassesBudgetedAndFullSweepCase) {
   c.budget = 9;        // truncates deep starts
   c.start_count = 0;   // whole graph (verifier path is skipped when budgeted)
   c.model = RandomnessModel::Public;
-  const CheckResult r = check_case(c);
+  const CheckResult r = check_all(c);
   EXPECT_TRUE(r.ok) << r.error;
 }
 
 TEST(CheckCase, RejectsMalformedCases) {
   FuzzCase c;
   c.family = "no-such-family";
-  EXPECT_FALSE(check_case(c).ok);
+  EXPECT_FALSE(check_all(c).ok);
   c.family = "leaf-coloring";
   c.variant = 99;
-  const CheckResult r = check_case(c);
+  const CheckResult r = check_all(c);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("variant"), std::string::npos);
+}
+
+TEST(CheckCase, RejectsANegativeMutationSize) {
+  FuzzCase c;
+  c.family = "leaf-coloring";
+  c.n_target = 60;
+  c.mutation_rewires = -1;
+  const CheckResult r = check_all(c);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "negative mutation batch size in case");
 }
 
 TEST(ShrinkCase, MinimizesAgainstAnInjectedPredicate) {
@@ -86,6 +96,8 @@ TEST(ShrinkCase, MinimizesAgainstAnInjectedPredicate) {
   big.model = RandomnessModel::Secret;
   big.budget = 37;
   big.start_count = 20;
+  big.mutation_rewires = 3;
+  big.mutation_labels = 3;
   // Synthetic bug: fails whenever the instance is "large enough".
   auto predicate = [](const FuzzCase& c) -> CheckResult {
     if (c.n_target >= 100) return {false, "synthetic: still big"};
@@ -100,6 +112,8 @@ TEST(ShrinkCase, MinimizesAgainstAnInjectedPredicate) {
   EXPECT_EQ(small.model, RandomnessModel::Private);
   EXPECT_EQ(small.budget, 0);
   EXPECT_EQ(small.start_count, 1);
+  EXPECT_EQ(small.mutation_labels, 0);
+  EXPECT_EQ(small.mutation_rewires, 1);
   EXPECT_FALSE(predicate(small).ok);
 }
 

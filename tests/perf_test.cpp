@@ -77,6 +77,13 @@ BenchArtifact sample_artifact() {
   return a;
 }
 
+TEST(Json, EscapesControlCharacters) {
+  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(json_escape("a\tb"), "a\\tb");
+  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json_escape("Θ(log n)"), "Θ(log n)");  // UTF-8 untouched
+}
+
 TEST(Artifact, JsonRoundTripPreservesEverything) {
   const BenchArtifact a = sample_artifact();
   std::string err;

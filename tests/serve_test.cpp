@@ -566,7 +566,7 @@ TEST(QueryService, AppliedMutationsServeTheMutatedGraphExactly) {
     std::int64_t retained = 0;
     // One leaf rewire + two label writes, then a label-only batch: the
     // mutated oracle is the instance's own mutate path, the same one
-    // check_mutation_case pins against the naive rebuild.
+    // check::check_all pins against the naive rebuild.
     for (const int rewires : {1, 0}) {
       SCOPED_TRACE(rewires == 0 ? "label-only batch" : "structural batch");
       const MutationBatch batch = inst->propose_mutation(/*seed=*/123 + rewires, rewires,
@@ -956,6 +956,50 @@ TEST(SocketServer, ReapsDisconnectedClientsWhileRunning) {
   again.bye();
 
   service.drain_and_stop();
+  server.stop();
+}
+
+// Admission control over the wire: with the one worker held in a callback and
+// the queue full, a socket query is shed with the kRetryAfterMs hint; once
+// the service drains, with 0 (no retry).
+TEST(SocketServer, ShedFramesCarryTheRetryHintThenZeroOnceDraining) {
+  ServeTarget target = target_for("ball-4", 200, 7);
+  ServeConfig config;
+  config.threads = 1;
+  config.batch_max = 1;
+  config.queue_capacity = 1;
+  QueryService service(std::move(target), config);
+  SocketServer server;
+  const std::string path = unique_socket_path("shed");
+  ASSERT_TRUE(server.start(service, path));
+
+  std::promise<void> worker_entered;
+  std::promise<void> release_worker;
+  std::shared_future<void> release = release_worker.get_future().share();
+  ASSERT_EQ(service.submit(0, 0,
+                           [&](const QueryResult&) {
+                             worker_entered.set_value();
+                             release.wait();
+                           }),
+            Admission::Accepted);
+  worker_entered.get_future().wait();  // the worker is now parked off-queue
+  ASSERT_EQ(service.submit(1, 1, [](const QueryResult&) {}), Admission::Accepted);
+
+  ServeClient client;
+  ASSERT_TRUE(client.connect(path));
+  const ServeClient::QueryReply full = client.query(2);
+  ASSERT_TRUE(full.ok);
+  EXPECT_TRUE(full.shed);
+  EXPECT_EQ(full.retry_after_ms, 50u);
+
+  release_worker.set_value();
+  service.drain_and_stop();
+  const ServeClient::QueryReply draining = client.query(3);
+  ASSERT_TRUE(draining.ok);
+  EXPECT_TRUE(draining.shed);
+  EXPECT_EQ(draining.retry_after_ms, 0u);
+
+  client.bye();
   server.stop();
 }
 

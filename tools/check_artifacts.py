@@ -128,10 +128,7 @@ METRICS = {"tool": None, "sweeps": POSITIVE, "tape_max_bits": None,
                "total_queries", "total_volume", "truncated", "wall_seconds")),
            "volume": histogram, "distance": histogram, "queries": histogram,
            "start_wall_us?": histogram,
-           "workers": [dict.fromkeys(("worker", "starts", "busy_ns", "batches",
-                                      "batched_starts", "waves", "batch_occupancy"))],
-           "batch": dict.fromkeys(("batched_sweeps", "batches", "batched_starts", "waves",
-                                   "expanded_nodes"), NAT)}
+           "workers": [dict.fromkeys(("worker", "starts", "busy_ns"))]}
 TRACE = some({"type": one_of("sweep", "exec", "query")})
 TRACE_LINES = {
     "sweep": dict.fromkeys(("seq", "label", "n", "plan", "starts")),
@@ -180,17 +177,7 @@ def serve_report(doc, path, opts):
 
 
 def metrics(doc, path, opts):
-    totals, batch = doc["totals"], doc["batch"]
-    check(batch["batched_sweeps"] <= doc["sweeps"],
-          f"{path}: batched_sweeps {batch['batched_sweeps']} exceeds sweeps {doc['sweeps']}")
-    for w in doc["workers"]:
-        # batch_occupancy (batched starts per wave) is emitted with %.3f precision.
-        want = w["batched_starts"] / w["waves"] if w["waves"] > 0 else 0.0
-        check(abs(w["batch_occupancy"] - want) < 2e-3, f"{path} worker {w['worker']}: "
-              f"batch_occupancy {w['batch_occupancy']} != batched_starts/waves {want:.3f}")
-    for k in ("batches", "waves"):  # workers fold only profiled sweeps, batch all
-        folded = sum(w[k] for w in doc["workers"])
-        check(folded <= batch[k], f"{path}: worker {k} {folded} exceed batch total {batch[k]}")
+    totals = doc["totals"]
     # One histogram sample per start; sums and maxima match the totals.
     for name, field, total in (("volume", "count", "starts"), ("distance", "count", "starts"),
                                ("queries", "count", "starts"), ("volume", "sum", "total_volume"),

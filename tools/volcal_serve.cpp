@@ -5,7 +5,8 @@
 // length-prefixed frame protocol (src/serve/protocol.hpp).  Each query runs
 // the family's solver once and is answered from one per-node answer memo
 // after that; admission is controlled by a bounded queue (overload answers
-// Shed + retry-after instead of building unbounded backlog).
+// Shed with a fixed 50 ms retry hint, serve::kRetryAfterMs, instead of
+// building unbounded backlog).
 //
 // Signals:
 //   SIGTERM / SIGINT  graceful drain: stop admission, answer every accepted
@@ -20,7 +21,7 @@
 //                     life, and truncating it kills the process (SIGBUS).
 //
 // Usage: volcal_serve --snapshot FILE --socket PATH [--threads N] [--queue N]
-//                     [--cache off|shared] [--retry-after-ms N] [--artifact FILE]
+//                     [--cache off|shared] [--artifact FILE]
 //                     [--stats-interval SEC] [--stats-log FILE]
 //                     [--stats-window SEC] [--trace-serve FILE]
 //                     [--slow-ms MS] [--slow-log FILE]
@@ -149,9 +150,6 @@ int run(int argc, char** argv) {
     } else if (const char* v = value_of("--queue")) {
       config.queue_capacity = static_cast<std::size_t>(
           env::int_flag(kTool, "--queue", v, 1, std::numeric_limits<std::int64_t>::max()));
-    } else if (const char* v = value_of("--retry-after-ms")) {
-      config.retry_after_ms = static_cast<std::uint32_t>(env::int_flag(
-          kTool, "--retry-after-ms", v, 0, std::numeric_limits<std::uint32_t>::max()));
     } else if (const char* v = value_of("--cache")) {
       if (!CacheConfig::policy_from_name(v, &config.cache.policy)) {
         std::fprintf(stderr, "volcal_serve: unknown cache policy '%s'\n", v);
@@ -178,8 +176,8 @@ int run(int argc, char** argv) {
           "                       (replace the file by mv, never rewrite it in place)\n"
           "  --socket <p>         Unix socket path to listen on (required)\n"
           "  --threads <n>        worker threads, 1-256 [VOLCAL_THREADS, else 1]\n"
-          "  --queue <n>          admission queue capacity, >= 1 [1024]\n"
-          "  --retry-after-ms <n> shed backoff hint, 0-4294967295 [50]\n"
+          "  --queue <n>          admission queue capacity, >= 1 [1024]; a query\n"
+          "                       beyond it is shed with a 50 ms retry hint\n"
           "  --cache <p>          per-node answer memo: off | shared [shared]\n"
           "  --artifact <f>       write the serve perf artifact on drain\n"
           "  --stats-interval <s> write a stats JSONL line every s seconds, 0-1e9\n"
